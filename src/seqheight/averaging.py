@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
-from .heights import DEFAULT_BUDGET_BITS, multiplicative_height
+from .heights import DEFAULT_BUDGET_BITS, _check_bits, multiplicative_height
 from .morphisms import CheckedMap, child_seed, sample_word
 
 DEFAULT_WORD_BUDGET = 3**10
@@ -62,10 +62,7 @@ def eigensystem_height_exact(
             acc = 0.0
             for g in generators:
                 q = g.apply(p)
-                if max(abs(c).bit_length() for c in q.coords) > budget_bits:
-                    raise BudgetExceeded(
-                        f"orbit coordinates exceeded {budget_bits} bits"
-                    )
+                _check_bits(q, budget_bits, depth - remaining + 1)
                 acc += rec(q, remaining - 1)
             val = acc / total_degree
         memo[key] = val
@@ -93,27 +90,38 @@ def eigensystem_height_mc(
 ) -> MonteCarloAverage:
     """Monte Carlo estimate of E_depth(x) over degree-weighted random words.
 
-    Each sample draws an i.i.d. word from its own derived seed, walks the
-    exact integer orbit, and records h(g_w(x)) / prod(d_w).  Deterministic
-    in (seed, samples, depth).
+    Each sample draws an i.i.d. word from its own derived seed and records
+    h(g_w(x)) / prod(d_w) on the exact integer orbit.  Deterministic in
+    (seed, samples, depth).
+
+    Each distinct word is evaluated once.  The distinct words are walked in
+    sorted order, and each reuses the orbit prefix it shares with the one
+    before, so every node of the word trie is applied once while only the
+    current path of points is kept.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    values = []
-    for m in range(samples):
-        word = sample_word(generators, depth, child_seed(seed, m))
-        p = x
-        norm = 1
-        for j in word:
-            g = generators[j]
-            p = g.apply(p)
-            norm *= g.degree
-            if max(abs(c).bit_length() for c in p.coords) > budget_bits:
-                raise BudgetExceeded(
-                    f"orbit coordinates exceeded {budget_bits} bits"
-                )
-        h = multiplicative_height(p)
-        values.append((math.log(h) if h > 1 else 0.0) / norm)
+    words = [
+        sample_word(generators, depth, child_seed(seed, m)) for m in range(samples)
+    ]
+    by_word: dict[tuple[int, ...], float] = {}
+    path = [x]
+    norms = [1]
+    prev: tuple[int, ...] = ()
+    for word in sorted(set(words)):
+        shared = 0
+        while shared < len(prev) and prev[shared] == word[shared]:
+            shared += 1
+        del path[shared + 1 :], norms[shared + 1 :]
+        for pos in range(shared, depth):
+            g = generators[word[pos]]
+            path.append(g.apply(path[-1]))
+            norms.append(norms[-1] * g.degree)
+            _check_bits(path[-1], budget_bits, pos + 1)
+        h = multiplicative_height(path[-1])
+        by_word[word] = (math.log(h) if h > 1 else 0.0) / norms[-1]
+        prev = word
+    values = [by_word[word] for word in words]
     mean = math.fsum(values) / samples
     var = math.fsum((v - mean) ** 2 for v in values) / (samples - 1)
     return MonteCarloAverage(

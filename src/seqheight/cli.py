@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -415,7 +416,11 @@ def _cmd_demo_unbounded(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call:
+    building it costs more than a short subcommand.  parse_args leaves it
+    unchanged and returns a fresh namespace each time."""
     parser = argparse.ArgumentParser(
         prog="seqheight",
         description="Heights, preperiodic points, and currents for bounded "

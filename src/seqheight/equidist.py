@@ -101,6 +101,8 @@ def _target_pair(target) -> tuple:
         return tuple(target)
     if target is None:
         return (0, 1)
+    if _exact_scalar(target):
+        return (1, Fraction(target))
     return (1, complex(target))
 
 

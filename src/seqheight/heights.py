@@ -21,16 +21,39 @@ radius reported with every estimate.  Two consequences used throughout:
 
 Heights are carried as (integer H, integer normalizer) pairs; ExactLogHeight
 defers the floating log so exact comparisons stay available.
+
+Exact orbit coordinates double in size each step, so canonical_height runs
+the exact orbit only while it is short, then finishes with a bounded-size
+engine (the Call-Goldstine decomposition).  With X_n = F_n(X_{n-1}) the
+unreduced orbit, x_n = X_n / G_n the canonical one and g_n the gcd that
+CheckedMap.apply divides out,
+
+    log H(x_n) = d_n log H(x_{n-1}) + log ||F_n(u_{n-1})|| - log g_n,
+
+where u = x / ||x|| is the unit direction.  The engine carries X_n scaled
+by 2^-K_n as P-bit fixed-point integers and takes g_n exactly from the orbit
+reduced modulo the product of the remaining certificate denominators (g_n
+divides e_n).  Its rounding error is proven: if the fixed-point vector is
+s*u + r with ||r|| <= delta*s, one step gives
+
+    delta' <= (A * C_inf / e) * ((1 + delta)^d - 1) + 2^-P   (up to 1/(1-2^-P))
+
+from the triangle inequality on the forms (l1 norm A) and the certificate
+bound ||F(u)|| >= e / C_inf on unit vectors.  The bound is added to the
+radius, with a term for the final floating-point evaluation, so the radius
+of every estimate holds including rounding.  The budget caps every integer
+the engine carries, as it caps the exact orbit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
-from .morphisms import SequenceSpec
+from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_BUDGET_BITS = 1 << 20
 
@@ -54,10 +77,14 @@ class HeightEstimate:
     """A canonical height value with a certified truncation radius.
 
     The true canonical height lies in [value - radius, value + radius].
-    multiplicative/normalizer carry the exact truncation payload when the
-    value is a plain truncation (None for exact preperiodic zeros).
-    conforming is False when a bit budget stopped the iteration before the
-    requested tolerance; the radius is then honest but larger than asked.
+    multiplicative/normalizer carry the exact payload H(x_j), d_1...d_j of
+    the deepest exact orbit point x_j.  The value is that plain truncation
+    when j == depth; otherwise the bounded-size engine went on from x_j to
+    depth, and the radius includes its proven rounding bound.
+    multiplicative is None only for certified exact zeros (preperiodic
+    points).  conforming is False when a bit budget stopped the iteration
+    before the requested tolerance; the radius is then honest but larger
+    than asked.
     """
 
     value: float
@@ -105,6 +132,193 @@ def height_sequence(
     return out
 
 
+def _escape_carrier(spec: SequenceSpec) -> tuple[int, int]:
+    """(B, d) with 2*c(spec) = (2/d) log B, for exact h > 2c tests."""
+    best = max(
+        spec.generators,
+        key=lambda g: g.distortion.c_bound,
+    )
+    b = max(best.distortion.amplification, best.distortion.attenuation)
+    return b, best.degree
+
+
+def _exceeds_2c(h_mult: int, carrier: tuple[int, int]) -> bool:
+    b, d = carrier
+    return h_mult**d > b * b
+
+
+_LN2 = math.log(2.0)
+# 2^-P must stay a normal double in the rounding recursion, and so must the
+# tail 2c / prod(d) at the engine's depth.
+_MAX_ENGINE_BITS = 960
+# The engine's value is three rounded terms and two additions; 2^-50 of
+# their magnitudes is eight units in the last place, with room for a libm
+# log that is not correctly rounded.
+_FLOAT_EVAL_ERROR = 2.0**-50
+
+
+def _direction_gain(g: CheckedMap) -> float:
+    """A * C_inf / e: one step of g turns a direction error delta into at
+    most this times (1 + delta)^d - 1."""
+    dist = g.distortion
+    return dist.amplification * dist.cofactor_l1 / dist.denominator
+
+
+def rounding_radius(
+    maps: Sequence[CheckedMap], precision: int, normalizer: int = 1
+) -> float:
+    """Proven bound on the fixed-point error of bounded_truncation.
+
+    Bounds |h_n - engine value| for the engine run through maps (f_{j+1}
+    ... f_n, in the order applied) from the exact point x_j, where
+    normalizer = d_1...d_j.  It depends only on the maps and the precision,
+    not on the point, and leaves out the final floating-point evaluation.
+    """
+    q = 2.0**-precision
+    delta = q / (1.0 - q)
+    for g in maps:
+        spread = _direction_gain(g) * math.expm1(g.degree * math.log1p(delta))
+        delta = (spread + q) / (1.0 - q)
+        normalizer *= g.degree
+        if not delta < 1.0:
+            return math.inf
+    # the recursion itself runs in floats; a relative 1e-9 covers that
+    return -math.log1p(-delta) / normalizer * (1.0 + 1e-9)
+
+
+def bounded_truncation(
+    point: RationalProjectivePoint,
+    maps: Sequence[CheckedMap],
+    precision: int,
+    normalizer: int = 1,
+) -> tuple[float, float]:
+    """h_n of an orbit, computed with P-bit fixed-point arithmetic.
+
+    point is the orbit's canonical point x_j, normalizer is d_1...d_j and
+    maps are f_{j+1} ... f_n in the order applied.  Returns (value, radius)
+    with |value - h_n| <= radius, rounding of every kind included.  The
+    integers formed are bounded by _engine_bits.
+    """
+    rounding = rounding_radius(maps, precision, normalizer)
+    modulus = math.prod(g.certificate.denominator for g in maps)
+    residues = [c % modulus for c in point.coords]
+    shift = max(0, multiplicative_height(point).bit_length() - precision - 1)
+    u = [c >> shift for c in point.coords]
+    # u approximates X / 2^scale, X the orbit without the gcd reductions
+    scale = shift
+    log_gcds = []
+    for g in maps:
+        v = [f.evaluate(u) for f in g.forms]
+        shift = max(0, max(abs(c) for c in v).bit_length() - precision - 1)
+        u = [c >> shift for c in v]
+        scale = g.degree * scale + shift
+        normalizer *= g.degree
+        if modulus > 1:
+            # F(x) mod modulus is exact; dividing by gcd | e keeps x mod the
+            # product of the denominators still ahead
+            e = g.certificate.denominator
+            w = [f.evaluate(residues) % modulus for f in g.forms]
+            gcd = math.gcd(e, *w)
+            modulus //= e
+            residues = [c // gcd % modulus for c in w]
+            if gcd > 1:
+                log_gcds.append(math.log(gcd) / normalizer)
+    whole = scale / normalizer * _LN2
+    frac = math.log(max(abs(c) for c in u)) / normalizer
+    removed = math.fsum(log_gcds)
+    value = whole + frac - removed
+    return value, rounding + _FLOAT_EVAL_ERROR * (abs(whole) + abs(frac) + removed)
+
+
+def _engine_bits(maps: Sequence[CheckedMap], precision: int) -> int:
+    """Bits of the widest integer bounded_truncation forms: a product F(U)
+    with |U| <= 2^(P+1), or F of residues below the denominators' product."""
+    modulus = math.prod(g.certificate.denominator for g in maps)
+    width = max(precision + 2, modulus.bit_length())
+    return max(
+        (g.degree * width + g.distortion.amplification.bit_length() for g in maps),
+        default=width,
+    )
+
+
+def _engine_precision(
+    maps: Sequence[CheckedMap], normalizer: int, target: float
+) -> int | None:
+    """The smallest P whose rounding_radius is <= target; None past
+    _MAX_ENGINE_BITS.  The linear estimate below never exceeds the true
+    radius, so the search starts at or below the answer."""
+    gain, final = 1.0, normalizer
+    for g in maps:
+        gain = _direction_gain(g) * g.degree * gain + 1.0
+        final *= g.degree
+    if not math.isfinite(gain):
+        return None
+    # delta_n is about gain * 2^-P while it is small
+    precision = max(1, math.ceil(math.log2(gain / (target * final))))
+    while precision <= _MAX_ENGINE_BITS:
+        if rounding_radius(maps, precision, normalizer) <= target:
+            return precision
+        precision += 1
+    return None
+
+
+@dataclass(frozen=True)
+class _EnginePlan:
+    """The maps up to the engine's depth, its tail normalizer, and the
+    coordinate width at which the exact orbit hands over."""
+
+    maps: tuple[CheckedMap, ...]
+    normalizer: int
+    switch_bits: int
+
+
+def _engine_plan(spec: SequenceSpec, c: float, tol: float) -> _EnginePlan | None:
+    """Depth N with tail 2c / (d_1...d_N) <= tol/2, the other half of tol
+    going to rounding.  The exact orbit hands over once its coordinates
+    are wider than the precision an engine started at position 0 would
+    need, which bounds the precision from any later start: up to there an
+    exact step costs no more than a fixed-point one."""
+    maps: list[CheckedMap] = []
+    normalizer = 1
+    while 4.0 * c > tol * normalizer:
+        maps.append(spec.generator_at(len(maps)))
+        normalizer *= maps[-1].degree
+        if normalizer.bit_length() > _MAX_ENGINE_BITS:
+            return None
+    switch_bits = _engine_precision(maps, 1, tol / 4)
+    if switch_bits is None:
+        return None
+    return _EnginePlan(tuple(maps), normalizer, switch_bits)
+
+
+def _engine_estimate(
+    p: RationalProjectivePoint,
+    start: int,
+    normalizer: int,
+    c: float,
+    tol: float,
+    plan: _EnginePlan,
+    budget_bits: int,
+) -> HeightEstimate | None:
+    """The engine's estimate from the exact point p at position start, or
+    None when its precision would not fit the bit budget."""
+    maps = plan.maps[start:]
+    precision = _engine_precision(maps, normalizer, tol / 4)
+    if precision is None or _engine_bits(maps, precision) > budget_bits:
+        return None
+    value, rounding = bounded_truncation(p, maps, precision, normalizer)
+    radius = 2.0 * c / plan.normalizer + rounding
+    return HeightEstimate(
+        value=value,
+        radius=radius,
+        depth=len(plan.maps),
+        c_used=c,
+        multiplicative=multiplicative_height(p),
+        normalizer=normalizer,
+        conforming=radius <= tol,
+    )
+
+
 def canonical_height(
     x: RationalProjectivePoint,
     spec: SequenceSpec,
@@ -116,7 +330,10 @@ def canonical_height(
     Iterates the exact orbit until the tail bound 2c/prod(d) drops below
     tol.  Two shortcuts keep easy cases exact: c = 0 means the naive height
     is already canonical (radius 0), and a repeated (point, phase) state
-    proves preperiodicity, hence an exact zero.  If the bit budget is hit
+    proves preperiodicity, hence an exact zero.  Once the coordinates are
+    wider than the fixed-point precision the tolerance needs, and for a
+    word with phases once h > 2c certifies that no cycle can follow, the
+    bounded-size engine finishes the job.  If the bit budget is hit
     first, the partial truncation is returned flagged non-conforming.
     """
     if tol <= 0:
@@ -126,20 +343,32 @@ def canonical_height(
     normalizer = 1
     depth = 0
     seen: dict[tuple, int] | None = None
+    carrier = None
     if spec.phase_at(0) is not None:
         seen = {(p, spec.phase_at(0)): 0}
+        carrier = _escape_carrier(spec)
+    plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
     while 2.0 * c / normalizer > tol:
+        h = multiplicative_height(p)
+        if (
+            plan is not None
+            and h.bit_length() > plan.switch_bits
+            and (carrier is None or _exceeds_2c(h, carrier))
+        ):
+            est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
+            if est is not None:
+                return est
         g = spec.generator_at(depth)
         try:
             p_next = g.apply(p)
             _check_bits(p_next, budget_bits, depth + 1)
         except BudgetExceeded:
             return HeightEstimate(
-                value=ExactLogHeight(multiplicative_height(p), normalizer).value,
+                value=ExactLogHeight(h, normalizer).value,
                 radius=2.0 * c / normalizer,
                 depth=depth,
                 c_used=c,
-                multiplicative=multiplicative_height(p),
+                multiplicative=h,
                 normalizer=normalizer,
                 conforming=False,
             )

@@ -30,7 +30,13 @@ from typing import Sequence
 
 from .algebra import HomogeneousForm, RationalProjectivePoint, evaluate_forms
 from .errors import BudgetExceeded, EnumerationTooLarge, NoRecurringPhase
-from .heights import DEFAULT_BUDGET_BITS, multiplicative_height
+from .heights import (
+    DEFAULT_BUDGET_BITS,
+    _check_bits,
+    _escape_carrier,
+    _exceeds_2c,
+    multiplicative_height,
+)
 from .morphisms import CheckedMap, SequenceSpec, amplification_bound
 
 DEFAULT_CENSUS_CAP = 10**6
@@ -68,21 +74,6 @@ class BudgetHit:
 OrbitOutcome = FiniteOrbit | HeightEscape | BudgetHit
 
 
-def _escape_carrier(spec: SequenceSpec) -> tuple[int, int]:
-    """(B, d) with 2*c(spec) = (2/d) log B, for exact h > 2c tests."""
-    best = max(
-        spec.generators,
-        key=lambda g: g.distortion.c_bound,
-    )
-    b = max(best.distortion.amplification, best.distortion.attenuation)
-    return b, best.degree
-
-
-def _exceeds_2c(h_mult: int, carrier: tuple[int, int]) -> bool:
-    b, d = carrier
-    return h_mult**d > b * b
-
-
 def forward_orbit(
     x: RationalProjectivePoint,
     spec: SequenceSpec,
@@ -113,10 +104,8 @@ def forward_orbit(
             return FiniteOrbit(tuple(points), preperiod=first, period=step - first)
         seen[key] = step
         points.append(p)
-        q = spec.generator_at(step).apply(p)
-        if max(abs(c).bit_length() for c in q.coords) > budget_bits:
-            raise BudgetExceeded(f"orbit coordinates exceeded {budget_bits} bits")
-        p = q
+        p = spec.generator_at(step).apply(p)
+        _check_bits(p, budget_bits, step + 1)
     return BudgetHit(step=max_steps)
 
 

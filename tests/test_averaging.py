@@ -11,7 +11,7 @@ from seqheight.averaging import (
 )
 from seqheight.errors import BudgetExceeded
 from seqheight.heights import multiplicative_height
-from seqheight.morphisms import perturbed_power_map, power_map
+from seqheight.morphisms import child_seed, perturbed_power_map, power_map, sample_word
 
 SQ = power_map(1, 2, "sq")
 CUBE = power_map(1, 3, "cube")
@@ -99,3 +99,38 @@ def test_verify_averaging_passes():
     assert rep.truncation_radius == pytest.approx(
         2 * PSQ.distortion.c_bound / 2**6
     )
+
+
+def _mc_per_sample(x, generators, samples, depth, seed):
+    """The Monte Carlo estimator as a plain per-sample loop."""
+    values = []
+    for m in range(samples):
+        p = x
+        norm = 1
+        for j in sample_word(generators, depth, child_seed(seed, m)):
+            p = generators[j].apply(p)
+            norm *= generators[j].degree
+        h = multiplicative_height(p)
+        values.append((math.log(h) if h > 1 else 0.0) / norm)
+    mean = math.fsum(values) / samples
+    var = math.fsum((v - mean) ** 2 for v in values) / (samples - 1)
+    return mean, math.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 6, 8])
+@pytest.mark.parametrize(
+    "gens", [[SQ, PSQ], [PSQ, CUBE], [SQ, PSQ, CUBE]], ids=["sq-psq", "psq-cube", "all"]
+)
+def test_mc_memo_matches_per_sample_loop(gens, depth):
+    x = normalize([2, 3])
+    samples, seed = 600, 17
+    mc = eigensystem_height_mc(x, gens, samples=samples, depth=depth, seed=seed)
+    mean, stderr = _mc_per_sample(x, gens, samples, depth, seed)
+    assert mc.mean == mean
+    assert mc.stderr == stderr
+    assert (mc.samples, mc.depth, mc.seed) == (samples, depth, seed)
+
+
+def test_mc_budget_guard():
+    with pytest.raises(BudgetExceeded):
+        eigensystem_height_mc(normalize([3, 7]), [SQ, PSQ], 50, 8, 1, budget_bits=64)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from seqheight import cli
 from seqheight.cli import main
 
 SQ_FORMS = [[[[2, 0], 1]], [[[0, 2], 1]]]
@@ -36,6 +37,16 @@ def mixed_config(tmp_path):
             {"name": "psq", "degree": 2, "forms": PSQ_FORMS},
         ],
         {"type": "periodic", "word": ["sq", "psq"]},
+    )
+
+
+@pytest.fixture
+def psq_config(tmp_path):
+    return _write_config(
+        tmp_path,
+        "psq.json",
+        [{"name": "psq", "degree": 2, "forms": PSQ_FORMS}],
+        {"type": "constant", "map": "psq"},
     )
 
 
@@ -106,6 +117,16 @@ def test_reports_are_byte_identical_between_runs(capsys, mixed_config):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("config", ["mixed_config", "psq_config"])
+def test_canheight_defaults_are_reachable(capsys, request, config):
+    argv = ["canheight", "--config", request.getfixturevalue(config), "--point", "2,3"]
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert doc["conforming"] is True
+    assert doc["radius"] <= 1e-8
+    assert doc["exact_zero"] is False
 
 
 def test_canheight_budget_exhaustion_is_a_contract_error(capsys, mixed_config):
@@ -309,3 +330,19 @@ def test_target_at_infinity(capsys, sq_config):
     (point,) = doc["points"]
     assert point["at_infinity"] is True
     assert point["multiplicity"] == 2
+
+
+def test_shared_parser_gives_the_same_reports(capsys, mixed_config, sq_config):
+    runs = [
+        ["canheight", "--config", mixed_config, "--point", "2,3", "--tol", "1e-4"],
+        ["preimages", "--config", sq_config, "--target", "3/7", "--depth", "3"],
+        ["validate", "--config", mixed_config],
+    ]
+    shared = []
+    for argv in runs:
+        assert main(argv) == 0
+        shared.append(capsys.readouterr().out)
+    for argv, out in zip(runs, shared):
+        cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out

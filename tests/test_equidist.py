@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from seqheight import equidist
 from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.equidist import (
     CloudPoint,
@@ -378,3 +379,30 @@ def test_squarefree_split_matches_sympy():
         }
         want = {i: sympy.Poly(p, t).monic() for p, i in sympy.sqf_list(poly)[1]}
         assert got == want
+
+
+def test_scalar_target_takes_the_exact_first_pullback(monkeypatch):
+    calls = []
+    split = equidist._squarefree_split
+
+    def spy(p):
+        parts = split(p)
+        calls.append(parts)
+        return parts
+
+    monkeypatch.setattr(equidist, "_squarefree_split", spy)
+    cloud = preimage_cloud(Constant(SQ), 0, 3)
+    # z^2 = 0: the multiplicity-2 root comes from the squarefree split
+    assert calls == [[([Fraction(0), Fraction(1)], 2)]]
+    assert [(p.z, p.at_infinity, p.multiplicity) for p in cloud.points] == [
+        (0j, False, 8)
+    ]
+
+
+@pytest.mark.parametrize("target", [2, 0, Fraction(3, 7), -5])
+def test_scalar_and_pair_targets_give_identical_clouds(target):
+    spec = PeriodicWord((SQ, PSQ), (0, 1))
+    for depth in (0, 1, 4):
+        a = preimage_cloud(spec, target, depth)
+        b = preimage_cloud(spec, (1, Fraction(target)), depth)
+        assert a == b

@@ -1,18 +1,22 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqheight.algebra import normalize
+from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.errors import BudgetExceeded
+from seqheight.green import LiftSequence, green_function
 from seqheight.heights import (
     ExactLogHeight,
+    bounded_truncation,
     canonical_height,
     functional_equation_residual,
     height_sequence,
     multiplicative_height,
     naive_height,
+    rounding_radius,
 )
 from seqheight.morphisms import (
     Constant,
@@ -20,6 +24,7 @@ from seqheight.morphisms import (
     RandomWord,
     perturbed_power_map,
     power_map,
+    validate,
 )
 
 SQ = power_map(1, 2, "sq")
@@ -135,3 +140,132 @@ def test_cauchy_differences_within_bound(a, b):
     c = spec.c_bound
     for i in range(8):
         assert abs(seq[i + 1].value - seq[i].value) <= c / 2**i + 1e-12
+
+
+# -- the bounded-size engine ---------------------------------------------------
+
+# (2 x0^2 + x0 x1 : 3 x1^2 - x0 x1): certificate denominator e = 42, so the
+# renormalising gcds g_n run through the engine's residue orbit.
+E42 = validate(
+    [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ],
+    "e42",
+)
+
+
+def _rational_corpus(count, seed, bound=10):
+    """The seeded corpus of the acceptance suite."""
+    rng = random.Random(seed)
+    pts = []
+    seen = set()
+    while len(pts) < count:
+        a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        if a == 0 and b == 0:
+            continue
+        p = normalize([a, b])
+        if p not in seen:
+            seen.add(p)
+            pts.append(p)
+    return pts
+
+
+ENGINE_SPECS = (
+    Constant(PSQ),
+    PeriodicWord((SQ, PSQ), (0, 1)),
+    RandomWord((SQ, PSQ), seed=5),
+    Constant(E42),
+    PeriodicWord((SQ, E42), (1, 0)),
+)
+
+
+def test_e42_needs_gcd_reductions():
+    assert E42.certificate.denominator == 42
+    p = normalize([1, 1])
+    grew = False
+    for _ in range(6):
+        values = [f.evaluate(p.coords) for f in E42.forms]
+        grew |= math.gcd(*values) > 1
+        p = E42.apply(p)
+    assert grew
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: type(s).__name__)
+def test_engine_matches_exact_truncations(spec):
+    # the reference log(H) / normalizer is itself rounded: two units in the
+    # last place of |h| cover it
+    maps = [spec.generator_at(i) for i in range(18)]
+    for x in _rational_corpus(12, seed=2024):
+        exact = height_sequence(x, spec, 18, budget_bits=1 << 22)
+        for precision in (24, 64):
+            for n, h in enumerate(exact):
+                value, radius = bounded_truncation(x, maps[:n], precision)
+                assert radius >= rounding_radius(maps[:n], precision)
+                assert abs(value - h.value) <= radius + 2 * 2.0**-52 * abs(h.value)
+
+
+def test_engine_from_a_later_start_matches_exact():
+    spec = PeriodicWord((SQ, E42), (1, 0))
+    for x in _rational_corpus(6, seed=2024):
+        exact = height_sequence(x, spec, 16, budget_bits=1 << 22)
+        start = 5
+        p = x
+        for pos in range(start):
+            p = spec.generator_at(pos).apply(p)
+        for n in range(start, 17):
+            maps = [spec.generator_at(i) for i in range(start, n)]
+            value, radius = bounded_truncation(p, maps, 40, exact[start].normalizer)
+            assert abs(value - exact[n].value) <= radius + 2 * 2.0**-52 * exact[n].value
+
+
+@pytest.mark.parametrize(
+    "spec", ENGINE_SPECS[:3], ids=lambda s: type(s).__name__
+)
+def test_engine_agrees_with_green_at_tight_tol(spec):
+    # e = 1 everywhere: the canonical height is half the escape rate G
+    seq = LiftSequence.from_spec(spec)
+    for x in _rational_corpus(15, seed=11):
+        est = canonical_height(x, spec, 1e-12)
+        assert est.conforming
+        assert est.radius <= 1e-12
+        if est.multiplicative is None:
+            assert est.value == 0.0
+            continue
+        g = green_function(seq, [complex(c) for c in x.coords], 1e-12)
+        assert abs(est.value - g.value / 2) <= est.radius + g.radius / 2
+
+
+def test_engine_estimate_keeps_the_exact_prefix_payload():
+    spec = Constant(PSQ)
+    x = normalize([2, 3])
+    est = canonical_height(x, spec, 1e-8)
+    assert est.conforming and est.radius <= 1e-8
+    assert est.multiplicative is not None
+    # the payload is the exact orbit point where the engine took over
+    j = est.normalizer.bit_length() - 1
+    assert 0 < j < est.depth
+    assert est.multiplicative == height_sequence(x, spec, j)[j].multiplicative
+    assert 2 * spec.c_bound / 2**est.depth <= 1e-8 / 2
+
+
+def test_engine_respects_the_bit_budget():
+    x = normalize([2, 3])
+    spec = Constant(PSQ)
+    est = canonical_height(x, spec, 1e-8, budget_bits=128)
+    assert not est.conforming
+    # nothing the exact prefix or the engine carried passed 128 bits
+    assert est.multiplicative.bit_length() <= 128
+    assert est.value == ExactLogHeight(est.multiplicative, est.normalizer).value
+    assert canonical_height(x, spec, 1e-8).conforming
+
+
+def test_exact_zero_only_for_cycles():
+    spec = PeriodicWord((SQ, PSQ), (0, 1))
+    est = canonical_height(normalize([1, 0]), spec, 1e-12)
+    assert est.multiplicative is None and est.value == 0.0
+    # (0:1) is fixed by sq but psq sends it to (1:1), which escapes
+    for raw in [(0, 1), (1, 1), (2, 3), (9, 10)]:
+        est = canonical_height(normalize(raw), spec, 1e-12)
+        assert est.multiplicative is not None
+        assert est.value > 0.0
