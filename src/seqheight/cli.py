@@ -280,16 +280,12 @@ def _cmd_average(args) -> int:
 
 def _cmd_green(args) -> int:
     _, _, spec = _load_config(args.config)
+    if args.grid and not args.out:
+        raise ValueError("grid mode needs --out for the CSV file")
     seq = LiftSequence.from_spec(spec)
     if args.grid:
-        grid = PairingGrid(
-            seq, args.grid, green_tol=args.tol, workers=args.workers
-        )
-        if not args.out:
-            raise ValueError("grid mode needs --out for the CSV file")
-        count = _write_csv(
-            args.out, ["x", "y", "green", "psi"], grid.chart_rows(args.chart)
-        )
+        grid = PairingGrid(seq, args.grid, green_tol=args.tol)
+        count = grid.write_csv(args.chart, args.out)
         _print_json(
             {
                 "chart": args.chart,
@@ -318,7 +314,7 @@ def _cmd_pair(args) -> int:
     _, _, spec = _load_config(args.config)
     seq = LiftSequence.from_spec(spec)
     phi = _parse_phi(args.phi)
-    grid = PairingGrid(seq, args.grid, green_tol=args.tol, workers=args.workers)
+    grid = PairingGrid(seq, args.grid, green_tol=args.tol)
     _print_json(
         {
             "phi": phi.name,
@@ -373,7 +369,6 @@ def _cmd_equidist(args) -> int:
         depths=depths,
         resolution=args.grid,
         green_tol=args.tol,
-        workers=args.workers,
     )
     _print_json(
         {
@@ -414,6 +409,13 @@ def _cmd_demo_unbounded(args) -> int:
         }
     )
     return 0
+
+
+# --workers stays accepted so existing command lines keep working.
+WORKERS_HELP = (
+    "accepted for compatibility and has no effect: the Green grid runs on "
+    "one thread, which was faster than two"
+)
 
 
 @functools.cache
@@ -479,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid", type=int, default=0, help="grid resolution (CSV mode)")
     p.add_argument("--chart", type=int, choices=(0, 1), default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out", help="CSV output path (grid mode)")
     p.set_defaults(func=_cmd_green)
 
@@ -488,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="one", help="one|re|im|height|bump:re,im,r")
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("preimages", help="backward orbit cloud of a target")
@@ -504,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", default="2,4,6,8,10")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=_cmd_equidist)
 
     p = sub.add_parser(

@@ -580,7 +580,6 @@ def equidistribution_report(
     resolution: int = 256,
     transition: float = DEFAULT_TRANSITION,
     green_tol: float = 1e-9,
-    workers: int = 1,
     noise_floor: float = NOISE_FLOOR,
     budget: int = DEFAULT_CLOUD_BUDGET,
 ) -> EquidistributionReport:
@@ -597,9 +596,7 @@ def equidistribution_report(
     depths = sorted(depths)
     if not depths:
         raise ValueError("need at least one depth")
-    grid = PairingGrid(
-        LiftSequence.from_spec(spec), resolution, transition, green_tol, workers
-    )
+    grid = PairingGrid(LiftSequence.from_spec(spec), resolution, transition, green_tol)
     references = {phi.name: grid.pair(phi) for phi in phis}
     rows: list[EquidistributionRow] = []
     max_rt = 0.0

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from seqheight import cli
+from seqheight import cli, green
 from seqheight.cli import main
+from seqheight.green import LiftSequence, PairingGrid
 
 SQ_FORMS = [[[[2, 0], 1]], [[[0, 2], 1]]]
 PSQ_FORMS = [[[[2, 0], 1], [[0, 2], 1]], [[[0, 2], 1]]]
@@ -226,6 +229,31 @@ def test_green_grid_mode_requires_out(capsys, sq_config):
     assert main(["green", "--config", sq_config, "--grid", "16"]) == 1
 
 
+def test_green_grid_mode_checks_out_before_building(capsys, monkeypatch, sq_config):
+    calls = []
+    monkeypatch.setattr(green, "green_values", lambda *a, **k: calls.append(a))
+    assert main(["green", "--config", sq_config, "--grid", "16"]) == 1
+    assert "needs --out" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+def test_green_grid_csv_bytes_match_csv_writer(capsys, tmp_path, mixed_config, chart):
+    out = tmp_path / "grid.csv"
+    argv = ["green", "--config", mixed_config, "--grid", "16", "--chart", str(chart)]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    _, _, spec = cli._load_config(mixed_config)
+    grid = PairingGrid(LiftSequence.from_spec(spec), 16)
+    data = grid.charts[chart]
+    xx, yy = np.meshgrid(grid.centers, grid.centers, indexing="xy")
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["x", "y", "green", "psi"])
+    writer.writerows(zip(xx.ravel(), yy.ravel(), data["green"], data["u"]))
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 def test_pair_constant_one_gives_unit_mass(capsys, mixed_config):
     code, doc = _run_json(
         capsys,
@@ -239,6 +267,23 @@ def test_pair_constant_one_gives_unit_mass(capsys, mixed_config):
 
 def test_pair_rejects_unknown_phi(capsys, mixed_config):
     assert main(["pair", "--config", mixed_config, "--phi", "wat"]) == 1
+
+
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_pair_rejects_nonpositive_grid(capsys, mixed_config, grid):
+    assert main(["pair", "--config", mixed_config, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+def test_pair_workers_give_identical_reports(capsys, mixed_config):
+    outs = []
+    for workers in ("1", "2"):
+        argv = ["pair", "--config", mixed_config, "--phi", "re", "--grid", "96"]
+        assert main(argv + ["--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_preimages_json_and_csv(capsys, tmp_path, mixed_config):

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from seqheight.algebra import normalize
+from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.errors import DegenerateNearZero, DimensionMismatch, NonzeroRequired
 from seqheight.green import (
     ChartFunction,
@@ -14,6 +15,7 @@ from seqheight.green import (
     constant_one,
     current_pairing,
     green_function,
+    _plan_depth,
     green_values,
     lift_scaling_check,
     radial_bump,
@@ -22,10 +24,24 @@ from seqheight.green import (
     sphere_re,
 )
 from seqheight.heights import canonical_height
-from seqheight.morphisms import Constant, perturbed_power_map, power_map
+from seqheight.morphisms import (
+    Constant,
+    RandomWord,
+    perturbed_power_map,
+    power_map,
+    validate,
+)
 
 SQ = power_map(1, 2, "sq")
 PSQ = perturbed_power_map(1, 2, "psq")
+# (2 x0^2 + x0 x1 : 3 x1^2 - x0 x1): coefficients other than 1
+E42 = validate(
+    [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ],
+    "e42",
+)
 
 # frozen alongside the canonical height of (1:1): G((1,1)) = 2 * hhat
 G_PSQ_AT_11 = 0.81470904547896
@@ -221,13 +237,144 @@ def test_one_off_pairing_matches_grid():
     )
 
 
-def test_grid_rows_shape():
+def test_grid_rows_shape(tmp_path):
     grid = PairingGrid(None, resolution=8)
-    rows = list(grid.chart_rows(0))
-    assert len(rows) == 64
-    x, y, g, u = rows[0]
-    assert g == 0.0
-    assert u == pytest.approx(math.log1p(x**2 + y**2))
+    path = tmp_path / "grid.csv"
+    assert grid.write_csv(0, str(path)) == 64
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "y", "green", "psi"]
+    assert len(rows) == 65
+    for row in rows[1:]:
+        x, y, g, u = (float(v) for v in row)
+        assert g == 0.0
+        assert u == pytest.approx(math.log1p(x**2 + y**2))
+
+
+@pytest.mark.parametrize("resolution", [0, -4])
+def test_pairing_grid_rejects_nonpositive_resolution(resolution):
+    with pytest.raises(ValueError):
+        PairingGrid(_sq_seq(), resolution=resolution)
+
+
+# -- the blocked kernel against the term-by-term, unblocked one ------------
+
+
+def _reference_evaluate(lift, pts):
+    """Term-by-term lift evaluation: a full array of the coefficient times
+    each power in variable order, summed into a zero accumulator.
+
+    np.multiply keeps the operand order: for arrays over 256 KiB the
+    operator form `term * pts[i] ** e` lets numpy reuse the temporary power
+    as the output and swap the operands, and a complex product rounds
+    differently with its operands swapped.
+    """
+    out = np.empty_like(pts)
+    for j, (exps, coeffs) in enumerate(lift.components):
+        acc = np.zeros(pts.shape[1], dtype=np.complex128)
+        for t in range(len(coeffs)):
+            term = np.full(pts.shape[1], coeffs[t])
+            for i in range(lift.num_vars):
+                e = exps[t, i]
+                if e:
+                    term = np.multiply(term, pts[i] ** int(e))
+            acc += term
+        out[j] = acc
+    return out
+
+
+def _reference_green_values(seq, pts, tol=1e-9, depth=None):
+    """The step loop over the whole batch at once, normalizing by division."""
+    norms = np.linalg.norm(pts, axis=0)
+    steps = _plan_depth(seq, tol, depth)
+    acc = np.log(norms)
+    v = pts / norms
+    prod = 1
+    for a in range(steps):
+        lift = seq.lift_at(a)
+        y = _reference_evaluate(lift, v)
+        ny = np.linalg.norm(y, axis=0)
+        if np.any(ny < 1e-280):
+            raise DegenerateNearZero(f"lift at step {a + 1} drove a unit vector to ~0")
+        acc = lift.degree * acc + np.log(ny)
+        v = y / ny
+        prod *= lift.degree
+    return 2.0 * acc / prod, steps, 4.0 * seq.c_bar / prod
+
+
+def _kernel_sequences():
+    sq, psq = ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ)
+    e42 = ComplexLiftMap.from_checked(E42)
+    cubic = ComplexLiftMap.from_coefficients(
+        3,
+        2,
+        [
+            {(3, 0): 1.5 - 0.5j, (1, 2): 0.25j, (0, 0): 0.5},
+            {(0, 3): -2.0 + 1.0j, (2, 1): 0.75, (1, 2): 1.0},
+        ],
+        label="cubic",
+    )
+    three = ComplexLiftMap.from_checked(perturbed_power_map(2, 2, "psq3"))
+    return {
+        "sq": LiftSequence.constant(sq),
+        "psq": LiftSequence.constant(psq),
+        "sq,psq": LiftSequence.periodic((sq, psq), (0, 1)),
+        "random": LiftSequence.from_spec(RandomWord((SQ, PSQ, E42), seed=12345)),
+        "scaled": LiftSequence.periodic((sq, psq), (0, 1)).scaled(
+            [2.0, 0.5j, 3.0 - 1.0j, 1.0, -0.25]
+        ),
+        "cubic,sq": LiftSequence.periodic((cubic, sq, e42), (0, 1, 2)),
+        "three-vars": LiftSequence.constant(three),
+    }
+
+
+KERNEL_WIDTHS = (1, 8191, 8192, 8193, 2 * 8192 + 5)
+
+
+@pytest.mark.parametrize(
+    "name", ["sq", "psq", "sq,psq", "random", "scaled", "cubic,sq", "three-vars"]
+)
+def test_blocked_kernel_matches_unblocked_reference(name):
+    seq = _kernel_sequences()[name]
+    rng = np.random.default_rng(2024)
+    n = seq.num_vars
+    for width in KERNEL_WIDTHS:
+        pts = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        pts[:, 0] = np.arange(1, n + 1)
+        for depth in (None, 0):
+            got = green_values(seq, pts, tol=1e-9, depth=depth)
+            ref = _reference_green_values(seq, pts, tol=1e-9, depth=depth)
+            assert np.array_equal(got[0], ref[0])
+            assert got[1:] == ref[1:]
+        lift = seq.lift_at(1)
+        assert np.array_equal(lift.evaluate(pts), _reference_evaluate(lift, pts))
+        assert np.array_equal(lift.evaluate(pts[:, 0]), _reference_evaluate(lift, pts)[:, 0])
+
+
+def test_blocked_kernel_reports_the_first_degenerate_step():
+    # (x0^2 - x1^2 : x0^2 - x1^2) sends every point to the line x0 = x1,
+    # which the next step kills; points with x0 = x1 die at step 1.  The
+    # one step-1 point sits in the last block, after blocks that degenerate
+    # at step 2.
+    lift = ComplexLiftMap.from_coefficients(
+        2,
+        2,
+        [{(2, 0): 1.0, (0, 2): -1.0}, {(2, 0): 1.0, (0, 2): -1.0}],
+        c_bar=1.0,
+    )
+    seq = LiftSequence.constant(lift)
+    rng = np.random.default_rng(9)
+    pts = rng.standard_normal((2, 2 * 8192 + 5)) + 0.5j
+    for late in (False, True):
+        if late:
+            pts[:, -1] = (0.5 + 0.5j, 0.5 + 0.5j)
+        messages = []
+        for kernel in (green_values, _reference_green_values):
+            with pytest.raises(DegenerateNearZero) as err:
+                kernel(seq, pts, tol=1e-6)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"lift at step {1 if late else 2} ")
 
 
 def test_scaling_shift_single_scalar():
