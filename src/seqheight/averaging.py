@@ -25,7 +25,7 @@ from typing import Sequence
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
 from .heights import DEFAULT_BUDGET_BITS, _check_bits, multiplicative_height
-from .morphisms import CheckedMap, child_seed, sample_word
+from .morphisms import CheckedMap, sample_words
 
 DEFAULT_WORD_BUDGET = 3**10
 
@@ -45,6 +45,8 @@ def eigensystem_height_exact(
     k = len(generators)
     if k == 0:
         raise ValueError("no generators")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if k**depth > word_budget:
         raise BudgetExceeded(f"{k}^{depth} words exceeds budget {word_budget}")
     total_degree = sum(g.degree for g in generators)
@@ -68,7 +70,13 @@ def eigensystem_height_exact(
         memo[key] = val
         return val
 
-    return rec(x, depth)
+    try:
+        return rec(x, depth)
+    finally:
+        # rec refers to itself through its closure, so without this the memo
+        # (every orbit point of the word tree) would stay alive until the
+        # cyclic garbage collector next runs.
+        memo.clear()
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ def eigensystem_height_mc(
 
     Each sample draws an i.i.d. word from its own derived seed and records
     h(g_w(x)) / prod(d_w) on the exact integer orbit.  Deterministic in
-    (seed, samples, depth).
+    (seed, samples, depth).  All words come from one batched draw
+    (sample_words), the same words a per-sample sample_word loop gives.
 
     Each distinct word is evaluated once.  The distinct words are walked in
     sorted order, and each reuses the orbit prefix it shares with the one
@@ -101,9 +110,9 @@ def eigensystem_height_mc(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    words = [
-        sample_word(generators, depth, child_seed(seed, m)) for m in range(samples)
-    ]
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    words = sample_words(generators, depth, seed, samples)
     by_word: dict[tuple[int, ...], float] = {}
     path = [x]
     norms = [1]

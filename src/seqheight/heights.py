@@ -120,6 +120,8 @@ def height_sequence(
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> list[ExactLogHeight]:
     """Normalized height truncations h_0 .. h_depth along the exact orbit."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     out = [naive_height(x)]
     p = x
     normalizer = 1

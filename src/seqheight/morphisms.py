@@ -25,9 +25,12 @@ bit-identical across platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from .algebra import (
     HomogeneousForm,
@@ -40,6 +43,10 @@ from .errors import DegreeTooSmall, DimensionMismatch, MapsToZero
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_CHILD_KEY = 0xD1B54A32D192ED03
+# Samples per block of sample_words: each uint64 temporary is 8 KiB, and a
+# block's word columns are Python lists of 1024 ints.
+_WORD_BLOCK = 1024
 
 
 def _mix64(z: int) -> int:
@@ -57,7 +64,28 @@ def stream_value(seed: int, index: int) -> int:
 
 def child_seed(seed: int, tag: int) -> int:
     """Derived seed for an independent substream (per-sample tasks)."""
-    return _mix64(stream_value(seed, tag) ^ 0xD1B54A32D192ED03)
+    return _mix64(stream_value(seed, tag) ^ _CHILD_KEY)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """_mix64 in place on a uint64 array; the products wrap mod 2^64."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _scale64(u: np.ndarray, total: np.uint64) -> np.ndarray:
+    """(u * total) >> 64 on a uint64 array, exact while total < 2^32.
+
+    With u = a 2^32 + b, it is (a total + (b total >> 32)) >> 32, and each
+    partial product and the sum stay below 2^64.
+    """
+    half = np.uint64(32)
+    low = (u & np.uint64(0xFFFFFFFF)) * total
+    return ((u >> half) * total + (low >> half)) >> half
 
 
 def _weighted_index(u64: int, weights: Sequence[int]) -> int:
@@ -99,6 +127,25 @@ class CheckedMap:
     distortion: DistortionCertificate
     name: str | None = None
 
+    def __post_init__(self):
+        # The map's distinct (variable, exponent) powers, and per form the
+        # (coefficient, first power slot, other power slots) of each term,
+        # zero exponents left out; apply() computes each power once per step.
+        slots: dict[tuple[int, int], int] = {}
+        terms = []
+        for f in self.forms:
+            form_terms = []
+            for exps, coeff in f.terms:
+                used = [
+                    slots.setdefault((i, e), len(slots))
+                    for i, e in enumerate(exps)
+                    if e
+                ]
+                form_terms.append((coeff, used[0], tuple(used[1:])))
+            terms.append(tuple(form_terms))
+        object.__setattr__(self, "_powers", tuple(slots))
+        object.__setattr__(self, "_terms", tuple(terms))
+
     @property
     def num_vars(self) -> int:
         return self.forms[0].num_vars
@@ -115,10 +162,28 @@ class CheckedMap:
         the integers and the input coordinates are coprime), so the
         renormalization gcd runs modulo that small constant instead of on
         the full coordinates, which deep orbits cannot afford.
+
+        Each power x_i^k is computed once and shared by every term that
+        uses it, so a power repeated across forms (x1^2 in (x0^2 + x1^2 :
+        x1^2)) costs one squaring per step, not two.
         """
-        if len(point.coords) != self.num_vars:
+        cs = point.coords
+        if len(cs) != self.num_vars:
             raise DimensionMismatch("form/point variable counts differ")
-        values = [f.evaluate(point.coords) for f in self.forms]
+        # No product by a coefficient 1 and no sum with the starting 0: at a
+        # million bits each would copy a coordinate-sized integer.
+        powers = [cs[i] ** k for i, k in self._powers]
+        values = []
+        for terms in self._terms:
+            total = 0
+            for coeff, first, rest in terms:
+                term = powers[first]
+                for s in rest:
+                    term *= powers[s]
+                if coeff != 1:
+                    term *= coeff
+                total = term if total == 0 else total + term
+            values.append(total)
         if all(v == 0 for v in values):
             raise MapsToZero(f"forms vanish at {point}")
         e = self.certificate.denominator
@@ -420,6 +485,48 @@ def sample_word(
     return tuple(
         _weighted_index(stream_value(seed, i), degrees) for i in range(length)
     )
+
+
+def sample_words(
+    generators: Sequence[CheckedMap], length: int, seed: int, samples: int
+) -> list[tuple[int, ...]]:
+    """The words sample_word draws from child_seed(seed, m), m < samples.
+
+    Runs the same splitmix64 stream on uint64 arrays, one word position of a
+    block of samples at a time.  _scale64 is exact while the degree total
+    is below 2^32; larger totals raise ValueError.  Equal words come back
+    as one shared tuple, so the list holds a tuple per distinct word, not
+    per sample.
+    """
+    degrees = [g.degree for g in generators]
+    total = sum(degrees)
+    if total >= 1 << 32:
+        raise ValueError(f"degree total {total} needs more than 32 bits")
+    if length <= 0 or len(degrees) == 1:
+        return [(0,) * length] * samples
+    u64 = np.uint64
+    tot, sign = u64(total), u64(63)
+    # r < 2^32 and every bound is at most 2^32, so r - b wraps past 2^63
+    # exactly when r < b: the index is the number of bounds not above r.
+    bounds = [u64(c) for c in itertools.accumulate(degrees[:-1])]
+    steps = [u64(i * _GOLDEN & _MASK64) for i in range(1, length + 1)]
+    key = u64(seed & _MASK64)
+    words: list[tuple[int, ...]] = []
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    with np.errstate(over="ignore"):
+        for start in range(0, samples, _WORD_BLOCK):
+            stop = min(start + _WORD_BLOCK, samples)
+            tags = np.arange(start + 1, stop + 1, dtype=np.uint64) * u64(_GOLDEN)
+            child = _mix64_array(_mix64_array(tags + key) ^ u64(_CHILD_KEY))
+            columns = []
+            for step in steps:
+                r = _scale64(_mix64_array(child + step), tot)
+                index = u64(len(bounds))
+                for b in bounds:
+                    index = index - ((r - b) >> sign)
+                columns.append(index.tolist())
+            words.extend(shared.setdefault(w, w) for w in zip(*columns))
+    return words
 
 
 def _form_from_config(entry: Sequence, num_vars: int, degree: int) -> HomogeneousForm:

@@ -85,6 +85,8 @@ def forward_orbit(
     Requires a recurring phase (deterministic word); RandomWord specs are
     refused since (point, phase) recurrence is undecidable for them.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
     carrier = _escape_carrier(spec)

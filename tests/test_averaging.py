@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -129,6 +130,27 @@ def test_mc_memo_matches_per_sample_loop(gens, depth):
     assert mc.mean == mean
     assert mc.stderr == stderr
     assert (mc.samples, mc.depth, mc.seed) == (samples, depth, seed)
+
+
+def test_exact_average_frees_its_memo_without_the_cyclic_collector():
+    # Left to the collector, the memo of a depth-6 tree holds over a
+    # hundred orbit points; what remains is the recursive closure itself.
+    gc.collect()
+    gc.disable()
+    try:
+        eigensystem_height_exact(normalize([2, 3]), [SQ, PSQ], 6)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable < 50
+
+
+def test_negative_depth_is_rejected():
+    x = normalize([2, 3])
+    with pytest.raises(ValueError):
+        eigensystem_height_exact(x, [SQ, PSQ], -1)
+    with pytest.raises(ValueError):
+        eigensystem_height_mc(x, [SQ, PSQ], 50, -1, 1)
 
 
 def test_mc_budget_guard():

@@ -191,6 +191,22 @@ def test_average_verifies(capsys, mixed_config):
     assert doc["discrepancy"] <= doc["tolerance"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["average", "--point", "1,2", "--depth", "-1", "--samples", "50"],
+        ["height", "--point", "2,3", "--depth", "-2"],
+        ["orbit", "--point", "2,3", "--max-steps", "-1"],
+    ],
+    ids=["average-depth", "height-depth", "orbit-max-steps"],
+)
+def test_negative_counts_are_input_errors(capsys, mixed_config, argv):
+    assert main([argv[0], "--config", mixed_config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_green_point_mode(capsys, sq_config):
     code, doc = _run_json(
         capsys, ["green", "--config", sq_config, "--point", "2,1"]

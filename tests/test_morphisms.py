@@ -1,19 +1,24 @@
 import math
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from seqheight.algebra import HomogeneousForm, normalize
+from seqheight.algebra import HomogeneousForm, evaluate_forms, monomials, normalize
 from seqheight.errors import DegreeTooSmall, Degenerate, NoRecurringPhase
 from seqheight.morphisms import (
     Constant,
     ExplicitWord,
     PeriodicWord,
     RandomWord,
+    _scale64,
+    child_seed,
     maps_from_config,
     perturbed_power_map,
     power_map,
     sample_word,
+    sample_words,
     sequence_from_config,
     validate,
 )
@@ -178,6 +183,128 @@ def test_sample_word_matches_random_word_spec():
     gens = (power_map(1, 2), power_map(1, 3))
     spec = RandomWord(gens, seed=11)
     assert sample_word(gens, 20, 11) == tuple(spec.index_at(i) for i in range(20))
+
+
+# sample_words only reads .degree; the last set puts the degree total at
+# 2^32 - 1, the edge of the exact 32-bit split of (u * total) >> 64.
+WORD_GENERATORS = {
+    "2,2": (power_map(1, 2), power_map(1, 2)),
+    "2,3": (power_map(1, 2), power_map(1, 3)),
+    "3,2,5": (power_map(1, 3), power_map(1, 2), power_map(1, 5)),
+    "single": (power_map(1, 3),),
+    "2^31,2^31-1": (SimpleNamespace(degree=2**31), SimpleNamespace(degree=2**31 - 1)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, -5, 2**63 + 1, 2**64 + 7])
+@pytest.mark.parametrize("gens", WORD_GENERATORS.values(), ids=WORD_GENERATORS)
+def test_sample_words_match_per_sample_draws(gens, seed):
+    # Sample counts straddle the block of 1024 samples; 3000 samples are
+    # drawn at the shorter depths only, to keep the per-sample loop short.
+    for length in (0, 1, 8, 40):
+        counts = (2, 1023, 1024, 1025) + ((3000,) if length <= 8 else ())
+        reference = [
+            sample_word(gens, length, child_seed(seed, m)) for m in range(max(counts))
+        ]
+        for samples in counts:
+            assert sample_words(gens, length, seed, samples) == reference[:samples]
+
+
+def test_sample_words_returns_tuples_of_ints():
+    gens = WORD_GENERATORS["3,2,5"]
+    words = sample_words(gens, 6, 9, 5)
+    assert all(type(w) is tuple and all(type(j) is int for j in w) for w in words)
+    assert sample_words(gens, 6, 9, 0) == []
+
+
+def test_scale64_is_exact_at_the_edges():
+    # A random word rarely lands next to a bound, so the low-half carry of
+    # the 32-bit split is checked here on values where it decides r.
+    rng = random.Random(64)
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2**32, 2**64 - 1]
+    us = edges + [rng.getrandbits(64) for _ in range(2000)]
+    for total in (1, 2, 5, 10, 2**31, 2**32 - 1):
+        got = _scale64(np.array(us, dtype=np.uint64), np.uint64(total)).tolist()
+        assert got == [(u * total) >> 64 for u in us]
+
+
+@pytest.mark.parametrize("degrees", [(2**32,), (2**31, 2**31), (2, 2**32 - 1)])
+def test_sample_words_rejects_degree_totals_of_32_bits(degrees):
+    gens = tuple(SimpleNamespace(degree=d) for d in degrees)
+    with pytest.raises(ValueError):
+        sample_words(gens, 4, 1, 10)
+
+
+def _canonical(values):
+    """Divide by the full gcd and make the first nonzero entry positive."""
+    common = math.gcd(*values)
+    values = [v // common for v in values]
+    if next(v for v in values if v != 0) < 0:
+        values = [-v for v in values]
+    return tuple(values)
+
+
+def _random_map(rng, n, d):
+    """A validated map whose forms share powers and mix monomials.
+
+    Form j has a pure power of x_j, the pure power of the next variable
+    (so every pure power is shared by two forms) and two random monomials.
+    """
+    mons = monomials(n, d)
+    while True:
+        forms = []
+        for j in range(n):
+            pure = [tuple(d if i == k % n else 0 for i in range(n)) for k in (j, j + 1)]
+            terms = {pure[0]: rng.choice((1, 2, 3, -1)), pure[1]: rng.choice((1, -2))}
+            for m in rng.sample(mons, 2):
+                terms[m] = terms.get(m, 0) + rng.choice((-3, -1, 1, 2))
+            forms.append(HomogeneousForm.from_terms(n, d, terms))
+        try:
+            return validate(forms)
+        except Degenerate:
+            continue
+
+
+def _test_points(rng, n, big):
+    """Unit vectors, zero and negative entries, random small points, and one
+    point with 10^5-bit coordinates (with a zero entry when n > 2)."""
+    points = [normalize([0] * i + [1] + [0] * (n - 1 - i)) for i in range(n)]
+    points.append(normalize([0] + [-7] * (n - 1)))
+    points.append(normalize([3] + [0] * (n - 2) + [-5]))
+    while len(points) < 40:
+        raw = [rng.randint(-60, 60) for _ in range(n)]
+        if any(raw):
+            points.append(normalize(raw))
+    if big:
+        a = rng.getrandbits(100_000) | 1 << 99_999
+        points.append(normalize([-a, a + 1] + [0] * (n - 2)))
+    return points
+
+
+E42 = validate(
+    [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ],
+    "e42",
+)
+
+
+def test_shared_power_apply_matches_per_form_evaluation():
+    rng = random.Random(2024)
+    maps = [E42, perturbed_power_map(1, 2), perturbed_power_map(2, 3)]
+    maps += [_random_map(rng, n, d) for n in (2, 3) for d in (2, 3, 4)]
+    assert E42.certificate.denominator == 42
+    renormalized = 0
+    for g in maps:
+        for x in _test_points(rng, g.num_vars, big=True):
+            values = [f.evaluate(x.coords) for f in g.forms]
+            image = g.apply(x)
+            assert image.coords == _canonical(values)
+            assert image == evaluate_forms(g.forms, x)
+            renormalized += image.coords != tuple(values)
+    # The gcd and sign steps run on a good share of these points.
+    assert renormalized >= 40
 
 
 CONFIG = {
