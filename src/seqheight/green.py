@@ -317,8 +317,8 @@ def _plan_depth(seq: LiftSequence, tol: float, depth: int | None) -> int:
     """Smallest depth with certified tail 4 c_bar / prod(d) <= tol."""
     if depth is not None:
         return depth
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     c = seq.c_bar
     prod = 1.0
     i = 0

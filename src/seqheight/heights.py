@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
@@ -113,6 +114,23 @@ def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> 
         )
 
 
+def exact_orbit(
+    x: RationalProjectivePoint, spec: SequenceSpec, budget_bits: int
+) -> Iterator[tuple[int, RationalProjectivePoint, int]]:
+    """Yield (step, x_step, d_1...d_step) along the exact orbit, from step 0.
+
+    Each point is computed only when the next item is asked for; a point
+    wider than budget_bits raises BudgetExceeded there.
+    """
+    p, normalizer = x, 1
+    for step in count():
+        yield step, p, normalizer
+        g = spec.generator_at(step)
+        p = g.apply(p)
+        _check_bits(p, budget_bits, step + 1)
+        normalizer *= g.degree
+
+
 def height_sequence(
     x: RationalProjectivePoint,
     spec: SequenceSpec,
@@ -122,24 +140,14 @@ def height_sequence(
     """Normalized height truncations h_0 .. h_depth along the exact orbit."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    out = [naive_height(x)]
-    p = x
-    normalizer = 1
-    for i in range(depth):
-        g = spec.generator_at(i)
-        p = g.apply(p)
-        _check_bits(p, budget_bits, i + 1)
-        normalizer *= g.degree
-        out.append(ExactLogHeight(multiplicative_height(p), normalizer))
-    return out
+    orbit = islice(exact_orbit(x, spec, budget_bits), depth + 1)
+    return [ExactLogHeight(multiplicative_height(p), n) for _, p, n in orbit]
 
 
-def _escape_carrier(spec: SequenceSpec) -> tuple[int, int]:
-    """(B, d) with 2*c(spec) = (2/d) log B, for exact h > 2c tests."""
-    best = max(
-        spec.generators,
-        key=lambda g: g.distortion.c_bound,
-    )
+def escape_carrier(generators: Sequence[CheckedMap]) -> tuple[int, int]:
+    """(B, d) of the generator with the largest c, so that 2c = (2/d) log B
+    and h(y) > 2c is the exact test H(y)^d > B^2."""
+    best = max(generators, key=lambda g: g.distortion.c_bound)
     b = max(best.distortion.amplification, best.distortion.attenuation)
     return b, best.degree
 
@@ -338,45 +346,17 @@ def canonical_height(
     bounded-size engine finishes the job.  If the bit budget is hit
     first, the partial truncation is returned flagged non-conforming.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     c = spec.c_bound
-    p = x
-    normalizer = 1
-    depth = 0
-    seen: dict[tuple, int] | None = None
-    carrier = None
-    if spec.phase_at(0) is not None:
-        seen = {(p, spec.phase_at(0)): 0}
-        carrier = _escape_carrier(spec)
+    phased = spec.phase_at(0) is not None
+    seen: dict[tuple, int] | None = {} if phased else None
+    carrier = escape_carrier(spec.generators) if phased else None
     plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
-    while 2.0 * c / normalizer > tol:
-        h = multiplicative_height(p)
-        if (
-            plan is not None
-            and h.bit_length() > plan.switch_bits
-            and (carrier is None or _exceeds_2c(h, carrier))
-        ):
-            est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
-            if est is not None:
-                return est
-        g = spec.generator_at(depth)
-        try:
-            p_next = g.apply(p)
-            _check_bits(p_next, budget_bits, depth + 1)
-        except BudgetExceeded:
-            return HeightEstimate(
-                value=ExactLogHeight(h, normalizer).value,
-                radius=2.0 * c / normalizer,
-                depth=depth,
-                c_used=c,
-                multiplicative=h,
-                normalizer=normalizer,
-                conforming=False,
-            )
-        p = p_next
-        normalizer *= g.degree
-        depth += 1
+    orbit = exact_orbit(x, spec, budget_bits)
+    depth, p, normalizer = next(orbit)
+    conforming = True
+    while True:
         if seen is not None:
             key = (p, spec.phase_at(depth))
             if key in seen:
@@ -389,14 +369,31 @@ def canonical_height(
                     normalizer=normalizer,
                 )
             seen[key] = depth
-    h = ExactLogHeight(multiplicative_height(p), normalizer)
+        h = multiplicative_height(p)
+        if not 2.0 * c / normalizer > tol:
+            break
+        if (
+            plan is not None
+            and h.bit_length() > plan.switch_bits
+            and (carrier is None or _exceeds_2c(h, carrier))
+        ):
+            est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
+            if est is not None:
+                return est
+        try:
+            depth, p, normalizer = next(orbit)
+        except BudgetExceeded:
+            # the next step broke the budget; the last truncation stands
+            conforming = False
+            break
     return HeightEstimate(
-        value=h.value,
+        value=ExactLogHeight(h, normalizer).value,
         radius=2.0 * c / normalizer,
         depth=depth,
         c_used=c,
-        multiplicative=h.multiplicative,
-        normalizer=h.normalizer,
+        multiplicative=h,
+        normalizer=normalizer,
+        conforming=conforming,
     )
 
 

@@ -11,7 +11,9 @@ graph reaches a cycle, and a preperiodic orbit is itself such a walk.
 
 Escape is certified exactly: the first orbit point with h > 2c (an integer
 power comparison, no floats) proves the start was not preperiodic for the
-word being followed.
+word being followed.  heights.escape_carrier is the one source of that 2c
+test, for the escape check here, the census cutoff floor(e^{2c}) and the
+engine hand-off in canonical_height.
 
 unbounded_demo builds the classical bad family: degree-2 maps f_i of P^1,
 each with a persistent fixed point at (1:0), rigged so that the point
@@ -26,15 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Sequence
 
 from .algebra import HomogeneousForm, RationalProjectivePoint, evaluate_forms
 from .errors import BudgetExceeded, EnumerationTooLarge, NoRecurringPhase
 from .heights import (
     DEFAULT_BUDGET_BITS,
-    _check_bits,
-    _escape_carrier,
     _exceeds_2c,
+    escape_carrier,
+    exact_orbit,
     multiplicative_height,
 )
 from .morphisms import CheckedMap, SequenceSpec, amplification_bound
@@ -89,11 +92,10 @@ def forward_orbit(
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
-    carrier = _escape_carrier(spec)
+    carrier = escape_carrier(spec.generators)
     seen: dict[tuple, int] = {}
     points: list[RationalProjectivePoint] = []
-    p = x
-    for step in range(max_steps):
+    for step, p, _ in islice(exact_orbit(x, spec, budget_bits), max_steps):
         if _exceeds_2c(multiplicative_height(p), carrier):
             return HeightEscape(
                 step=step,
@@ -106,8 +108,6 @@ def forward_orbit(
             return FiniteOrbit(tuple(points), preperiod=first, period=step - first)
         seen[key] = step
         points.append(p)
-        p = spec.generator_at(step).apply(p)
-        _check_bits(p, budget_bits, step + 1)
     return BudgetHit(step=max_steps)
 
 
@@ -135,24 +135,14 @@ def bounded_height_points(
         raise EnumerationTooLarge(
             f"about {raw_estimate} candidate tuples exceeds cap {cap}"
         )
-    pts = []
-
-    def rec(prefix: list[int]) -> None:
-        if len(prefix) == n:
-            if all(c == 0 for c in prefix):
-                return
-            if math.gcd(*[abs(c) for c in prefix]) != 1:
-                return
-            first = next(c for c in prefix if c != 0)
-            if first < 0:
-                return
-            pts.append(RationalProjectivePoint(tuple(prefix)))
-            return
-        for c in range(-h_max, h_max + 1):
-            rec(prefix + [c])
-
-    rec([])
-    return pts
+    # a tuple is canonical when it is coprime and lexicographically above
+    # the origin, i.e. its first nonzero coordinate is positive
+    origin = (0,) * n
+    return [
+        RationalProjectivePoint._from_canonical(c)
+        for c in product(range(-h_max, h_max + 1), repeat=n)
+        if c > origin and math.gcd(*c) == 1
+    ]
 
 
 def preperiodic_census(
@@ -166,19 +156,13 @@ def preperiodic_census(
     """
     if not generators:
         raise ValueError("no generators")
-    best = max(generators, key=lambda g: g.distortion.c_bound)
-    b = max(best.distortion.amplification, best.distortion.attenuation)
-    h_max = _floor_root(b * b, best.degree)
-    points = bounded_height_points(generators[0].dim, h_max, cap)
+    points = bounded_height_points(
+        generators[0].dim, census_threshold(generators), cap
+    )
     in_t = set(points)
-    succ: dict[RationalProjectivePoint, list[RationalProjectivePoint]] = {}
-    for p in points:
-        images = []
-        for g in generators:
-            q = g.apply(p)
-            if q in in_t:
-                images.append(q)
-        succ[p] = images
+    succ = {
+        p: [q for q in (g.apply(p) for g in generators) if q in in_t] for p in points
+    }
     out_deg = {p: len(v) for p, v in succ.items()}
     pred: dict[RationalProjectivePoint, list[RationalProjectivePoint]] = {
         p: [] for p in points
@@ -202,9 +186,8 @@ def preperiodic_census(
 
 def census_threshold(generators: Sequence[CheckedMap]) -> int:
     """floor(e^{2c}) for the generating set: the height cutoff of T."""
-    best = max(generators, key=lambda g: g.distortion.c_bound)
-    b = max(best.distortion.amplification, best.distortion.attenuation)
-    return _floor_root(b * b, best.degree)
+    b, d = escape_carrier(generators)
+    return _floor_root(b * b, d)
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,32 @@ def test_negative_counts_are_input_errors(capsys, mixed_config, argv):
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canheight", "--point", "2,3"],
+        ["green", "--point", "1+1j,1"],
+        ["pair", "--grid", "16"],
+        ["equidist", "--target", "2", "--depths", "2", "--grid", "16"],
+    ],
+    ids=["canheight", "green", "pair", "equidist"],
+)
+def test_nan_tolerance_is_an_input_error(capsys, psq_config, argv):
+    # NaN fails every comparison: canheight used to certify psq at (2:3)
+    # with radius 0.693, and green ran at depth 0
+    assert main([argv[0], "--config", psq_config, *argv[1:], "--tol", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
+def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
+    argv = ["orbit", "--config", psq_config, "--point", "1,1"]
+    code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])
+    assert code == 2
+    assert doc == {"kind": "budget", "steps": 1, "schema": 1}
+
+
 def test_green_point_mode(capsys, sq_config):
     code, doc = _run_json(
         capsys, ["green", "--config", sq_config, "--point", "2,1"]

@@ -1,0 +1,274 @@
+"""Differential tests of the exact orbit stepper's three consumers.
+
+height_sequence, canonical_height and forward_orbit each walked the exact
+orbit in their own loop before they shared heights.exact_orbit.  Those
+loops are kept below as references, and the consumers must return what
+they return (or raise what they raise) on every stop rule: exact zero,
+power-exact, tolerance, engine hand-off and bit budget.
+"""
+
+import math
+
+import pytest
+
+from seqheight.algebra import HomogeneousForm, normalize
+from seqheight.errors import BudgetExceeded, NoRecurringPhase
+from seqheight.heights import (
+    DEFAULT_BUDGET_BITS,
+    ExactLogHeight,
+    HeightEstimate,
+    _check_bits,
+    _engine_estimate,
+    _engine_plan,
+    _exceeds_2c,
+    canonical_height,
+    exact_orbit,
+    height_sequence,
+    multiplicative_height,
+    naive_height,
+)
+from seqheight.morphisms import (
+    Constant,
+    ExplicitWord,
+    PeriodicWord,
+    RandomWord,
+    perturbed_power_map,
+    power_map,
+    validate,
+)
+from seqheight.orbits import (
+    BudgetHit,
+    FiniteOrbit,
+    HeightEscape,
+    forward_orbit,
+)
+
+SQ = power_map(1, 2, "sq")
+PSQ = perturbed_power_map(1, 2, "psq")
+E42 = validate(
+    [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ],
+    "e42",
+)
+
+SPECS = {
+    "sq": Constant(SQ),
+    "psq": Constant(PSQ),
+    "sq-psq": PeriodicWord((SQ, PSQ), (0, 1)),
+    "random": RandomWord((SQ, PSQ), seed=5),
+    "explicit": ExplicitWord((SQ, PSQ, E42), (2, 0, 1, 0), (1, 2)),
+    "e42": Constant(E42),
+}
+POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (9, 10), (12, 11), (-7, 50)]
+# (tol, budget_bits): loose and tight tolerances, the default, and budgets
+# small enough to stop the exact orbit or the engine
+SETTINGS = [
+    (1.0, DEFAULT_BUDGET_BITS),
+    (1e-3, DEFAULT_BUDGET_BITS),
+    (1e-8, DEFAULT_BUDGET_BITS),
+    (1e-12, DEFAULT_BUDGET_BITS),
+    (1e-12, 64),
+    (1e-8, 128),
+]
+
+
+# -- the loops as they were before the shared stepper -------------------------
+
+
+def _reference_height_sequence(x, spec, depth, budget_bits):
+    out = [naive_height(x)]
+    p = x
+    normalizer = 1
+    for i in range(depth):
+        g = spec.generator_at(i)
+        p = g.apply(p)
+        _check_bits(p, budget_bits, i + 1)
+        normalizer *= g.degree
+        out.append(ExactLogHeight(multiplicative_height(p), normalizer))
+    return out
+
+
+def _reference_carrier(spec):
+    best = max(spec.generators, key=lambda g: g.distortion.c_bound)
+    return max(best.distortion.amplification, best.distortion.attenuation), best.degree
+
+
+def _reference_canonical_height(x, spec, tol, budget_bits):
+    c = spec.c_bound
+    p = x
+    normalizer = 1
+    depth = 0
+    seen = None
+    carrier = None
+    if spec.phase_at(0) is not None:
+        seen = {(p, spec.phase_at(0)): 0}
+        carrier = _reference_carrier(spec)
+    plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
+    while 2.0 * c / normalizer > tol:
+        h = multiplicative_height(p)
+        if (
+            plan is not None
+            and h.bit_length() > plan.switch_bits
+            and (carrier is None or _exceeds_2c(h, carrier))
+        ):
+            est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
+            if est is not None:
+                return est
+        g = spec.generator_at(depth)
+        try:
+            p_next = g.apply(p)
+            _check_bits(p_next, budget_bits, depth + 1)
+        except BudgetExceeded:
+            return HeightEstimate(
+                value=ExactLogHeight(h, normalizer).value,
+                radius=2.0 * c / normalizer,
+                depth=depth,
+                c_used=c,
+                multiplicative=h,
+                normalizer=normalizer,
+                conforming=False,
+            )
+        p = p_next
+        normalizer *= g.degree
+        depth += 1
+        if seen is not None:
+            key = (p, spec.phase_at(depth))
+            if key in seen:
+                return HeightEstimate(
+                    value=0.0,
+                    radius=0.0,
+                    depth=depth,
+                    c_used=c,
+                    multiplicative=None,
+                    normalizer=normalizer,
+                )
+            seen[key] = depth
+    h = ExactLogHeight(multiplicative_height(p), normalizer)
+    return HeightEstimate(
+        value=h.value,
+        radius=2.0 * c / normalizer,
+        depth=depth,
+        c_used=c,
+        multiplicative=h.multiplicative,
+        normalizer=h.normalizer,
+    )
+
+
+def _reference_forward_orbit(x, spec, max_steps, budget_bits):
+    if spec.phase_at(0) is None:
+        raise NoRecurringPhase("forward_orbit needs a deterministic word")
+    carrier = _reference_carrier(spec)
+    seen = {}
+    points = []
+    p = x
+    for step in range(max_steps):
+        if _exceeds_2c(multiplicative_height(p), carrier):
+            return HeightEscape(
+                step=step, height=math.log(multiplicative_height(p)), point=p
+            )
+        key = (p, spec.phase_at(step))
+        if key in seen:
+            first = seen[key]
+            return FiniteOrbit(tuple(points), preperiod=first, period=step - first)
+        seen[key] = step
+        points.append(p)
+        p = spec.generator_at(step).apply(p)
+        _check_bits(p, budget_bits, step + 1)
+    return BudgetHit(step=max_steps)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceeded, NoRecurringPhase) as exc:
+        return type(exc), str(exc)
+
+
+def _stop_rule(spec, est):
+    if not est.conforming:
+        return "budget"
+    if est.multiplicative is None:
+        return "exact zero"
+    if est.radius == 0.0:
+        return "power-exact"
+    prod = math.prod(spec.generator_at(i).degree for i in range(est.depth))
+    return "tolerance" if est.normalizer == prod else "engine"
+
+
+# -- the differential tests -----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_height_sequence_matches_the_reference_loop(name):
+    spec = SPECS[name]
+    for raw in POINTS:
+        x = normalize(list(raw))
+        for depth, budget in [(0, 1), (1, 1), (9, DEFAULT_BUDGET_BITS), (12, 64)]:
+            assert _outcome(height_sequence, x, spec, depth, budget) == _outcome(
+                _reference_height_sequence, x, spec, depth, budget
+            )
+
+
+def test_canonical_height_matches_the_reference_loop_on_every_stop_rule():
+    rules = set()
+    for name, spec in SPECS.items():
+        for raw in POINTS:
+            x = normalize(list(raw))
+            for tol, budget in SETTINGS:
+                est = canonical_height(x, spec, tol, budget)
+                assert est == _reference_canonical_height(x, spec, tol, budget), (
+                    name,
+                    raw,
+                    tol,
+                    budget,
+                )
+                rules.add(_stop_rule(spec, est))
+    assert rules == {"exact zero", "power-exact", "tolerance", "engine", "budget"}
+
+
+def test_cycle_closing_where_the_tolerance_is_met_is_an_exact_zero():
+    # psq fixes (1:0), so the cycle closes at step 1, where 2c/2 = c = tol
+    spec = SPECS["psq"]
+    x = normalize([1, 0])
+    tol = spec.c_bound
+    est = canonical_height(x, spec, tol)
+    assert est == _reference_canonical_height(x, spec, tol, DEFAULT_BUDGET_BITS)
+    assert est.multiplicative is None and est.depth == 1
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_forward_orbit_matches_the_reference_loop(name):
+    spec = SPECS[name]
+    for raw in POINTS:
+        x = normalize(list(raw))
+        for max_steps, budget in [(0, 1), (3, DEFAULT_BUDGET_BITS), (50, 64)]:
+            assert _outcome(forward_orbit, x, spec, max_steps, budget) == _outcome(
+                _reference_forward_orbit, x, spec, max_steps, budget
+            )
+
+
+def test_forward_orbit_stops_at_max_steps_without_a_further_step():
+    # the reference applied psq once more and broke the 1-bit budget on an
+    # image it never examined
+    x = normalize([1, 1])
+    spec = Constant(PSQ)
+    with pytest.raises(BudgetExceeded):
+        _reference_forward_orbit(x, spec, 1, 1)
+    assert forward_orbit(x, spec, max_steps=1, budget_bits=1) == BudgetHit(step=1)
+
+
+def test_exact_orbit_steps_only_when_asked():
+    spec = Constant(PSQ)
+    orbit = exact_orbit(normalize([1, 1]), spec, 1)
+    assert next(orbit) == (0, normalize([1, 1]), 1)
+    with pytest.raises(BudgetExceeded, match="at step 1"):
+        next(orbit)
+    orbit = exact_orbit(normalize([2, 3]), PeriodicWord((SQ, PSQ), (0, 1)), 64)
+    assert [(s, str(p), n) for s, p, n in (next(orbit) for _ in range(3))] == [
+        (0, "(2 : 3)", 1),
+        (1, "(4 : 9)", 2),
+        (2, "(97 : 81)", 4),
+    ]

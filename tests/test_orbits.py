@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import pytest
@@ -72,6 +74,29 @@ def test_bounded_height_points_small():
 def test_bounded_height_points_cap():
     with pytest.raises(EnumerationTooLarge):
         bounded_height_points(2, 10_000)
+
+
+def test_bounded_height_points_is_lexicographic():
+    pts = bounded_height_points(2, 3)
+    assert [p.coords for p in pts] == sorted(p.coords for p in pts)
+    expected = [
+        c
+        for c in itertools.product(range(-3, 4), repeat=3)
+        if any(c) and math.gcd(*c) == 1 and next(v for v in c if v) > 0
+    ]
+    assert [p.coords for p in pts] == expected
+
+
+def test_bounded_height_points_frees_its_candidates_without_the_cyclic_collector():
+    # a self-referencing enumerator closure kept over 10^5 points alive
+    gc.collect()
+    gc.disable()
+    try:
+        bounded_height_points(1, 300)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable < 50
 
 
 def _walk_census_oracle(generators: list[CheckedMap], word_length: int):
