@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     AllZero,
     CertificateNotFound,
@@ -265,6 +267,96 @@ def _canonical_values(values: Sequence[int], g: int) -> tuple[int, ...]:
     if first < 0:
         values = [-v for v in values]
     return tuple(values)
+
+
+# Below this many bits in the smaller operand Python's own multiplication
+# is as fast as the transform or faster (crossover sweep in CHANGES.md).
+_FFT_MIN_BITS = 3 << 14
+# The longest transform _mul runs, in 8-bit limbs: a product of up to 2^20
+# bits, the default orbit budget.  numpy's float, spectrum and work buffers
+# are about 1 MB each there and double with every doubling of the length
+# (cap sweep in CHANGES.md); a wider product, which the default budget
+# refuses right after it is formed, keeps Python's multiplication.
+_FFT_MAX_LENGTH = 1 << 17
+# Coefficients rounded and split into byte planes per pass, so no int64
+# copy or byte-plane array of the whole product is made.
+_CARRY_BLOCK = 1 << 14
+
+
+def _mul(a: int, b: int) -> int:
+    """a * b exactly, through a floating-point FFT for large operands.
+
+    |a| and |b| are cut into 8-bit limbs, the limb sequences are convolved
+    with numpy's rfft/irfft at a power-of-two length N (a square, a is b,
+    takes one forward transform), and the rounded coefficients are summed
+    back through byte planes.
+
+    Exactness.  Percival's bound (Math. Comp. 72 (2003); Brent &
+    Zimmermann, Modern Computer Arithmetic, section 3.3) puts every
+    coefficient of a length-N = 2^n FFT product of limbs below 2^b within
+
+        N (2^b - 1)^2 ((1+eps)^3n (1+eps sqrt 5)^(3n+1) (1+beta)^3n - 1)
+
+    of the integer it approximates, with eps = 2^-53 and beta the error of
+    the roots of unity.  For b = 8, N <= _FFT_MAX_LENGTH = 2^17 and
+    beta = eps that is 2.1e-4, against the 1/2 rounding needs; 16-bit limbs
+    give 6.4 at the same product size and prove nothing.  The bound is
+    stated for the radix-2 complex transform, so as a net against a library
+    less accurate than it assumes, a coefficient further than 1/4 from an
+    integer sends the product to Python's multiplication: the net can make
+    _mul slower, never wrong.
+
+    Operands under _FFT_MIN_BITS, and products longer than _FFT_MAX_LENGTH
+    limbs, use Python's multiplication.
+    """
+    if min(a.bit_length(), b.bit_length()) < _FFT_MIN_BITS:
+        return a * b
+    la = (a.bit_length() + 7) // 8
+    lb = (b.bit_length() + 7) // 8
+    length = la + lb - 1
+    n = 1 << (length - 1).bit_length()
+    if n > _FFT_MAX_LENGTH:
+        return a * b
+    spectrum = np.fft.rfft(np.frombuffer(abs(a).to_bytes(la, "little"), np.uint8), n)
+    if a is b:
+        spectrum *= spectrum
+    else:
+        spectrum *= np.fft.rfft(
+            np.frombuffer(abs(b).to_bytes(lb, "little"), np.uint8), n
+        )
+    coeffs = np.fft.irfft(spectrum, n)[:length]
+    del spectrum
+    # every coefficient is below min(la, lb) * 255^2: that many bytes each
+    width = ((min(la, lb) * 255 * 255).bit_length() + 7) // 8
+    product = 0
+    # top block first: product = product * 2^(8 * block length) + block value
+    for start in reversed(range(0, length, _CARRY_BLOCK)):
+        block = coeffs[start : start + _CARRY_BLOCK]
+        rounded = np.rint(block)
+        if np.abs(block - rounded).max() > 0.25:
+            return a * b
+        # byte j of every coefficient, as one little-endian integer per j
+        planes = rounded.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :width].T
+        value = 0
+        for plane in planes[::-1]:
+            value = (value << 8) + int.from_bytes(plane.tobytes(), "little")
+        product = (product << 8 * len(block)) + value
+    return -product if (a < 0) != (b < 0) else product
+
+
+def _pow(x: int, k: int) -> int:
+    """x ** k for k >= 1, by square-and-multiply through _mul."""
+    if x.bit_length() * k < _FFT_MIN_BITS:
+        # no product on the way has an operand that _mul would transform
+        return x**k
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else _mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = _mul(x, x)
 
 
 def _binary_coeff_vector(form: HomogeneousForm) -> list[int]:

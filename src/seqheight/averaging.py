@@ -24,7 +24,12 @@ from typing import Sequence
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
-from .heights import DEFAULT_BUDGET_BITS, _check_bits, multiplicative_height
+from .heights import (
+    DEFAULT_BUDGET_BITS,
+    _check_bits,
+    _check_budget,
+    multiplicative_height,
+)
 from .morphisms import CheckedMap, sample_words
 
 DEFAULT_WORD_BUDGET = 3**10
@@ -47,6 +52,7 @@ def eigensystem_height_exact(
         raise ValueError("no generators")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_budget(budget_bits)
     if k**depth > word_budget:
         raise BudgetExceeded(f"{k}^{depth} words exceeds budget {word_budget}")
     total_degree = sum(g.degree for g in generators)
@@ -112,6 +118,7 @@ def eigensystem_height_mc(
         raise ValueError("need at least 2 samples for a standard error")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_budget(budget_bits)
     words = sample_words(generators, depth, seed, samples)
     by_word: dict[tuple[int, ...], float] = {}
     path = [x]

@@ -106,6 +106,13 @@ def naive_height(point: RationalProjectivePoint) -> ExactLogHeight:
     return ExactLogHeight(multiplicative_height(point), 1)
 
 
+def _check_budget(budget_bits: int) -> None:
+    """Refuse a bit budget below 1: no orbit point could meet it, and the
+    first step's overrun would read as a contract violation."""
+    if budget_bits < 1:
+        raise ValueError(f"budget_bits must be >= 1, got {budget_bits}")
+
+
 def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> None:
     worst = max(abs(c).bit_length() for c in point.coords)
     if worst > budget_bits:
@@ -140,6 +147,7 @@ def height_sequence(
     """Normalized height truncations h_0 .. h_depth along the exact orbit."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+    _check_budget(budget_bits)
     orbit = islice(exact_orbit(x, spec, budget_bits), depth + 1)
     return [ExactLogHeight(multiplicative_height(p), n) for _, p, n in orbit]
 
@@ -348,6 +356,7 @@ def canonical_height(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    _check_budget(budget_bits)
     c = spec.c_bound
     phased = spec.phase_at(0) is not None
     seen: dict[tuple, int] | None = {} if phased else None

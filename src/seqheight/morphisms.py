@@ -37,6 +37,8 @@ from .algebra import (
     NullstellensatzCertificate,
     RationalProjectivePoint,
     _canonical_values,
+    _mul,
+    _pow,
     certify,
 )
 from .errors import DegreeTooSmall, DimensionMismatch, MapsToZero
@@ -165,21 +167,25 @@ class CheckedMap:
 
         Each power x_i^k is computed once and shared by every term that
         uses it, so a power repeated across forms (x1^2 in (x0^2 + x1^2 :
-        x1^2)) costs one squaring per step, not two.
+        x1^2)) costs one squaring per step, not two.  Powers (by
+        square-and-multiply) and the products of powers in a term go
+        through algebra._mul, which is Python's multiplication below about
+        48k bits and an exact 8-bit-limb FFT product above, up to products
+        of 2^20 bits; the result is the same integer either way.
         """
         cs = point.coords
         if len(cs) != self.num_vars:
             raise DimensionMismatch("form/point variable counts differ")
         # No product by a coefficient 1 and no sum with the starting 0: at a
         # million bits each would copy a coordinate-sized integer.
-        powers = [cs[i] ** k for i, k in self._powers]
+        powers = [_pow(cs[i], k) for i, k in self._powers]
         values = []
         for terms in self._terms:
             total = 0
             for coeff, first, rest in terms:
                 term = powers[first]
                 for s in rest:
-                    term *= powers[s]
+                    term = _mul(term, powers[s])
                 if coeff != 1:
                     term *= coeff
                 total = term if total == 0 else total + term

@@ -35,6 +35,7 @@ from .algebra import HomogeneousForm, RationalProjectivePoint, evaluate_forms
 from .errors import BudgetExceeded, EnumerationTooLarge, NoRecurringPhase
 from .heights import (
     DEFAULT_BUDGET_BITS,
+    _check_budget,
     _exceeds_2c,
     escape_carrier,
     exact_orbit,
@@ -90,6 +91,7 @@ def forward_orbit(
     """
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    _check_budget(budget_bits)
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
     carrier = escape_carrier(spec.generators)
@@ -230,6 +232,7 @@ def unbounded_demo(
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
+    _check_budget(budget_bits)
     ks: list[int] = [1]
     for i in range(2, i_max + 1):
         t = i

@@ -226,6 +226,29 @@ def test_nan_tolerance_is_an_input_error(capsys, psq_config, argv):
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--point", "2,3"],
+        ["canheight", "--point", "2,3"],
+        ["orbit", "--point", "2,3"],
+        ["average", "--point", "2,3", "--depth", "3", "--samples", "50"],
+        ["demo-unbounded", "--imax", "2"],
+    ],
+    ids=["height", "canheight", "orbit", "average", "demo-unbounded"],
+)
+def test_nonpositive_bit_budget_is_an_input_error(capsys, mixed_config, argv, budget):
+    # height, average and demo-unbounded used to report a budget overrun
+    # (exit 2), canheight a non-conforming estimate (exit 2), orbit an
+    # escape (exit 0)
+    config = [] if argv[0] == "demo-unbounded" else ["--config", mixed_config]
+    assert main([argv[0], *config, *argv[1:], "--budget-bits", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
     argv = ["orbit", "--config", psq_config, "--point", "1,1"]
     code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])

@@ -5,7 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from seqheight.algebra import HomogeneousForm, evaluate_forms, monomials, normalize
+from seqheight.algebra import (
+    _FFT_MIN_BITS,
+    HomogeneousForm,
+    evaluate_forms,
+    monomials,
+    normalize,
+)
 from seqheight.errors import DegreeTooSmall, Degenerate, NoRecurringPhase
 from seqheight.morphisms import (
     Constant,
@@ -305,6 +311,35 @@ def test_shared_power_apply_matches_per_form_evaluation():
             renormalized += image.coords != tuple(values)
     # The gcd and sign steps run on a good share of these points.
     assert renormalized >= 40
+
+
+# A P^1 cubic: x0^3 takes the square-and-multiply power path, x0*x1^2 and
+# x0^2*x1 multiply two powers.
+CUBIC = validate(
+    [
+        HomogeneousForm.from_terms(2, 3, {(3, 0): 1, (1, 2): -2}),
+        HomogeneousForm.from_terms(2, 3, {(0, 3): 3, (2, 1): 1}),
+    ],
+    "cubic",
+)
+
+
+@pytest.mark.parametrize("bits", [40_000, _FFT_MIN_BITS + 1000, 300_000])
+@pytest.mark.parametrize("g", [E42, CUBIC], ids=["e42", "cubic"])
+def test_apply_matches_evaluation_around_the_fft_crossover(g, bits):
+    rng = random.Random(bits)
+    b = rng.getrandbits(bits) | 1 << (bits - 1)
+    b -= b % 2
+    # a = 3b + 21m with m odd: a is odd, 3 | a and a = 3b mod 7, so both
+    # forms of E42 are divisible by 2, 3 and 7 at (a : b)
+    a = 3 * b + 21 * (rng.getrandbits(bits) | 1)
+    for x in (normalize([a, b]), normalize([b, -a])):
+        values = [f.evaluate(x.coords) for f in g.forms]
+        image = g.apply(x)
+        # the full gcd of the values, on coordinates of up to 900k bits
+        assert image.coords == _canonical(values)
+        if g is E42 and x.coords == (a, b):
+            assert values[1] == 42 * image.coords[1]
 
 
 CONFIG = {
