@@ -282,7 +282,7 @@ def _cmd_green(args) -> int:
     _, _, spec = _load_config(args.config)
     if args.grid and not args.out:
         raise ValueError("grid mode needs --out for the CSV file")
-    seq = LiftSequence.from_spec(spec)
+    seq = LiftSequence(spec)
     if args.grid:
         grid = PairingGrid(seq, args.grid, green_tol=args.tol)
         count = grid.write_csv(args.chart, args.out)
@@ -312,7 +312,7 @@ def _cmd_green(args) -> int:
 
 def _cmd_pair(args) -> int:
     _, _, spec = _load_config(args.config)
-    seq = LiftSequence.from_spec(spec)
+    seq = LiftSequence(spec)
     phi = _parse_phi(args.phi)
     grid = PairingGrid(seq, args.grid, green_tol=args.tol)
     _print_json(
@@ -438,6 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--point", required=True, help="rational point, e.g. 2,3 or 2/3,1"
             )
+
+    # Only the commands that run an exact orbit take a bit budget.
+    def budget(p):
         p.add_argument(
             "--budget-bits",
             type=int,
@@ -451,16 +454,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("height", help="height truncations along the orbit")
     common(p, point=True)
+    budget(p)
     p.add_argument("--depth", type=int, default=8)
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("canheight", help="canonical height with certified radius")
     common(p, point=True)
+    budget(p)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_canheight)
 
     p = sub.add_parser("orbit", help="resolve an orbit as finite or escaping")
     common(p, point=True)
+    budget(p)
     p.add_argument("--max-steps", type=int, default=10_000)
     p.set_defaults(func=_cmd_orbit)
 
@@ -470,6 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("average", help="word-averaged height, exact vs Monte Carlo")
     common(p, point=True)
+    budget(p)
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--samples", type=int, default=4000)
     p.add_argument("--seed", type=int, default=1)
@@ -514,6 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="family with unbounded distortion: naive heights grow, limits vanish",
     )
     common(p, needs_config=False)
+    budget(p)
     p.add_argument("--imax", type=int, default=4)
     p.set_defaults(func=_cmd_demo_unbounded)
 

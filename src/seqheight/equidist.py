@@ -50,7 +50,6 @@ from .errors import (
 from .green import (
     DEFAULT_TRANSITION,
     ChartFunction,
-    ComplexLiftMap,
     LiftSequence,
     PairingGrid,
     radial_bump,
@@ -495,11 +494,11 @@ def roundtrip_residual(spec: SequenceSpec, cloud: PreimageCloud, target) -> floa
     and the original target; small residuals certify the cloud.  The whole
     cloud is pushed forward as one (2, n) batch."""
     a = _target_pair(target)
-    lifts = [ComplexLiftMap.from_checked(g) for g in spec.generators]
+    seq = LiftSequence(spec)
     v = np.array([p.embedding() for p in cloud.points], dtype=np.complex128).T
     v = v / _column_norms(v)
     for pos in range(cloud.depth):
-        v = lifts[spec.index_at(pos)].evaluate(v)
+        v = seq.lift_at(pos).evaluate(v)
         v = v / _column_norms(v)
     return float(np.max(chordal_distance(v, a)))
 
@@ -596,7 +595,7 @@ def equidistribution_report(
     depths = sorted(depths)
     if not depths:
         raise ValueError("need at least one depth")
-    grid = PairingGrid(LiftSequence.from_spec(spec), resolution, transition, green_tol)
+    grid = PairingGrid(LiftSequence(spec), resolution, transition, green_tol)
     references = {phi.name: grid.pair(phi) for phi in phis}
     rows: list[EquidistributionRow] = []
     max_rt = 0.0

@@ -228,47 +228,32 @@ class ComplexLiftMap:
 
 
 class LiftSequence:
-    """A sequence of lifts over a finite generating set with a word rule.
+    """The lifts of a SequenceSpec: the lift at position a is
+    generators[spec.index_at(a)], times scalars[a] where a scalar is given.
 
-    Mirrors SequenceSpec on the analytic side; per-position scalars support
-    the rescaling experiments.
+    CheckedMap generators are lifted once with ComplexLiftMap.from_checked
+    (certified c_bar); generators that are already ComplexLiftMaps are used
+    as they are, so a spec over from_coefficients lifts gives an
+    uncertified sequence.  Per-position scalars support the rescaling
+    experiments; their rescaled lifts are built here, once.
     """
 
-    def __init__(
-        self,
-        generators: Sequence[ComplexLiftMap],
-        index_fn: Callable[[int], int],
-        scalars: Sequence[complex] = (),
-        description: str = "custom",
-    ):
-        if not generators:
-            raise DimensionMismatch("no generators")
-        n = generators[0].num_vars
-        if any(g.num_vars != n for g in generators):
-            raise DimensionMismatch("lifts act on different spaces")
-        self.generators = tuple(generators)
-        self._index_fn = index_fn
+    def __init__(self, spec: SequenceSpec, scalars: Sequence[complex] = ()):
+        self.spec = spec
+        self.generators = tuple(
+            g if isinstance(g, ComplexLiftMap) else ComplexLiftMap.from_checked(g)
+            for g in spec.generators
+        )
         self.scalars = tuple(complex(s) for s in scalars)
-        self.description = description
-        self._scaled_cache: dict[int, ComplexLiftMap] = {}
+        # The lifts at the scaled positions, rescaled where the scalar is not 1.
+        head = [self.generators[spec.index_at(a)] for a in range(len(self.scalars))]
+        self._head = tuple(
+            g if s == 1.0 else g.rescaled(s) for g, s in zip(head, self.scalars)
+        )
 
-    @classmethod
-    def constant(cls, lift: ComplexLiftMap) -> "LiftSequence":
-        return cls((lift,), lambda pos: 0, description="constant")
-
-    @classmethod
-    def periodic(
-        cls, generators: Sequence[ComplexLiftMap], word: Sequence[int]
-    ) -> "LiftSequence":
-        w = tuple(word)
-        if not w:
-            raise ValueError("empty word")
-        return cls(generators, lambda pos: w[pos % len(w)], description="periodic")
-
-    @classmethod
-    def from_spec(cls, spec: SequenceSpec) -> "LiftSequence":
-        lifts = tuple(ComplexLiftMap.from_checked(g) for g in spec.generators)
-        return cls(lifts, spec.index_at, description="from_spec")
+    # LiftSequence.from_spec(spec) is LiftSequence(spec); bench/oracles.py
+    # calls it by that name.
+    from_spec = classmethod(lambda cls, spec: cls(spec))
 
     @property
     def num_vars(self) -> int:
@@ -276,32 +261,21 @@ class LiftSequence:
 
     @property
     def c_bar(self) -> float:
-        base = max(g.c_bar for g in self.generators)
-        for pos, s in enumerate(self.scalars):
-            if s != 1.0:
-                base = max(base, self.lift_at(pos).c_bar)
-        return base
+        return max(g.c_bar for g in self.generators + self._head)
 
     @property
     def certified(self) -> bool:
         return all(g.certified for g in self.generators)
 
     def lift_at(self, position: int) -> ComplexLiftMap:
-        base = self.generators[self._index_fn(position)]
-        if position < len(self.scalars) and self.scalars[position] != 1.0:
-            got = self._scaled_cache.get(position)
-            if got is None:
-                got = base.rescaled(self.scalars[position])
-                self._scaled_cache[position] = got
-            return got
-        return base
+        if position < len(self._head):
+            return self._head[position]
+        return self.generators[self.spec.index_at(position)]
 
     def scaled(self, scalars: Sequence[complex]) -> "LiftSequence":
         if self.scalars:
             raise ValueError("sequence already carries scalars")
-        return LiftSequence(
-            self.generators, self._index_fn, scalars, self.description + "+scaled"
-        )
+        return LiftSequence(self.spec, scalars)
 
 
 @dataclass(frozen=True)

@@ -302,7 +302,10 @@ class SequenceSpec:
     """A bounded sequence of morphisms drawn from a finite generating set.
 
     Subclasses implement index_at/shift/phase_at.  Positions are 0-based: the
-    map applied first is generator_at(0).
+    map applied first is generator_at(0).  The word classes read only
+    num_vars and degree from their generators, so green.LiftSequence also
+    takes specs over ComplexLiftMaps; the exact side (heights, orbits,
+    averaging) needs CheckedMaps.
     """
 
     generators: tuple[CheckedMap, ...]

@@ -249,6 +249,26 @@ def test_nonpositive_bit_budget_is_an_input_error(capsys, mixed_config, argv, bu
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["census"],
+        ["green", "--point", "1,1"],
+        ["pair", "--grid", "16"],
+        ["preimages", "--target", "2", "--depth", "2"],
+        ["equidist", "--target", "2", "--depths", "2", "--grid", "16"],
+    ],
+    ids=["validate", "census", "green", "pair", "preimages", "equidist"],
+)
+def test_commands_without_an_exact_orbit_reject_a_bit_budget(capsys, sq_config, argv):
+    # these six used to accept --budget-bits and ignore it
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", sq_config, *argv[1:], "--budget-bits", "-5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget-bits -5" in capsys.readouterr().err
+
+
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
     argv = ["orbit", "--config", psq_config, "--point", "1,1"]
     code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])

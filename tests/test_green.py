@@ -26,6 +26,8 @@ from seqheight.green import (
 from seqheight.heights import canonical_height
 from seqheight.morphisms import (
     Constant,
+    ExplicitWord,
+    PeriodicWord,
     RandomWord,
     perturbed_power_map,
     power_map,
@@ -48,11 +50,11 @@ G_PSQ_AT_11 = 0.81470904547896
 
 
 def _sq_seq():
-    return LiftSequence.constant(ComplexLiftMap.from_checked(SQ))
+    return LiftSequence(Constant(ComplexLiftMap.from_checked(SQ)))
 
 
 def _psq_seq():
-    return LiftSequence.constant(ComplexLiftMap.from_checked(PSQ))
+    return LiftSequence(Constant(ComplexLiftMap.from_checked(PSQ)))
 
 
 def test_certified_c_bar_values():
@@ -121,7 +123,7 @@ def test_uncertified_lift_samples_a_bound():
     )
     assert not lift.certified
     assert lift.c_bar > 0
-    seq = LiftSequence.constant(lift)
+    seq = LiftSequence(Constant(lift))
     assert not seq.certified
     g = green_function(seq, [1.0, 1.0], tol=1e-6)
     assert math.isfinite(g.value)
@@ -133,7 +135,7 @@ def test_degenerate_lift_detected_near_zero():
         2, 2, [{(2, 0): 1.0}, {(1, 1): 1.0}], c_bar=1.0
     )
     with pytest.raises(DegenerateNearZero):
-        green_values(LiftSequence.constant(lift), np.array([[0.0], [1.0]], dtype=complex))
+        green_values(LiftSequence(Constant(lift)), np.array([[0.0], [1.0]], dtype=complex))
 
 
 def test_potential_scale_invariance():
@@ -316,15 +318,15 @@ def _kernel_sequences():
     )
     three = ComplexLiftMap.from_checked(perturbed_power_map(2, 2, "psq3"))
     return {
-        "sq": LiftSequence.constant(sq),
-        "psq": LiftSequence.constant(psq),
-        "sq,psq": LiftSequence.periodic((sq, psq), (0, 1)),
+        "sq": LiftSequence(Constant(sq)),
+        "psq": LiftSequence(Constant(psq)),
+        "sq,psq": LiftSequence(PeriodicWord((sq, psq), (0, 1))),
         "random": LiftSequence.from_spec(RandomWord((SQ, PSQ, E42), seed=12345)),
-        "scaled": LiftSequence.periodic((sq, psq), (0, 1)).scaled(
+        "scaled": LiftSequence(PeriodicWord((sq, psq), (0, 1))).scaled(
             [2.0, 0.5j, 3.0 - 1.0j, 1.0, -0.25]
         ),
-        "cubic,sq": LiftSequence.periodic((cubic, sq, e42), (0, 1, 2)),
-        "three-vars": LiftSequence.constant(three),
+        "cubic,sq": LiftSequence(PeriodicWord((cubic, sq, e42), (0, 1, 2))),
+        "three-vars": LiftSequence(Constant(three)),
     }
 
 
@@ -362,7 +364,7 @@ def test_blocked_kernel_reports_the_first_degenerate_step():
         [{(2, 0): 1.0, (0, 2): -1.0}, {(2, 0): 1.0, (0, 2): -1.0}],
         c_bar=1.0,
     )
-    seq = LiftSequence.constant(lift)
+    seq = LiftSequence(Constant(lift))
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((2, 2 * 8192 + 5)) + 0.5j
     for late in (False, True):
@@ -386,9 +388,11 @@ def test_scaling_shift_single_scalar():
 
 
 def test_scaling_shift_complex_and_multi_step():
-    seq = LiftSequence.periodic(
-        (ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ)),
-        (0, 1),
+    seq = LiftSequence(
+        PeriodicWord(
+            (ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ)),
+            (0, 1),
+        )
     )
     rep = lift_scaling_check(seq, [1.0 + 1.0j, 3.0j, 0.5], [2.0, 1.0])
     expect = (
@@ -403,3 +407,47 @@ def test_scaled_sequence_refuses_restacking():
     seq = _sq_seq().scaled([2.0])
     with pytest.raises(ValueError):
         seq.scaled([3.0])
+
+
+@pytest.mark.parametrize("kind", ["constant", "periodic", "explicit", "random", "shifted"])
+def test_lift_sequence_reads_the_spec_word(kind):
+    specs = {
+        "constant": Constant(PSQ),
+        "periodic": PeriodicWord((SQ, PSQ, E42), (2, 0, 1, 1)),
+        "explicit": ExplicitWord((SQ, PSQ, E42), (1, 1, 2, 0, 2), (0, 2, 1)),
+        "random": RandomWord((SQ, PSQ, E42), seed=5),
+        "shifted": RandomWord((SQ, PSQ, E42), seed=5).shift(),
+    }
+    spec = specs[kind]
+    seq = LiftSequence(spec)
+    assert seq.certified
+    assert [g.c_bar for g in seq.generators] == [
+        ComplexLiftMap.from_checked(g).c_bar for g in spec.generators
+    ]
+    for pos in range(64):
+        assert seq.lift_at(pos) is seq.generators[spec.index_at(pos)]
+    # a spec over lifts uses them as they are
+    again = LiftSequence(PeriodicWord(seq.generators, spec.word_prefix(8)))
+    assert all(again.lift_at(pos) is seq.lift_at(pos) for pos in range(8))
+
+
+def test_scaled_random_word_rescales_exactly_the_scaled_positions():
+    spec = RandomWord((SQ, PSQ, E42), seed=5)
+    seq = LiftSequence(spec)
+    scalars = [3.0, 1.0, 0.25j, 2.0 - 1.0j, 1.0, 40.0]
+    scaled = seq.scaled(scalars)
+    for pos in range(64):
+        base = scaled.generators[spec.index_at(pos)]
+        lift = scaled.lift_at(pos)
+        if pos < len(scalars) and scalars[pos] != 1.0:
+            assert lift is not base
+            assert lift.c_bar == base.rescaled(scalars[pos]).c_bar
+            for (e, c), (e0, c0) in zip(lift.components, base.components):
+                assert np.array_equal(e, e0)
+                assert np.array_equal(c, c0 * scalars[pos])
+        else:
+            assert lift is base
+    rescaled = [scaled.lift_at(pos) for pos in (0, 2, 3, 5)]
+    assert scaled.c_bar == max(g.c_bar for g in (*seq.generators, *rescaled))
+    # 40 at position 5 adds log(40) / d, more than any generator's c_bar
+    assert scaled.c_bar > seq.c_bar == max(g.c_bar for g in seq.generators)
