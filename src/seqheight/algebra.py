@@ -92,9 +92,13 @@ def normalize(raw: Sequence[int | Fraction | str]) -> RationalProjectivePoint:
     """Canonical representative of a rational coordinate tuple.
 
     Accepts ints, Fractions, or strings Fraction() understands.  Raises
-    AllZero when every coordinate vanishes.
+    AllZero when every coordinate vanishes and ValueError on a zero
+    denominator.
     """
-    fracs = [Fraction(v) for v in raw]
+    try:
+        fracs = [Fraction(v) for v in raw]
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in a coordinate") from None
     if not fracs:
         raise DimensionMismatch("empty coordinate tuple")
     if all(f == 0 for f in fracs):
@@ -557,20 +561,18 @@ def find_certificate(
     return cert
 
 
-def certify(
-    forms: Sequence[HomogeneousForm], max_degree: int | None = None
-) -> NullstellensatzCertificate:
+def certify(forms: Sequence[HomogeneousForm]) -> NullstellensatzCertificate:
     """Find a certificate by ascending degree search.
 
-    The default cap (N+1)(d-1)+1 is complete: forms with no common zero admit
-    a certificate by then, so exhausting the search certifies a common zero
+    The cap (N+1)(d-1)+1 is complete: forms with no common zero admit a
+    certificate by then, so exhausting the search certifies a common zero
     and raises Degenerate.
     """
     n = forms[0].num_vars
     d = forms[0].degree
     if n == 2 and resultant_p1(forms[0], forms[1]) == 0:
         raise Degenerate("binary forms share a projective root (resultant 0)")
-    cap = max_degree if max_degree is not None else n * (d - 1) + 1
+    cap = n * (d - 1) + 1
     for m in range(d, cap + 1):
         try:
             return find_certificate(forms, m)

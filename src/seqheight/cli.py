@@ -44,7 +44,6 @@ from .equidist import (
 )
 from .errors import (
     BudgetExceeded,
-    CertificateNotFound,
     EnumerationTooLarge,
     RootFindingFailed,
     SeqHeightError,
@@ -76,7 +75,6 @@ CONTRACT_ERRORS = (
     BudgetExceeded,
     EnumerationTooLarge,
     RootFindingFailed,
-    CertificateNotFound,
 )
 
 
@@ -110,7 +108,7 @@ def _parse_target(text: str):
     def one(p: str):
         try:
             return Fraction(p)
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             return complex(p)
 
     if len(parts) == 1:

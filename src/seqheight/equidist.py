@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import RationalProjectivePoint
+from .algebra import RationalProjectivePoint, _binary_coeff_vector
 from .errors import (
     DimensionMismatch,
     EnumerationTooLarge,
@@ -48,7 +48,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .green import (
-    DEFAULT_TRANSITION,
     ChartFunction,
     LiftSequence,
     PairingGrid,
@@ -109,17 +108,6 @@ def _exact_scalar(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _form_table(cmap: CheckedMap) -> list[list[int]]:
-    """Integer coefficients of F0(1, t) and F1(1, t), indexed by the power
-    of t, so that B(1, t) = a1 * table[0] - a0 * table[1] termwise."""
-    d = cmap.degree
-    table = [[0] * (d + 1), [0] * (d + 1)]
-    for row, form in zip(table, cmap.forms):
-        for (_, e1), c in form.terms:
-            row[e1] = c
-    return table
-
-
 def _scaled(coeffs: np.ndarray) -> np.ndarray:
     """Rows divided by their largest coefficient modulus.
 
@@ -174,14 +162,15 @@ def _newton_polish(
     return z, _residual_ok(coeffs_low, z)
 
 
-def _aberth(coeffs_low: np.ndarray, max_iter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration from a Cauchy-bound circle."""
+def _aberth(coeffs_low: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich simultaneous iteration from a Cauchy-bound circle, at
+    most 400 steps."""
     k = len(coeffs_low) - 1
     monic = coeffs_low / coeffs_low[-1]
     radius = 1.0 + float(np.max(np.abs(monic[:-1]))) if k > 0 else 1.0
     angles = 2.0 * math.pi * (np.arange(k) + 0.25) / k + 0.39996
     z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
+    for _ in range(400):
         p, dp = _horner(monic, z)
         w = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.1)
         diff = z[:, None] - z[None, :]
@@ -294,7 +283,10 @@ def _pullback(cmap: CheckedMap, a0: np.ndarray, a1: np.ndarray):
     order (see _branches).  Top coefficients below 1e-13 of the largest
     are dropped into multiplicity at infinity."""
     d = cmap.degree
-    table = np.array(_form_table(cmap), dtype=np.complex128)
+    # row k holds F_k(1, t), low power of t first
+    table = np.array(
+        [_binary_coeff_vector(f) for f in cmap.forms], dtype=np.complex128
+    )
     coeffs = a1[:, None] * table[0] - a0[:, None] * table[1]
     mags = np.hypot(coeffs.real, coeffs.imag)
     top = mags.max(axis=1, keepdims=True)
@@ -378,7 +370,7 @@ def _squarefree_split(p: list) -> list[tuple[list, int]]:
 def _exact_pullback(cmap: CheckedMap, a0, a1):
     """Preimages of one rational target, in the format of _pullback, with
     multiplicities decided exactly by the squarefree split of B(1, t)."""
-    f0, f1 = _form_table(cmap)
+    f0, f1 = (_binary_coeff_vector(f) for f in cmap.forms)
     coeffs = _poly_trim([a1 * c0 - a0 * c1 for c0, c1 in zip(f0, f1)])
     if not coeffs:
         raise RootFindingFailed("target pullback form vanishes identically")
@@ -577,25 +569,24 @@ def equidistribution_report(
     depths: Sequence[int] = (2, 4, 6, 8, 10),
     phis: Sequence[ChartFunction] | None = None,
     resolution: int = 256,
-    transition: float = DEFAULT_TRANSITION,
     green_tol: float = 1e-9,
-    noise_floor: float = NOISE_FLOOR,
     budget: int = DEFAULT_CLOUD_BUDGET,
 ) -> EquidistributionReport:
     """Pair each test function against clouds of increasing depth and
     against the quadrature current, and check the discrepancy trend.
 
-    The trend rule is delta(depths[-1]) <= max(delta(depths[0]),
-    noise_floor): configurations with an exact symmetry keep every delta at
-    roundoff, which the floor treats as a pass rather than demanding decay
-    of pure noise.
+    The current comes from a PairingGrid with the default transition width
+    DEFAULT_TRANSITION.  The trend rule is delta(depths[-1]) <=
+    max(delta(depths[0]), NOISE_FLOOR): configurations with an exact
+    symmetry keep every delta at roundoff, which the floor treats as a pass
+    rather than demanding decay of pure noise.
     """
     if phis is None:
         phis = default_test_functions()
     depths = sorted(depths)
     if not depths:
         raise ValueError("need at least one depth")
-    grid = PairingGrid(LiftSequence(spec), resolution, transition, green_tol)
+    grid = PairingGrid(LiftSequence(spec), resolution, green_tol=green_tol)
     references = {phi.name: grid.pair(phi) for phi in phis}
     rows: list[EquidistributionRow] = []
     max_rt = 0.0
@@ -613,7 +604,7 @@ def equidistribution_report(
         mine = [r for r in rows if r.phi == phi.name]
         first = mine[0].delta
         last = mine[-1].delta
-        trends[phi.name] = last <= max(first, noise_floor)
+        trends[phi.name] = last <= max(first, NOISE_FLOOR)
     return EquidistributionReport(
         rows=tuple(rows),
         trends=trends,

@@ -113,9 +113,8 @@ class ComplexLiftMap:
         self.label = label
 
     @classmethod
-    def from_checked(cls, cmap: CheckedMap, scale: complex = 1.0) -> "ComplexLiftMap":
-        """Lift of a validated integer map, optionally scaled, with a
-        certified c_bar.
+    def from_checked(cls, cmap: CheckedMap) -> "ComplexLiftMap":
+        """Lift of a validated integer map with a certified c_bar.
 
         With n = num_vars, A the amplification and C_inf, e the certificate
         constants, on unit vectors
@@ -123,14 +122,14 @@ class ComplexLiftMap:
             (1/d) log|F(v)|  <=  (log A + log(n)/2) / d
             (1/d) log|F(v)|  >=  -log(C_inf/e)/d - log(n)/2
 
-        and a scalar multiplies the bound by |log|scale||/d.
+        rescaled() adds |log|scale||/d for a scaled lift.
         """
         n = cmap.num_vars
         d = cmap.degree
         comps = []
         for form in cmap.forms:
             exps = [list(e) for e, _ in form.terms] or [[0] * n]
-            coeffs = [complex(c) * scale for _, c in form.terms] or [0.0j]
+            coeffs = [complex(c) for _, c in form.terms] or [0.0j]
             comps.append((np.array(exps), np.array(coeffs)))
         dist = cmap.distortion
         up = (math.log(dist.amplification) + 0.5 * math.log(n)) / d
@@ -138,8 +137,6 @@ class ComplexLiftMap:
             math.log(dist.cofactor_l1 / dist.denominator) / d + 0.5 * math.log(n)
         )
         c_bar = max(up, down)
-        if scale != 1.0:
-            c_bar += abs(cmath.log(scale).real) / d
         return cls(d, n, comps, c_bar, certified=True, label=cmap.name)
 
     @classmethod
@@ -150,13 +147,12 @@ class ComplexLiftMap:
         components: Sequence[dict],
         c_bar: float | None = None,
         label: str | None = None,
-        sample_count: int = 20000,
-        seed: int = 7,
     ) -> "ComplexLiftMap":
         """Lift from raw {exponents: complex coefficient} dictionaries.
 
-        Without an explicit c_bar, estimates it by sampling unit vectors and
-        padding by 25 percent; the result is flagged uncertified.
+        Without an explicit c_bar, estimates it by sampling 20000 unit
+        vectors (seed 7) and padding by 25 percent; the result is flagged
+        uncertified.
         """
         comps = []
         for comp in components:
@@ -165,10 +161,9 @@ class ComplexLiftMap:
             comps.append((np.array(exps), np.array(coeffs)))
         lift = cls(degree, num_vars, comps, 0.0, certified=False, label=label)
         if c_bar is None:
-            rng = np.random.default_rng(seed)
-            v = rng.standard_normal((num_vars, sample_count)) + 1j * rng.standard_normal(
-                (num_vars, sample_count)
-            )
+            rng = np.random.default_rng(7)
+            shape = (num_vars, 20000)
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             v /= np.linalg.norm(v, axis=0)
             norms = np.linalg.norm(lift.evaluate(v), axis=0)
             if norms.min() <= 0:
@@ -389,14 +384,13 @@ def admissible_potential(
     seq: LiftSequence,
     x: Sequence[complex],
     tol: float = 1e-9,
-    depth: int | None = None,
 ) -> float:
     """u(x) = log|x|^2 - G(x); invariant under scaling of x."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(vec))
     if norm == 0:
         raise NonzeroRequired("potential of the zero vector")
-    g = green_function(seq, vec, tol, depth)
+    g = green_function(seq, vec, tol)
     return 2.0 * math.log(norm) - g.value
 
 
@@ -427,12 +421,13 @@ class ChartFunction:
 
     @classmethod
     def from_callable(
-        cls, name: str, fn: Callable[[int, np.ndarray], np.ndarray], stencil_h: float = 1e-4
+        cls, name: str, fn: Callable[[int, np.ndarray], np.ndarray]
     ) -> "ChartFunction":
-        """Wrap a plain chart-wise function; Laplacian by 5-point stencil."""
+        """Wrap a plain chart-wise function; Laplacian by 5-point stencil
+        with step 1e-4."""
 
         def lap(chart: int, z: np.ndarray) -> np.ndarray:
-            h = stencil_h
+            h = 1e-4
             return (
                 fn(chart, z + h)
                 + fn(chart, z - h)
@@ -479,17 +474,7 @@ def sphere_im() -> ChartFunction:
 
 def sphere_height() -> ChartFunction:
     """(1-|z|^2)/(1+|z|^2): the polar harmonic, odd under chart swap."""
-
-    def val(chart: int, z: np.ndarray) -> np.ndarray:
-        r2 = np.abs(z) ** 2
-        sign = 1.0 if chart == 0 else -1.0
-        return sign * (1.0 - r2) / (1.0 + r2)
-
-    def lap(chart: int, z: np.ndarray) -> np.ndarray:
-        r2 = np.abs(z) ** 2
-        return -8.0 * val(chart, z) / (1.0 + r2) ** 2
-
-    return ChartFunction("height", val, lap)
+    return _sphere_eigen("height", (1.0, -1.0), lambda z: 1.0 - np.abs(z) ** 2)
 
 
 def radial_bump(center: complex, radius: float) -> ChartFunction:
@@ -500,7 +485,10 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
     1/|w|^4.
     """
     z0 = complex(center)
-    rho2 = float(radius) ** 2
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"bump radius must be finite and positive, got {radius:g}")
+    rho2 = radius**2
 
     def chart0_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.abs(z - z0) ** 2
@@ -640,12 +628,10 @@ def current_pairing(
     seq: LiftSequence,
     phi: ChartFunction,
     resolution: int = 512,
-    transition: float = DEFAULT_TRANSITION,
-    green_tol: float = 1e-9,
 ) -> float:
     """One-off pairing; build a PairingGrid directly to pair many functions
     against the same current."""
-    grid = PairingGrid(seq, resolution, transition, green_tol)
+    grid = PairingGrid(seq, resolution)
     return grid.pair(phi)
 
 

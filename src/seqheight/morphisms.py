@@ -229,7 +229,6 @@ def kappa_minus(cert: NullstellensatzCertificate | CheckedMap) -> float:
 def validate(
     forms: Sequence[HomogeneousForm],
     name: str | None = None,
-    max_certificate_degree: int | None = None,
 ) -> CheckedMap:
     """Check that the forms define a morphism and compute its certificates.
 
@@ -248,7 +247,7 @@ def validate(
         raise DimensionMismatch("forms must share variables and degree")
     if d < 2:
         raise DegreeTooSmall(f"degree {d} < 2: heights would not contract")
-    cert = certify(forms, max_certificate_degree)
+    cert = certify(forms)
     amp = amplification_bound(forms)
     c_inf = cert.cofactor_l1()
     att = c_inf * cert.denominator

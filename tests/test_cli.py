@@ -269,6 +269,27 @@ def test_commands_without_an_exact_orbit_reject_a_bit_budget(capsys, sq_config, 
     assert "unrecognized arguments: --budget-bits -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--point", "1/0,1"],
+        ["canheight", "--point", "1/0,1"],
+        ["orbit", "--point", "1/0,1"],
+        ["average", "--point", "1/0,1", "--depth", "3", "--samples", "50"],
+        ["preimages", "--target", "1/0", "--depth", "2"],
+        ["equidist", "--target", "1/0", "--depths", "2", "--grid", "16"],
+    ],
+    ids=["height", "canheight", "orbit", "average", "preimages", "equidist"],
+)
+def test_zero_denominator_is_an_input_error(capsys, mixed_config, argv):
+    # Fraction("1/0") raises ZeroDivisionError, which used to escape main
+    # as a traceback
+    assert main([argv[0], "--config", mixed_config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+
+
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
     argv = ["orbit", "--config", psq_config, "--point", "1,1"]
     code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])
@@ -360,6 +381,19 @@ def test_pair_rejects_nonpositive_grid(capsys, mixed_config, grid):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("radius", ["-0.5", "0", "nan", "inf"])
+def test_pair_rejects_a_bump_radius_that_is_not_finite_and_positive(
+    capsys, mixed_config, radius
+):
+    # radius -0.5 used to pair the radius-0.5 bump, and 0 the zero function
+    phi = f"bump:0,0,{radius}"
+    argv = ["pair", "--config", mixed_config, "--phi", phi, "--grid", "16"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: bump radius")
 
 
 def test_pair_workers_give_identical_reports(capsys, mixed_config):
