@@ -23,11 +23,10 @@ fractions only during back-substitution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -374,54 +373,6 @@ def _binary_coeff_vector(form: HomogeneousForm) -> list[int]:
     return vec
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def resultant_p1(f0: HomogeneousForm, f1: HomogeneousForm) -> int:
-    """Sylvester resultant of two binary forms of a common degree d >= 1.
-
-    Zero exactly when the forms share a projective root, i.e. when (f0, f1)
-    fails to be a morphism of P^1.
-    """
-    if f0.num_vars != 2 or f1.num_vars != 2:
-        raise DimensionMismatch("resultant_p1 needs binary forms")
-    if f0.degree != f1.degree or f0.degree < 1:
-        raise DimensionMismatch("need equal degrees >= 1")
-    d = f0.degree
-    # rows use the classical descending order (coefficient of x1^d first),
-    # so the value matches Res_{x1}(f0(1, t), f1(1, t)) including sign
-    a = _binary_coeff_vector(f0)[::-1]
-    b = _binary_coeff_vector(f1)[::-1]
-    size = 2 * d
-    rows = []
-    for shift in range(d):
-        rows.append([0] * shift + a + [0] * (d - 1 - shift))
-    for shift in range(d):
-        rows.append([0] * shift + b + [0] * (d - 1 - shift))
-    assert all(len(r) == size for r in rows)
-    return _bareiss_det(rows)
-
-
 def solve_integer_linear(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> list[Fraction] | None:
@@ -517,7 +468,7 @@ def find_certificate(
     n = forms[0].num_vars
     d = forms[0].degree
     if len(forms) != n:
-        raise DimensionMismatch("need num_vars forms for P^(num_vars-1)")
+        raise DimensionMismatch(f"P^{n - 1} needs {n} forms, got {len(forms)}")
     if any(f.num_vars != n or f.degree != d for f in forms):
         raise DimensionMismatch("forms must share variables and degree")
     if target_degree < d:
@@ -570,8 +521,6 @@ def certify(forms: Sequence[HomogeneousForm]) -> NullstellensatzCertificate:
     """
     n = forms[0].num_vars
     d = forms[0].degree
-    if n == 2 and resultant_p1(forms[0], forms[1]) == 0:
-        raise Degenerate("binary forms share a projective root (resultant 0)")
     cap = n * (d - 1) + 1
     for m in range(d, cap + 1):
         try:

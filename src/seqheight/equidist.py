@@ -88,20 +88,39 @@ class PreimageCloud:
 
 
 def _target_pair(target) -> tuple:
-    """Normalize a target to homogeneous coordinates (a0, a1)."""
+    """Normalize a target to homogeneous coordinates (a0, a1).
+
+    Raises ValueError for (0 : 0), which is no point of P^1, and for a
+    target that floats cannot carry: a1/a0 must be a finite float, and when
+    a0 = 0, a1 must be a finite nonzero float.
+    """
     if isinstance(target, RationalProjectivePoint):
         if target.dim != 1:
             raise UnsupportedDimension("backward orbits are implemented on P^1")
-        return target.coords
-    if isinstance(target, CloudPoint):
-        return target.embedding()
-    if isinstance(target, (tuple, list)) and len(target) == 2:
-        return tuple(target)
-    if target is None:
-        return (0, 1)
-    if _exact_scalar(target):
-        return (1, Fraction(target))
-    return (1, complex(target))
+        pair = target.coords
+    elif isinstance(target, CloudPoint):
+        pair = target.embedding()
+    elif isinstance(target, (tuple, list)) and len(target) == 2:
+        pair = tuple(target)
+    elif target is None:
+        pair = (0, 1)
+    elif _exact_scalar(target):
+        pair = (1, Fraction(target))
+    else:
+        pair = (1, complex(target))
+    if all(a == 0 for a in pair):
+        raise ValueError("the target (0 : 0) is not a point of P^1")
+    try:
+        a0, a1 = (complex(a) for a in pair)
+        if pair[0] == 0:
+            carried = a1 != 0 and np.isfinite(a1)
+        else:
+            carried = np.isfinite(a0) and np.isfinite(a1 / a0)
+    except (OverflowError, ZeroDivisionError):
+        carried = False
+    if not carried:
+        raise ValueError("target coordinates are beyond the floating-point range")
+    return pair
 
 
 def _exact_scalar(value) -> bool:
@@ -371,9 +390,8 @@ def _exact_pullback(cmap: CheckedMap, a0, a1):
     """Preimages of one rational target, in the format of _pullback, with
     multiplicities decided exactly by the squarefree split of B(1, t)."""
     f0, f1 = (_binary_coeff_vector(f) for f in cmap.forms)
+    # not all zero: (a0 : a1) is a point and F0, F1 share no zero
     coeffs = _poly_trim([a1 * c0 - a0 * c1 for c0, c1 in zip(f0, f1)])
-    if not coeffs:
-        raise RootFindingFailed("target pullback form vanishes identically")
     at_inf = cmap.degree + 1 - len(coeffs)
     parts = _squarefree_split(coeffs)
     roots = np.zeros(0, dtype=np.complex128)

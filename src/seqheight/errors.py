@@ -43,9 +43,9 @@ class CertificateNotFound(SeqHeightError):
     higher degree, up to the completeness cap.
     """
 
-    def __init__(self, degree: int, message: str | None = None):
+    def __init__(self, degree: int):
         self.degree = degree
-        super().__init__(message or f"no certificate of degree {degree}")
+        super().__init__(f"no certificate of degree {degree}")
 
 
 class BudgetExceeded(SeqHeightError):

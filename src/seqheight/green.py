@@ -486,9 +486,9 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
     """
     z0 = complex(center)
     radius = float(radius)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"bump radius must be finite and positive, got {radius:g}")
-    rho2 = radius**2
+    rho2 = radius * radius
+    if not (radius > 0 and 0 < rho2 * rho2 < math.inf):
+        raise ValueError(f"bump radius needs 0 < r**4 < inf in floats, got {radius:g}")
 
     def chart0_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.abs(z - z0) ** 2

@@ -41,7 +41,7 @@ from .algebra import (
     _pow,
     certify,
 )
-from .errors import DegreeTooSmall, DimensionMismatch, MapsToZero
+from .errors import DegreeTooSmall, DimensionMismatch
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -159,9 +159,9 @@ class CheckedMap:
     def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
         """Image of a canonical point, renormalized exactly.
 
-        Any common divisor of the output components divides the certificate
-        denominator (the cofactor identity e*x_j^M = sum G_jk F_k holds over
-        the integers and the input coordinates are coprime), so the
+        The cofactor identity e*x_j^M = sum G_jk F_k holds over the integers
+        and the input coordinates are coprime, so the output components do
+        not all vanish and any common divisor of them divides e: the
         renormalization gcd runs modulo that small constant instead of on
         the full coordinates, which deep orbits cannot afford.
 
@@ -190,8 +190,6 @@ class CheckedMap:
                     term *= coeff
                 total = term if total == 0 else total + term
             values.append(total)
-        if all(v == 0 for v in values):
-            raise MapsToZero(f"forms vanish at {point}")
         e = self.certificate.denominator
         g = math.gcd(*[v % e for v in values], e) if e > 1 else 1
         return RationalProjectivePoint._from_canonical(
@@ -208,43 +206,18 @@ def amplification_bound(forms: Sequence[HomogeneousForm]) -> int:
     return max(f.coefficient_l1() for f in forms)
 
 
-def kappa_plus(forms: Sequence[HomogeneousForm] | CheckedMap) -> float:
-    """Archimedean amplification exponent log A.
-
-    For integer forms the finite places only ever shrink the height, so the
-    triangle inequality at the archimedean place is the whole story.
-    """
-    if isinstance(forms, CheckedMap):
-        return forms.distortion.kappa_plus
-    return math.log(amplification_bound(forms))
-
-
-def kappa_minus(cert: NullstellensatzCertificate | CheckedMap) -> float:
-    """Attenuation exponent log(C_inf) + log(e) from a certificate."""
-    if isinstance(cert, CheckedMap):
-        return cert.distortion.kappa_minus
-    return math.log(cert.cofactor_l1()) + math.log(cert.denominator)
-
-
 def validate(
     forms: Sequence[HomogeneousForm],
     name: str | None = None,
 ) -> CheckedMap:
     """Check that the forms define a morphism and compute its certificates.
 
-    Raises Degenerate when the forms share a projective zero, DegreeTooSmall
-    below degree 2, DimensionMismatch on shape errors.
+    Raises DegreeTooSmall below degree 2; certify raises DimensionMismatch
+    on shape errors and Degenerate when the forms share a projective zero.
     """
     if not forms:
         raise DimensionMismatch("no forms")
-    n = forms[0].num_vars
     d = forms[0].degree
-    if len(forms) != n:
-        raise DimensionMismatch(
-            f"P^{n - 1} needs {n} forms, got {len(forms)}"
-        )
-    if any(f.num_vars != n or f.degree != d for f in forms):
-        raise DimensionMismatch("forms must share variables and degree")
     if d < 2:
         raise DegreeTooSmall(f"degree {d} < 2: heights would not contract")
     cert = certify(forms)

@@ -81,6 +81,77 @@ def test_validate_rejects_degenerate_map(capsys, tmp_path):
     assert "input error" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_degenerate_p1_map_by_exhausting_the_search(
+    capsys, tmp_path
+):
+    # (x0^2 : x0 x1) vanishes at (0 : 1); no certificate exists up to the
+    # complete cap (N+1)(d-1)+1 = 3
+    cfg = _write_config(
+        tmp_path,
+        "bad.json",
+        [{"name": "bad", "degree": 2, "forms": [[[[2, 0], 1]], [[[1, 1], 1]]]}],
+        {"type": "constant", "map": "bad"},
+    )
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: no certificate up to degree 3; "
+        "the forms share a projective zero\n"
+    )
+
+
+def _sq_psq_config(tmp_path, sequence):
+    maps = [
+        {"name": "sq", "degree": 2, "forms": SQ_FORMS},
+        {"name": "psq", "degree": 2, "forms": PSQ_FORMS},
+    ]
+    return _write_config(tmp_path, "seq.json", maps, sequence)
+
+
+@pytest.mark.parametrize(
+    "sequence, described",
+    [
+        (
+            {"type": "explicit", "prefix": ["psq", 0], "tail": [1]},
+            {"type": "explicit", "prefix": [1, 0], "tail": [1]},
+        ),
+        (
+            {"type": "periodic", "word": [1, "sq", 1]},
+            {"type": "periodic", "word": [1, 0, 1]},
+        ),
+        ({"type": "random", "seed": 5}, {"type": "random", "seed": 5, "offset": 0}),
+    ],
+    ids=["explicit", "integer-entries", "random"],
+)
+def test_validate_describes_the_configured_sequence(
+    capsys, tmp_path, sequence, described
+):
+    cfg = _sq_psq_config(tmp_path, sequence)
+    code, doc = _run_json(capsys, ["validate", "--config", cfg])
+    assert code == 0
+    assert doc["sequence"] == described
+
+
+@pytest.mark.parametrize(
+    "sequence, message",
+    [
+        ({"type": "periodic", "word": [0, 2]}, "word index 2 out of range"),
+        ({"type": "explicit", "prefix": [-1]}, "word index -1 out of range"),
+        ({"type": "periodic", "word": ["sq", "cube"]}, "unknown map name 'cube'"),
+        ({"type": "spiral"}, "unknown sequence type 'spiral'"),
+    ],
+    ids=["index-too-large", "negative-index", "unknown-name", "unknown-type"],
+)
+def test_malformed_sequence_is_an_input_error(capsys, tmp_path, sequence, message):
+    cfg = _sq_psq_config(tmp_path, sequence)
+    assert main(["validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert message in captured.err
+
+
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -290,6 +361,57 @@ def test_zero_denominator_is_an_input_error(capsys, mixed_config, argv):
     assert captured.err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preimages", "--target", "0,0", "--depth", "0"],
+        ["preimages", "--target", "0,0", "--depth", "2"],
+        ["equidist", "--target", "0,0", "--depths", "0", "--grid", "16"],
+        ["equidist", "--target", "0,0", "--depths", "2", "--grid", "16"],
+    ],
+    ids=["preimages-depth0", "preimages-depth2", "equidist-depth0", "equidist-depth2"],
+)
+def test_the_zero_target_is_an_input_error(capsys, sq_config, argv):
+    # (0 : 0) is no point of P^1: depth 2 used to exit 2 (the pullback form
+    # vanishes identically), and preimages at depth 0 and equidist at
+    # depth 0 printed a report with NaN or 0 roundtrips and exited 0
+    assert main([argv[0], "--config", sq_config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the target (0 : 0) is not a point of P^1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preimages", "--target", "1e400", "--depth", "0"],
+        ["preimages", "--target", "1e400", "--depth", "2"],
+        ["preimages", "--target", "1e400,1", "--depth", "0"],
+        ["preimages", "--target", "1e400,1", "--depth", "2"],
+        ["equidist", "--target", "1e400", "--depths", "2", "--grid", "16"],
+        ["preimages", "--target", "1e-400,1", "--depth", "0"],
+        ["preimages", "--target", "1e-300,1e300", "--depth", "0"],
+    ],
+    ids=[
+        "preimages-depth0",
+        "preimages-depth2",
+        "preimages-pair-depth0",
+        "preimages-pair-depth2",
+        "equidist",
+        "affine-value-1e400",
+        "affine-value-1e600",
+    ],
+)
+def test_a_target_beyond_the_float_range_is_an_input_error(capsys, sq_config, argv):
+    # the exact target 10^400 used to escape main as an OverflowError, the
+    # pair (10^-400 : 1) as a ZeroDivisionError, and (1e-300 : 1e300) gave
+    # a NaN roundtrip
+    assert main([argv[0], "--config", sq_config, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: target coordinates")
+
+
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
     argv = ["orbit", "--config", psq_config, "--point", "1,1"]
     code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])
@@ -383,11 +505,15 @@ def test_pair_rejects_nonpositive_grid(capsys, mixed_config, grid):
     assert captured.err.startswith("input error: ")
 
 
-@pytest.mark.parametrize("radius", ["-0.5", "0", "nan", "inf"])
+@pytest.mark.parametrize(
+    "radius", ["-0.5", "0", "nan", "inf", "1e300", "1e100", "1e-90"]
+)
 def test_pair_rejects_a_bump_radius_that_is_not_finite_and_positive(
     capsys, mixed_config, radius
 ):
-    # radius -0.5 used to pair the radius-0.5 bump, and 0 the zero function
+    # radius -0.5 used to pair the radius-0.5 bump, and 0 the zero function;
+    # the fourth power of 1e300 and 1e100 overflowed (an OverflowError
+    # traceback), and that of 1e-90 rounds to zero
     phi = f"bump:0,0,{radius}"
     argv = ["pair", "--config", mixed_config, "--phi", phi, "--grid", "16"]
     assert main(argv) == 1

@@ -18,7 +18,7 @@ from seqheight.equidist import (
     preimages_one_step,
     roundtrip_residual,
 )
-from seqheight.errors import EnumerationTooLarge, RootFindingFailed
+from seqheight.errors import EnumerationTooLarge
 from seqheight.green import ComplexLiftMap, constant_one, sphere_height
 from seqheight.heights import canonical_height
 from seqheight.morphisms import (
@@ -348,9 +348,36 @@ def test_exact_step_keeps_close_simple_roots_apart():
 def test_cloud_error_contracts():
     with pytest.raises(ValueError):
         preimage_cloud(Constant(SQ), 2, -1)
+    # (0 : 0) is no point of P^1: an input error, at every depth
     for degenerate in ((0, 0), (0j, 0j)):
-        with pytest.raises(RootFindingFailed):
-            preimage_cloud(Constant(SQ), degenerate, 1)
+        for depth in (0, 1):
+            with pytest.raises(ValueError, match=r"\(0 : 0\)"):
+                preimage_cloud(Constant(SQ), degenerate, depth)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        Fraction(10) ** 400,
+        (1, 10**400),
+        (Fraction(1, 10**400),) * 2,
+        math.nan,
+        (0, 1j * math.inf),
+    ],
+    ids=["huge", "huge-pair", "pair-rounds-to-zero", "nan", "infinite"],
+)
+def test_targets_floats_cannot_carry_are_value_errors(target):
+    # 10^400 used to escape as an OverflowError, the rest turned into NaN
+    # coefficients inside the solver
+    cloud = preimage_cloud(Constant(SQ), 2, 1)
+    for call in (
+        lambda: preimages_one_step(SQ, target),
+        lambda: preimage_cloud(Constant(SQ), target, 0),
+        lambda: preimage_cloud(Constant(SQ), target, 2),
+        lambda: roundtrip_residual(Constant(SQ), cloud, target),
+    ):
+        with pytest.raises(ValueError, match="beyond the floating-point range"):
+            call()
 
 
 def test_failed_row_falls_back_to_aberth():

@@ -12,7 +12,12 @@ from seqheight.algebra import (
     monomials,
     normalize,
 )
-from seqheight.errors import DegreeTooSmall, Degenerate, NoRecurringPhase
+from seqheight.errors import (
+    DegreeTooSmall,
+    Degenerate,
+    DimensionMismatch,
+    NoRecurringPhase,
+)
 from seqheight.morphisms import (
     Constant,
     ExplicitWord,
@@ -83,6 +88,32 @@ def test_validate_rejects_degenerate():
         HomogeneousForm.from_terms(2, 2, {(1, 1): 1}),
     ]
     with pytest.raises(Degenerate):
+        validate(forms)
+
+
+@pytest.mark.parametrize(
+    "forms, message",
+    [
+        (
+            [HomogeneousForm.monomial(2, (2, 0))] * 3,
+            "P^1 needs 2 forms, got 3",
+        ),
+        (
+            [HomogeneousForm.monomial(2, (2, 0)), HomogeneousForm.monomial(2, (0, 3))],
+            "forms must share variables and degree",
+        ),
+        (
+            [
+                HomogeneousForm.monomial(2, (2, 0)),
+                HomogeneousForm.monomial(3, (0, 2, 0)),
+            ],
+            "forms must share variables and degree",
+        ),
+    ],
+    ids=["form-count", "mixed-degrees", "mixed-variables"],
+)
+def test_validate_rejects_mis_shaped_forms(forms, message):
+    with pytest.raises(DimensionMismatch, match=message.replace("^", r"\^")):
         validate(forms)
 
 
