@@ -274,76 +274,115 @@ def _canonical_values(values: Sequence[int], g: int) -> tuple[int, ...]:
 
 # Below this many bits in the smaller operand Python's own multiplication
 # is as fast as the transform or faster (crossover sweep in CHANGES.md).
-_FFT_MIN_BITS = 3 << 14
-# The longest transform _mul runs, in 8-bit limbs: a product of up to 2^20
-# bits, the default orbit budget.  numpy's float, spectrum and work buffers
-# are about 1 MB each there and double with every doubling of the length
-# (cap sweep in CHANGES.md); a wider product, which the default budget
-# refuses right after it is formed, keeps Python's multiplication.
+_FFT_MIN_BITS = 1 << 15
+# The longest transform _mul runs, in 12-bit limbs: products of up to about
+# 12 * 2^17 bits (1.5M).  Under the default 2^20-bit budget the orbit forms
+# no longer product, as it refuses a step whose image is provably wider
+# than the budget.  numpy's float, spectrum and work buffers are about 1 MB
+# each there and double with every doubling of the length (cap sweep in
+# CHANGES.md); a longer product keeps Python's multiplication.
 _FFT_MAX_LENGTH = 1 << 17
-# Coefficients rounded and split into byte planes per pass, so no int64
-# copy or byte-plane array of the whole product is made.
+# Coefficients rounded and packed per pass, so no int64 copy of the whole
+# product is made.  Even, so that every pass starts on a coefficient pair.
 _CARRY_BLOCK = 1 << 14
+
+
+def _fft_length(length: int) -> int:
+    """The smallest 2^k or 3 * 2^k that is at least length."""
+    return min(1 << (length - 1).bit_length(), 3 << ((length - 1) // 3).bit_length())
+
+
+def _limbs(x: int, n: int) -> np.ndarray:
+    """The 12-bit limbs of x >= 0, least significant first, as floats padded
+    with zeros to length n: two limbs from every 3 bytes of x."""
+    m = (x.bit_length() + 23) // 24
+    words = np.zeros((m, 4), np.uint8)
+    words[:, :3] = np.frombuffer(x.to_bytes(3 * m, "little"), np.uint8).reshape(m, 3)
+    words = words.view("<u4")[:, 0]
+    limbs = np.zeros(n)
+    limbs[0 : 2 * m : 2] = words & 0xFFF
+    limbs[1 : 2 * m : 2] = words >> 12
+    return limbs
 
 
 def _mul(a: int, b: int) -> int:
     """a * b exactly, through a floating-point FFT for large operands.
 
-    |a| and |b| are cut into 8-bit limbs, the limb sequences are convolved
-    with numpy's rfft/irfft at a power-of-two length N (a square, a is b,
-    takes one forward transform), and the rounded coefficients are summed
-    back through byte planes.
+    |a| and |b| are cut into 12-bit limbs, the limb sequences are convolved
+    with numpy's rfft/irfft at the smallest length N = 2^k or 3 * 2^k that
+    holds the product (a square, a is b, takes one forward transform), and
+    the rounded coefficients are summed back through three byte packings.
 
     Exactness.  Percival's bound (Math. Comp. 72 (2003); Brent &
     Zimmermann, Modern Computer Arithmetic, section 3.3) puts every
-    coefficient of a length-N = 2^n FFT product of limbs below 2^b within
+    coefficient of a length-N FFT product of limbs below 2^b within
 
         N (2^b - 1)^2 ((1+eps)^3n (1+eps sqrt 5)^(3n+1) (1+beta)^3n - 1)
 
-    of the integer it approximates, with eps = 2^-53 and beta the error of
-    the roots of unity.  For b = 8, N <= _FFT_MAX_LENGTH = 2^17 and
-    beta = eps that is 2.1e-4, against the 1/2 rounding needs; 16-bit limbs
-    give 6.4 at the same product size and prove nothing.  The bound is
-    stated for the radix-2 complex transform, so as a net against a library
-    less accurate than it assumes, a coefficient further than 1/4 from an
-    integer sends the product to Python's multiplication: the net can make
-    _mul slower, never wrong.
+    of the integer it approximates, with eps = 2^-53, beta the error of the
+    roots of unity and n the number of radix-2 stages, n = k for N = 2^k.
+    Each stage is sqrt 2 times a unitary map, and its rounding errors add
+    at most (1+eps)(1+eps sqrt 5)(1+beta) - 1 ~ 4.24 eps to the relative
+    2-norm error.  A radix-3 stage is sqrt 3 times a unitary map.  Evaluated
+    as pocketfft does (s = z1 + z2, t = z1 - z2, y0 = z0 + s,
+    y1,2 = (z0 - s/2) -+ i (sqrt 3/2) t, with the twiddle products), it
+    rounds s and t (eps), the three output sums (eps), z0 - s/2 and the
+    product by the rounded sqrt 3/2 (sqrt 2 * 1.5 eps) and the twiddle
+    products (3.24 eps): about 7.4 eps to first order, against 12.7 eps for
+    three radix-2 stages.  So N = 3 * 2^k is covered by the same bound with
+    n = k + 3, the radix-3 stage counted as three radix-2 stages, which
+    leaves room for the second-order terms.  For b = 12
+    and beta = eps that is 0.053 at 2^17 = _FFT_MAX_LENGTH, 0.025 at 2^16,
+    0.042 at 3 * 2^15 and 0.020 at 3 * 2^14, and smaller at every shorter
+    length, against the 1/2 rounding needs; 16-bit limbs give 13.6 at 2^17
+    and prove nothing.  The bound is stated for the complex transform, so
+    as a net against a library less accurate than it assumes, a
+    coefficient further than 1/4 from an integer sends the product to
+    Python's multiplication: the net can make _mul slower, never wrong.
 
     Operands under _FFT_MIN_BITS, and products longer than _FFT_MAX_LENGTH
     limbs, use Python's multiplication.
     """
     if min(a.bit_length(), b.bit_length()) < _FFT_MIN_BITS:
         return a * b
-    la = (a.bit_length() + 7) // 8
-    lb = (b.bit_length() + 7) // 8
-    length = la + lb - 1
-    n = 1 << (length - 1).bit_length()
+    length = (a.bit_length() + 11) // 12 + (b.bit_length() + 11) // 12 - 1
+    n = _fft_length(length)
     if n > _FFT_MAX_LENGTH:
         return a * b
-    spectrum = np.fft.rfft(np.frombuffer(abs(a).to_bytes(la, "little"), np.uint8), n)
+    spectrum = np.fft.rfft(_limbs(abs(a), n))
     if a is b:
         spectrum *= spectrum
     else:
-        spectrum *= np.fft.rfft(
-            np.frombuffer(abs(b).to_bytes(lb, "little"), np.uint8), n
-        )
+        spectrum *= np.fft.rfft(_limbs(abs(b), n))
     coeffs = np.fft.irfft(spectrum, n)[:length]
     del spectrum
-    # every coefficient is below min(la, lb) * 255^2: that many bytes each
-    width = ((min(la, lb) * 255 * 255).bit_length() + 7) // 8
-    product = 0
-    # top block first: product = product * 2^(8 * block length) + block value
-    for start in reversed(range(0, length, _CARRY_BLOCK)):
+    # Each coefficient is below min(la, lb) 4095^2 < 2^40, as min(la, lb)
+    # <= 2^16, so the pair p_j = c_2j + c_2j+1 2^12 < 2^53 is exact in a
+    # float and fills 7 bytes from byte 3j of the product.  The pairs with
+    # j = r mod 3 sit 9 bytes apart and never overlap: each residue packs
+    # into one integer, 8 bytes into a 9-byte slot, and the product is the
+    # sum of the three.
+    pairs = (length + 1) // 2
+    packs = [np.zeros(3 * r + 9 * ((pairs + 2 - r) // 3), np.uint8) for r in range(3)]
+    slots = [pack[3 * r :].reshape(-1, 9) for r, pack in enumerate(packs)]
+    for start in range(0, length, _CARRY_BLOCK):
         block = coeffs[start : start + _CARRY_BLOCK]
         rounded = np.rint(block)
-        if np.abs(block - rounded).max() > 0.25:
+        block -= rounded
+        if block.max() > 0.25 or block.min() < -0.25:
             return a * b
-        # byte j of every coefficient, as one little-endian integer per j
-        planes = rounded.astype("<i8").view(np.uint8).reshape(-1, 8)[:, :width].T
-        value = 0
-        for plane in planes[::-1]:
-            value = (value << 8) + int.from_bytes(plane.tobytes(), "little")
-        product = (product << 8 * len(block)) + value
+        if len(rounded) % 2:
+            rounded = np.append(rounded, 0.0)
+        paired = rounded[1::2] * 4096.0
+        paired += rounded[0::2]
+        rows = paired.astype("<i8").view(np.uint8).reshape(-1, 8)
+        j = start // 2
+        for r, slot in enumerate(slots):
+            first = (r - j) % 3
+            rows_r = rows[first::3]
+            at = (j + first) // 3
+            slot[at : at + len(rows_r), :8] = rows_r
+    product = sum(int.from_bytes(pack.tobytes(), "little") for pack in packs)
     return -product if (a < 0) != (b < 0) else product
 
 

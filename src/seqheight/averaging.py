@@ -26,7 +26,7 @@ from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
 from .heights import (
     DEFAULT_BUDGET_BITS,
-    _check_bits,
+    _apply_within_budget,
     _check_budget,
     multiplicative_height,
 )
@@ -58,7 +58,7 @@ def eigensystem_height_exact(
     total_degree = sum(g.degree for g in generators)
     memo: dict[tuple[RationalProjectivePoint, int], float] = {}
 
-    def rec(p: RationalProjectivePoint, remaining: int) -> float:
+    def rec(p: RationalProjectivePoint, bits: int, remaining: int) -> float:
         key = (p, remaining)
         got = memo.get(key)
         if got is not None:
@@ -69,15 +69,16 @@ def eigensystem_height_exact(
         else:
             acc = 0.0
             for g in generators:
-                q = g.apply(p)
-                _check_bits(q, budget_bits, depth - remaining + 1)
-                acc += rec(q, remaining - 1)
+                q, q_bits = _apply_within_budget(
+                    g, p, bits, budget_bits, depth - remaining + 1
+                )
+                acc += rec(q, q_bits, remaining - 1)
             val = acc / total_degree
         memo[key] = val
         return val
 
     try:
-        return rec(x, depth)
+        return rec(x, multiplicative_height(x).bit_length(), depth)
     finally:
         # rec refers to itself through its closure, so without this the memo
         # (every orbit point of the word tree) would stay alive until the
@@ -122,18 +123,20 @@ def eigensystem_height_mc(
     words = sample_words(generators, depth, seed, samples)
     by_word: dict[tuple[int, ...], float] = {}
     path = [x]
+    widths = [multiplicative_height(x).bit_length()]
     norms = [1]
     prev: tuple[int, ...] = ()
     for word in sorted(set(words)):
         shared = 0
         while shared < len(prev) and prev[shared] == word[shared]:
             shared += 1
-        del path[shared + 1 :], norms[shared + 1 :]
+        del path[shared + 1 :], widths[shared + 1 :], norms[shared + 1 :]
         for pos in range(shared, depth):
             g = generators[word[pos]]
-            path.append(g.apply(path[-1]))
+            q, bits = _apply_within_budget(g, path[-1], widths[-1], budget_bits, pos + 1)
+            path.append(q)
+            widths.append(bits)
             norms.append(norms[-1] * g.degree)
-            _check_bits(path[-1], budget_bits, pos + 1)
         h = multiplicative_height(path[-1])
         by_word[word] = (math.log(h) if h > 1 else 0.0) / norms[-1]
         prev = word

@@ -518,10 +518,23 @@ def _column_norms(v: np.ndarray) -> np.ndarray:
 
     Rounded as np.linalg.norm rounds one vector (a dot product of the real
     parts plus one of the imaginary parts), so the batch pushes each point
-    forward exactly as a per-point loop does.
+    forward exactly as a per-point loop does.  When a sum of squares
+    overflows, or underflows below 2^-1000, every column is scaled first by
+    the power of two that brings its largest magnitude into [1/2, 1).  The
+    scaling is exact, so the norms whose squares neither overflowed nor
+    underflowed keep their bits.
     """
-    re = v.real.T[:, None, :]
-    im = v.imag.T[:, None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        norms = _unscaled_norms(v.real, v.imag)
+    if not (norms.min() >= 2.0**-500 and norms.max() < np.inf):
+        _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=0))
+        norms = np.ldexp(_unscaled_norms(np.ldexp(v.real, -e), np.ldexp(v.imag, -e)), e)
+    return norms
+
+
+def _unscaled_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    re = re.T[:, None, :]
+    im = im.T[:, None, :]
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
 
 

@@ -98,7 +98,7 @@ class HeightEstimate:
 
 
 def multiplicative_height(point: RationalProjectivePoint) -> int:
-    return max(abs(c) for c in point.coords)
+    return max(map(abs, point.coords))
 
 
 def naive_height(point: RationalProjectivePoint) -> ExactLogHeight:
@@ -113,12 +113,40 @@ def _check_budget(budget_bits: int) -> None:
         raise ValueError(f"budget_bits must be >= 1, got {budget_bits}")
 
 
-def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> None:
-    worst = max(abs(c).bit_length() for c in point.coords)
+def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> int:
+    """bits(H(point)), or BudgetExceeded when it is above budget_bits."""
+    worst = multiplicative_height(point).bit_length()
     if worst > budget_bits:
         raise BudgetExceeded(
             f"orbit coordinate reached {worst} bits (> {budget_bits}) at step {step}"
         )
+    return worst
+
+
+def _apply_within_budget(
+    g: CheckedMap,
+    p: RationalProjectivePoint,
+    bits: int,
+    budget_bits: int,
+    step: int,
+) -> tuple[RationalProjectivePoint, int]:
+    """(g(p), bits(H(g(p)))) as orbit point `step`, given bits = bits(H(p));
+    BudgetExceeded when g(p) is wider than budget_bits.
+
+    The certificate gives H(g(p)) >= H(p)^d / B, with B the attenuation.
+    As H(p) >= 2^(bits - 1) and B < 2^bits(B), once
+    d (bits - 1) >= budget_bits + bits(B) the image has more than
+    budget_bits bits, and the step is refused before its products are
+    formed: the same step the check of the formed image would refuse.
+    """
+    floor = g.degree * (bits - 1) - g.distortion.attenuation.bit_length()
+    if floor >= budget_bits:
+        raise BudgetExceeded(
+            f"orbit coordinate reaches at least {floor + 1} bits (> {budget_bits}) "
+            f"at step {step}"
+        )
+    q = g.apply(p)
+    return q, _check_bits(q, budget_bits, step)
 
 
 def exact_orbit(
@@ -129,12 +157,11 @@ def exact_orbit(
     Each point is computed only when the next item is asked for; a point
     wider than budget_bits raises BudgetExceeded there.
     """
-    p, normalizer = x, 1
+    p, bits, normalizer = x, multiplicative_height(x).bit_length(), 1
     for step in count():
         yield step, p, normalizer
         g = spec.generator_at(step)
-        p = g.apply(p)
-        _check_bits(p, budget_bits, step + 1)
+        p, bits = _apply_within_budget(g, p, bits, budget_bits, step + 1)
         normalizer *= g.degree
 
 

@@ -170,8 +170,8 @@ class CheckedMap:
         x1^2)) costs one squaring per step, not two.  Powers (by
         square-and-multiply) and the products of powers in a term go
         through algebra._mul, which is Python's multiplication below about
-        48k bits and an exact 8-bit-limb FFT product above, up to products
-        of 2^20 bits; the result is the same integer either way.
+        32k bits and an exact 12-bit-limb FFT product above, up to products
+        of about 1.5M bits; the result is the same integer either way.
         """
         cs = point.coords
         if len(cs) != self.num_vars:

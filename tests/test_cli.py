@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,27 @@ def test_a_target_beyond_the_float_range_is_an_input_error(capsys, sq_config, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: target coordinates")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("depth", ["0", "1"])
+@pytest.mark.parametrize("target", ["1e200", "1e300", "1e-300,1"])
+def test_preimages_near_the_float_range_print_strict_json(
+    capsys, sq_config, target, depth
+):
+    # the roundtrip squared the coordinates, so at depth 0 these printed
+    # "roundtrip": NaN with numpy overflow warnings
+    argv = ["preimages", "--config", sq_config, "--target", target, "--depth", depth]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out, parse_constant=_refuse_constant)
+    assert 0.0 <= doc["roundtrip"] < 1e-12
 
 
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):

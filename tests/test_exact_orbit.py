@@ -8,15 +8,19 @@ power-exact, tolerance, engine hand-off and bit budget.
 """
 
 import math
+import re
 
 import pytest
 
+from seqheight import averaging, heights
 from seqheight.algebra import HomogeneousForm, normalize
+from seqheight.averaging import eigensystem_height_exact, eigensystem_height_mc
 from seqheight.errors import BudgetExceeded, NoRecurringPhase
 from seqheight.heights import (
     DEFAULT_BUDGET_BITS,
     ExactLogHeight,
     HeightEstimate,
+    _apply_within_budget,
     _check_bits,
     _engine_estimate,
     _engine_plan,
@@ -28,6 +32,7 @@ from seqheight.heights import (
     naive_height,
 )
 from seqheight.morphisms import (
+    CheckedMap,
     Constant,
     ExplicitWord,
     PeriodicWord,
@@ -180,11 +185,18 @@ def _reference_forward_orbit(x, spec, max_steps, budget_bits):
 
 
 def _outcome(fn, *args):
-    """fn's result, or the type and message of what it raised."""
+    """fn's result, or the type and message of what it raised.
+
+    For a budget stop the message is cut to its step: a step refused before
+    its image is formed reports a lower bound on the image's bits, where the
+    check of the formed image reports the exact count.
+    """
     try:
         return fn(*args)
-    except (BudgetExceeded, NoRecurringPhase) as exc:
-        return type(exc), str(exc)
+    except BudgetExceeded as exc:
+        return BudgetExceeded, re.search(r"at step \d+$", str(exc)).group()
+    except NoRecurringPhase as exc:
+        return NoRecurringPhase, str(exc)
 
 
 def _stop_rule(spec, est):
@@ -272,3 +284,79 @@ def test_exact_orbit_steps_only_when_asked():
         (1, "(4 : 9)", 2),
         (2, "(97 : 81)", 4),
     ]
+
+
+# -- the budget refusal ---------------------------------------------------------
+
+
+def _form_then_check(g, p, bits, budget_bits, step):
+    """A step as the orbit took it before the refusal: form g(p), then check
+    its bits."""
+    q = g.apply(p)
+    return q, _check_bits(q, budget_bits, step)
+
+
+def test_refused_step_matches_forming_the_image(monkeypatch):
+    """On every map, along each orbit and at every budget up to past the
+    image's width, the refusal raises at the same step as the check of the
+    formed image, or returns the same image; some steps are refused before
+    apply is called, the others by the check after it."""
+    applied = []
+    apply = CheckedMap.apply
+
+    def spy(self, point):
+        applied.append(point)
+        return apply(self, point)
+
+    monkeypatch.setattr(CheckedMap, "apply", spy)
+    refused = {"before": 0, "after": 0}
+    for g in (SQ, PSQ, E42):
+        for raw in POINTS:
+            p = normalize(list(raw))
+            for step in range(1, 7):
+                width = max(abs(c).bit_length() for c in apply(g, p).coords)
+                for budget in range(1, width + 4):
+                    del applied[:]
+                    bits = multiplicative_height(p).bit_length()
+                    args = (g, p, bits, budget, step)
+                    got = _outcome(_apply_within_budget, *args)
+                    if got == (BudgetExceeded, f"at step {step}"):
+                        refused["after" if applied else "before"] += 1
+                    assert got == _outcome(_form_then_check, *args)
+                p = apply(g, p)
+    assert refused["before"] > 1000 and refused["after"] > 100, refused
+
+
+def _average_exact(x, spec, budget):
+    return eigensystem_height_exact(x, spec.generators, 6, budget_bits=budget)
+
+
+def _average_mc(x, spec, budget):
+    return eigensystem_height_mc(x, spec.generators, 40, 7, 3, budget_bits=budget)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda x, spec, budget: height_sequence(x, spec, 12, budget),
+        lambda x, spec, budget: forward_orbit(x, spec, 50, budget),
+        lambda x, spec, budget: canonical_height(x, spec, 1e-12, budget),
+        _average_exact,
+        _average_mc,
+    ],
+    ids=["height_sequence", "forward_orbit", "canonical_height", "exact", "mc"],
+)
+def test_consumers_stop_where_forming_the_image_stops(monkeypatch, run):
+    """The exact orbit and both averaging loops give the same result, or
+    raise at the same step, as with every step formed and then checked."""
+    budgets = [1, 2, 5, 17, 40, 64, 100, 200, 777]
+    cases = [
+        (normalize(list(raw)), spec, budget)
+        for spec in (SPECS["psq"], SPECS["sq-psq"], SPECS["e42"])
+        for raw in [(1, 1), (2, 3), (-7, 50)]
+        for budget in budgets
+    ]
+    refused = [_outcome(run, *case) for case in cases]
+    monkeypatch.setattr(heights, "_apply_within_budget", _form_then_check)
+    monkeypatch.setattr(averaging, "_apply_within_budget", _form_then_check)
+    assert refused == [_outcome(run, *case) for case in cases]
