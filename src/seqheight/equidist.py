@@ -51,6 +51,7 @@ from .green import (
     ChartFunction,
     LiftSequence,
     PairingGrid,
+    _exponents,
     radial_bump,
     sphere_height,
     sphere_im,
@@ -527,7 +528,7 @@ def _column_norms(v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         norms = _unscaled_norms(v.real, v.imag)
     if not (norms.min() >= 2.0**-500 and norms.max() < np.inf):
-        _, e = np.frexp(np.maximum(np.abs(v.real), np.abs(v.imag)).max(axis=0))
+        e = _exponents(v)
         norms = np.ldexp(_unscaled_norms(np.ldexp(v.real, -e), np.ldexp(v.imag, -e)), e)
     return norms
 

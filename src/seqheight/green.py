@@ -37,8 +37,10 @@ unchanged; lift_scaling_check verifies both statements numerically.
 green_values runs the whole step loop on one block of _BLOCK columns at a
 time, so its temporaries stay in cache.  Each step rounds as np.linalg.norm
 and division by the norm round, and a column's value does not depend on
-the batch or block it is in.  PairingGrid runs on one thread and gets both
-charts from one green_values call.
+the batch or block it is in.  PairingGrid runs on one thread and calls
+green_values only for the cells a report reads: one chart's full square for
+the CSV export, both charts' cells with nonzero cutoff for a pairing, none
+for the mass.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ from .morphisms import CheckedMap, SequenceSpec
 DEFAULT_TRANSITION = 0.25
 
 # Columns per block of green_values: the step loop's temporaries for one
-# block (a few (n, 8192) complex arrays, about 1 MB) stay in cache.  A
-# 512 x 512 two-chart PairingGrid build on a 2-core Xeon took 0.38-0.48 s
-# with blocks of 4096-16384 points, 0.52-0.64 s with 2048 (per-block
-# overhead) or 32768 (cache misses), and 1.1-1.2 s unblocked.
+# block (a few (n, 8192) complex arrays, about 1 MB) stay in cache.  On a
+# 2-core Xeon, the Green values of a 512 x 512 pairing (both charts' 411784
+# cells with nonzero cutoff) took 0.30-0.31 s with this block, 0.33-0.38 s
+# with 32768 (cache misses) and 0.52-0.56 s with 2048 (per-block overhead);
+# over both full charts (524288 points) unblocked took 1.1-1.2 s.
 _BLOCK = 8192
 
 
@@ -309,6 +312,20 @@ def _column_norms(
     return np.sqrt(np.add.reduce(squares, axis=0, out=out), out=out)
 
 
+def _exponents(pts: np.ndarray) -> np.ndarray:
+    """Per column, the e with the largest real or imaginary part of the
+    column in [1/2, 1) * 2^e (0 for a zero column)."""
+    return np.frexp(np.maximum(np.abs(pts.real), np.abs(pts.imag)).max(axis=0))[1]
+
+
+def _ldexp(pts: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """pts times 2^e per column, exactly (up to subnormal results)."""
+    out = np.empty_like(pts)
+    out.real = np.ldexp(pts.real, e)
+    out.imag = np.ldexp(pts.imag, e)
+    return out
+
+
 def green_values(
     seq: LiftSequence,
     points: np.ndarray,
@@ -325,7 +342,19 @@ def green_values(
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[0] != seq.num_vars:
         raise DimensionMismatch("expected point batch of shape (num_vars, B)")
-    norms = _column_norms(pts)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = _column_norms(pts)
+    # A sum of squares that overflows, or underflows below 2^-1000, leaves
+    # the float range; such columns are divided by the power of two 2^e
+    # that brings their largest part into [1/2, 1), and log 2^e is added
+    # back below.  In-range columns keep e = 0 and so keep their bits.
+    far = ~((norms >= 2.0**-500) & (norms < np.inf))
+    log_scale = None
+    if np.any(far):
+        e = np.where(far, _exponents(pts), 0)
+        pts = _ldexp(pts, -e)
+        norms = _column_norms(pts)
+        log_scale = e * math.log(2.0)
     if np.any(norms == 0):
         raise NonzeroRequired("Green function of the zero vector")
     steps = _plan_depth(seq, tol, depth)
@@ -342,6 +371,8 @@ def green_values(
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
         acc = np.log(norms[start:stop])
+        if log_scale is not None:
+            acc += log_scale[start:stop]
         v = pts[:, start:stop] / norms[start:stop]
         buf = np.empty_like(v)
         ny = np.empty(stop - start)
@@ -387,7 +418,13 @@ def admissible_potential(
 ) -> float:
     """u(x) = log|x|^2 - G(x); invariant under scaling of x."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if not 2.0**-500 <= norm < math.inf:
+        # u is scale invariant: take x / 2^e, whose norm is in range
+        col = vec[:, None]
+        vec = _ldexp(col, -_exponents(col))[:, 0]
+        norm = float(np.linalg.norm(vec))
     if norm == 0:
         raise NonzeroRequired("potential of the zero vector")
     g = green_function(seq, vec, tol)
@@ -490,16 +527,25 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
     if not (radius > 0 and 0 < rho2 * rho2 < math.inf):
         raise ValueError(f"bump radius needs 0 < r**4 < inf in floats, got {radius:g}")
 
+    # denom = rho2 - |z - z0|^2 lies in (1e-12 rho2, rho2], so denom**4 is
+    # a normal float for 1e-64 <= rho2 <= 1e76.  Other radii take the
+    # Laplacian in the scaled variable q = denom / rho2 in (1e-12, 1].
+    scaled = not 1e-64 <= rho2 <= 1e76
+
     def chart0_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.abs(z - z0) ** 2
         inside = t < rho2 * (1.0 - 1e-12)
         tt = np.where(inside, t, 0.0)
         denom = rho2 - tt
         val = np.where(inside, np.exp(1.0 - rho2 / denom), 0.0)
-        d1 = -rho2 / denom**2 * val
-        d2 = val * (rho2**2 / denom**4) - 2.0 * rho2 / denom**3 * val
-        lap = np.where(inside, 4.0 * (tt * d2 + d1), 0.0)
-        return val, lap
+        if scaled:
+            q = denom / rho2
+            lap = 4.0 / rho2 * (tt / rho2 * (val / q**4 - 2.0 * val / q**3) - val / q**2)
+        else:
+            d1 = -rho2 / denom**2 * val
+            d2 = val * (rho2**2 / denom**4) - 2.0 * rho2 / denom**3 * val
+            lap = 4.0 * (tt * d2 + d1)
+        return val, np.where(inside, lap, 0.0)
 
     def val(chart: int, z: np.ndarray) -> np.ndarray:
         if chart == 0:
@@ -533,11 +579,12 @@ class PairingGrid:
 
     P^1 only.  Two charts cover the sphere with disks |z| <= R = e^a glued
     by a smooth partition of unity; all arrays are flattened row-major over
-    the full square [-R, R]^2 (points outside the disk simply carry weight
-    zero, and the CSV export wants the full square anyway).  Both charts
-    use the same cell centers, so z, rho and fs are shared between them,
-    and the Green function of both charts comes from one green_values call
-    on the stacked embeddings.  The build runs on one thread.
+    the full square [-R, R]^2, and cells outside the disk carry weight rho
+    = 0.  Both charts use the same cell centers, so z, rho and fs are shared
+    between them.  Green values are computed only where a report reads
+    them: green(chart) over one chart's full square for the CSV export,
+    pair() on both charts' cells with rho != 0 (once, kept for later
+    pairings), and mass() none at all.
     """
 
     def __init__(
@@ -552,6 +599,7 @@ class PairingGrid:
         self.resolution = int(resolution)
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
+        self.seq = seq
         self.transition = float(transition)
         self.radius = math.exp(self.transition)
         self.green_tol = float(green_tol)
@@ -560,44 +608,55 @@ class PairingGrid:
         self.cell = 2.0 * r / n
         self.centers = (np.arange(n) + 0.5) * self.cell - r
         xx, yy = np.meshgrid(self.centers, self.centers, indexing="xy")
-        z = (xx + 1j * yy).ravel()
-        abs_z = np.abs(z)
+        self.z = (xx + 1j * yy).ravel()
+        abs_z = np.abs(self.z)
         r2 = abs_z**2
-        shared = {
-            "z": z,
-            "rho": _smooth_cutoff(abs_z, self.transition),
-            "fs": (1.0 / math.pi) / (1.0 + r2) ** 2,
-        }
-        if seq is None:
-            greens = (np.zeros(z.shape, dtype=float),) * 2
-            depth = 0
-        else:
-            # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
-            emb = np.ones((2, 2 * z.size), dtype=np.complex128)
-            emb[1, : z.size] = z
-            emb[0, z.size :] = z
-            g, depth, _ = green_values(seq, emb, self.green_tol)
-            greens = (g[: z.size], g[z.size :])
-        log1p_r2 = np.log1p(r2)
-        self.charts = [
-            {**shared, "green": g, "u": log1p_r2 - g, "depth": depth} for g in greens
-        ]
+        self.rho = _smooth_cutoff(abs_z, self.transition)
+        self.fs = (1.0 / math.pi) / (1.0 + r2) ** 2
+        self.log1p_r2 = np.log1p(r2)
+        # Per chart, u = log(1+|z|^2) - G on the support of rho and 0 off
+        # it; built by the first pair() call.
+        self._u: list[np.ndarray] | None = None
+
+    def _greens(self, cells: np.ndarray, charts: Sequence[int]) -> list[np.ndarray]:
+        """Green values at the given cells of each chart, from one
+        green_values call on the stacked embeddings."""
+        if self.seq is None:
+            return [np.zeros(cells.size) for _ in charts]
+        # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
+        emb = np.ones((2, len(charts) * cells.size), dtype=np.complex128)
+        for k, chart in enumerate(charts):
+            emb[1 - chart, k * cells.size : (k + 1) * cells.size] = cells
+        g, _, _ = green_values(self.seq, emb, self.green_tol)
+        return np.split(g, len(charts))
+
+    def green(self, chart: int) -> np.ndarray:
+        """Green values of one chart over the full square."""
+        return self._greens(self.z, (chart,))[0]
 
     def pair(self, phi: ChartFunction) -> float:
         """T(phi) = integral phi omega_FS - integral u dd^c phi."""
+        if self._u is None:
+            support = np.flatnonzero(self.rho)
+            self._u = []
+            for g in self._greens(self.z[support], (0, 1)):
+                u = np.zeros(self.z.size)
+                u[support] = self.log1p_r2[support] - g
+                self._u.append(u)
         total = 0.0
         w = self.cell**2
-        for chart, data in enumerate(self.charts):
-            vals = phi.value(chart, data["z"])
-            laps = phi.laplacian(chart, data["z"])
-            integrand = data["rho"] * (
-                vals * data["fs"] - data["u"] * laps / (4.0 * math.pi)
-            )
+        for chart, u in enumerate(self._u):
+            vals = phi.value(chart, self.z)
+            laps = phi.laplacian(chart, self.z)
+            integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
             total += float(np.sum(integrand)) * w
         return total
 
     def mass(self) -> float:
-        return self.pair(constant_one())
+        """T(1) without Green values: the Laplacian of 1 is 0, so each chart
+        contributes sum(rho * fs) h^2, and with u finite this equals
+        pair(constant_one()) bit for bit."""
+        return 2.0 * (float(np.sum(self.rho * self.fs)) * self.cell**2)
 
     def write_csv(self, chart: int, path: str) -> int:
         """Write the x, y, green, psi rows of one chart over the full square
@@ -606,11 +665,11 @@ class PairingGrid:
         The bytes are those csv.writer writes for the same floats: repr of
         each value, comma-separated, CRLF line ends, a header line first.
         """
-        data = self.charts[chart]
+        values = self.green(chart)
         n = self.resolution
         coords = list(map(repr, self.centers.tolist()))
-        green = list(map(repr, data["green"].tolist()))
-        psi = list(map(repr, data["u"].tolist()))
+        green = list(map(repr, values.tolist()))
+        psi = list(map(repr, (self.log1p_r2 - values).tolist()))
         lines = ["x,y,green,psi"]
         for row, y in enumerate(coords):
             lo = row * n

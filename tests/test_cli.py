@@ -434,6 +434,34 @@ def test_preimages_near_the_float_range_print_strict_json(
     assert 0.0 <= doc["roundtrip"] < 1e-12
 
 
+@pytest.mark.parametrize(
+    "point, rescaled, scale",
+    [("1e200,1", "1,1e-200", 1e200), ("1e-200,1e-200", "1,1", 1e-200)],
+)
+def test_green_far_and_near_points(capsys, psq_config, point, rescaled, scale):
+    # the norm squared the coordinates: 1e200 overflowed (exit 1, "drove a
+    # unit vector to ~0") and 1e-200 underflowed (exit 1, "zero vector")
+    argv = ["green", "--config", psq_config, "--point"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = _run_json(capsys, argv + [point])
+    assert code == 0
+    code, ref = _run_json(capsys, argv + [rescaled])
+    assert code == 0
+    expected = ref["value"] + 2.0 * math.log(scale)
+    assert abs(doc["value"] - expected) <= doc["radius"]
+
+
+def test_pair_huge_bump_warns_of_no_overflow(capsys, sq_config):
+    # denom**4 in the bump's Laplacian overflowed at this radius
+    argv = ["pair", "--config", sq_config, "--phi", "bump:0,0,1e70", "--grid", "16"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert doc["mass"] == doc["value"] == 0.9998055701592795
+
+
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
     argv = ["orbit", "--config", psq_config, "--point", "1,1"]
     code, doc = _run_json(capsys, argv + ["--max-steps", "1", "--budget-bits", "1"])
@@ -495,12 +523,12 @@ def test_green_grid_csv_bytes_match_csv_writer(capsys, tmp_path, mixed_config, c
     capsys.readouterr()
     _, _, spec = cli._load_config(mixed_config)
     grid = PairingGrid(LiftSequence.from_spec(spec), 16)
-    data = grid.charts[chart]
+    green = grid.green(chart)
     xx, yy = np.meshgrid(grid.centers, grid.centers, indexing="xy")
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["x", "y", "green", "psi"])
-    writer.writerows(zip(xx.ravel(), yy.ravel(), data["green"], data["u"]))
+    writer.writerows(zip(xx.ravel(), yy.ravel(), green, grid.log1p_r2 - green))
     assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 

@@ -1,12 +1,16 @@
 import csv
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from seqheight import green
 from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.errors import DegenerateNearZero, DimensionMismatch, NonzeroRequired
 from seqheight.green import (
+    DEFAULT_TRANSITION,
     ChartFunction,
     ComplexLiftMap,
     LiftSequence,
@@ -16,6 +20,7 @@ from seqheight.green import (
     current_pairing,
     green_function,
     _plan_depth,
+    _smooth_cutoff,
     green_values,
     lift_scaling_check,
     radial_bump,
@@ -145,6 +150,35 @@ def test_potential_scale_invariance():
     assert u_scaled == pytest.approx(u, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**-1060])
+def test_far_and_near_points_shift_by_the_log_of_the_scale(scale):
+    # scale**2 leaves the float range, which the norm's squares used to
+    seq = _psq_seq()
+    x = np.array([1.0, 0.5 + 0.25j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        far = green_function(seq, scale * x)
+        u = admissible_potential(seq, scale * x)
+    near = green_function(seq, x)
+    assert abs(far.value - (near.value + 2.0 * math.log(scale))) <= far.radius
+    assert u == pytest.approx(admissible_potential(seq, x), abs=1e-9)
+
+
+def test_far_columns_leave_the_bits_of_in_range_columns():
+    seq = _psq_seq()
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+    mixed = pts.copy()
+    mixed[:, 3] *= 1e250
+    mixed[:, 7] *= 1e-250
+    got = green_values(seq, mixed)[0]
+    ref = green_values(seq, pts)[0]
+    keep = np.array([i not in (3, 7) for i in range(9)])
+    assert np.array_equal(got[keep], ref[keep])
+    assert got[3] == pytest.approx(ref[3] + 2.0 * math.log(1e250), abs=1e-9)
+    assert got[7] == pytest.approx(ref[7] + 2.0 * math.log(1e-250), abs=1e-9)
+
+
 def test_potential_chart_consistency():
     # log(1+|z|^2) - G(1, z) equals log(1+|w|^2) - G(w, 1) at w = 1/z
     seq = _psq_seq()
@@ -182,6 +216,20 @@ def test_bump_laplacian_matches_stencil_both_charts():
             f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)
         ) / h**2
         assert np.max(np.abs(bump.laplacian(chart, z) - stencil)) < 1e-5
+
+
+@pytest.mark.parametrize("radius", [1e70, 1e-70, 1e40, 1e-40])
+def test_bump_laplacian_scales_with_the_radius(radius):
+    # bump(c, r)(z) = bump(c / r, 1)(z / r), so the Laplacian scales by
+    # 1 / r^2; radii this far from 1 take the scaled formula
+    z = np.array([0.1, 0.5 + 0.2j, -0.3 + 0.7j, 0.99, 2.0])
+    big, unit = radial_bump(0.2j * radius, radius), radial_bump(0.2j, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = big.laplacian(0, z * radius)
+        vals = big.value(0, z * radius)
+    np.testing.assert_allclose(got * radius**2, unit.laplacian(0, z), rtol=1e-12)
+    np.testing.assert_allclose(vals, unit.value(0, z), rtol=1e-14)
 
 
 def test_bump_vanishes_outside_support_and_at_chart1_origin():
@@ -257,6 +305,107 @@ def test_grid_rows_shape(tmp_path):
 def test_pairing_grid_rejects_nonpositive_resolution(resolution):
     with pytest.raises(ValueError):
         PairingGrid(_sq_seq(), resolution=resolution)
+
+
+# -- the on-demand grid against an eager, full-square reference -----------
+
+
+class _EagerGrid:
+    """The grid built eagerly: both charts' Green values over the full
+    square from one green_values call, and the integrand of every cell."""
+
+    def __init__(self, seq, resolution):
+        r = math.exp(DEFAULT_TRANSITION)
+        self.cell = 2.0 * r / resolution
+        self.centers = (np.arange(resolution) + 0.5) * self.cell - r
+        xx, yy = np.meshgrid(self.centers, self.centers, indexing="xy")
+        self.z = (xx + 1j * yy).ravel()
+        abs_z = np.abs(self.z)
+        self.rho = _smooth_cutoff(abs_z, DEFAULT_TRANSITION)
+        self.fs = (1.0 / math.pi) / (1.0 + abs_z**2) ** 2
+        if seq is None:
+            self.greens = (np.zeros(self.z.size),) * 2
+        else:
+            emb = np.ones((2, 2 * self.z.size), dtype=np.complex128)
+            emb[1, : self.z.size] = self.z
+            emb[0, self.z.size :] = self.z
+            g = green_values(seq, emb)[0]
+            self.greens = (g[: self.z.size], g[self.z.size :])
+        self.us = [np.log1p(abs_z**2) - g for g in self.greens]
+
+    def pair(self, phi):
+        total = 0.0
+        for chart, u in enumerate(self.us):
+            vals = phi.value(chart, self.z)
+            laps = phi.laplacian(chart, self.z)
+            integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
+            total += float(np.sum(integrand)) * self.cell**2
+        return total
+
+    def csv_bytes(self, chart):
+        xx, yy = np.meshgrid(self.centers, self.centers, indexing="xy")
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(["x", "y", "green", "psi"])
+        writer.writerows(zip(xx.ravel(), yy.ravel(), self.greens[chart], self.us[chart]))
+        return out.getvalue().encode("utf-8")
+
+
+def _grid_sequences():
+    sq, psq = ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ)
+    word = LiftSequence(PeriodicWord((sq, psq), (0, 1)))
+    return {
+        "none": None,
+        "sq": _sq_seq(),
+        "psq": _psq_seq(),
+        "sq,psq": word,
+        "scaled": word.scaled([2.0, 0.5j, 3.0 - 1.0j]),
+    }
+
+
+@pytest.mark.parametrize("resolution", [1, 7, 16, 64])
+@pytest.mark.parametrize("name", ["none", "sq", "psq", "sq,psq", "scaled"])
+def test_on_demand_grid_matches_eager_reference(tmp_path, name, resolution):
+    seq = _grid_sequences()[name]
+    grid = PairingGrid(seq, resolution)
+    ref = _EagerGrid(seq, resolution)
+    phis = (
+        constant_one(),
+        sphere_re(),
+        sphere_im(),
+        sphere_height(),
+        radial_bump(0.3 - 0.2j, 0.75),
+        radial_bump(1.1 + 0.4j, 0.5),
+    )
+    assert grid.mass().hex() == ref.pair(constant_one()).hex()
+    for phi in phis:
+        assert grid.pair(phi).hex() == ref.pair(phi).hex(), phi.name
+    assert grid.mass().hex() == ref.pair(constant_one()).hex()
+    for chart in (0, 1):
+        path = tmp_path / f"chart{chart}.csv"
+        assert grid.write_csv(chart, str(path)) == resolution**2
+        assert path.read_bytes() == ref.csv_bytes(chart)
+
+
+def test_grid_computes_only_the_green_values_a_report_reads(monkeypatch):
+    points = []
+    real = green.green_values
+
+    def counting(seq, pts, *args, **kwargs):
+        points.append(pts.shape[1])
+        return real(seq, pts, *args, **kwargs)
+
+    monkeypatch.setattr(green, "green_values", counting)
+    grid = PairingGrid(_psq_seq(), resolution=64)
+    grid.mass()
+    assert points == []
+    grid.green(1)
+    assert points == [64 * 64]
+    grid.pair(sphere_re())
+    grid.pair(sphere_height())
+    support = np.count_nonzero(grid.rho)
+    assert points == [64 * 64, 2 * support]
+    assert support < 0.8 * 64 * 64
 
 
 # -- the blocked kernel against the term-by-term, unblocked one ------------
