@@ -51,7 +51,8 @@ from .green import (
     ChartFunction,
     LiftSequence,
     PairingGrid,
-    _exponents,
+    _scaled_norms,
+    _vector_norms,
     radial_bump,
     sphere_height,
     sphere_im,
@@ -517,26 +518,12 @@ def roundtrip_residual(spec: SequenceSpec, cloud: PreimageCloud, target) -> floa
 def _column_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of v.
 
-    Rounded as np.linalg.norm rounds one vector (a dot product of the real
-    parts plus one of the imaginary parts), so the batch pushes each point
-    forward exactly as a per-point loop does.  When a sum of squares
-    overflows, or underflows below 2^-1000, every column is scaled first by
-    the power of two that brings its largest magnitude into [1/2, 1).  The
-    scaling is exact, so the norms whose squares neither overflowed nor
-    underflowed keep their bits.
+    Rounded as np.linalg.norm rounds one vector, so the batch pushes each
+    point forward exactly as a per-point loop does; columns whose sum of
+    squares overflows or underflows are scaled by a power of two first.
     """
-    with np.errstate(over="ignore", under="ignore"):
-        norms = _unscaled_norms(v.real, v.imag)
-    if not (norms.min() >= 2.0**-500 and norms.max() < np.inf):
-        e = _exponents(v)
-        norms = np.ldexp(_unscaled_norms(np.ldexp(v.real, -e), np.ldexp(v.imag, -e)), e)
-    return norms
-
-
-def _unscaled_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    re = re.T[:, None, :]
-    im = im.T[:, None, :]
-    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+    norms, e = _scaled_norms(v, _vector_norms)
+    return np.ldexp(norms, e)
 
 
 def empirical_pairing(cloud: PreimageCloud, phi: ChartFunction) -> float:

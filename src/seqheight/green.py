@@ -312,6 +312,15 @@ def _column_norms(
     return np.sqrt(np.add.reduce(squares, axis=0, out=out), out=out)
 
 
+def _vector_norms(pts: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column, rounded as np.linalg.norm rounds one
+    vector (a dot product of the real parts plus one of the imaginary
+    parts), so a batch gives each column the bits of a per-point call."""
+    re = pts.real.T[:, None, :]
+    im = pts.imag.T[:, None, :]
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+
+
 def _exponents(pts: np.ndarray) -> np.ndarray:
     """Per column, the e with the largest real or imaginary part of the
     column in [1/2, 1) * 2^e (0 for a zero column)."""
@@ -324,6 +333,26 @@ def _ldexp(pts: np.ndarray, e: np.ndarray) -> np.ndarray:
     out.real = np.ldexp(pts.real, e)
     out.imag = np.ldexp(pts.imag, e)
     return out
+
+
+def _scaled_norms(
+    pts: np.ndarray, norms_of: Callable[[np.ndarray], np.ndarray] = _column_norms
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, (norm of pts / 2^e, e): the norm of pts is norm * 2^e.
+
+    A sum of squares that overflows, or underflows below 2^-1000, leaves
+    the float range; such columns take the e that brings their largest
+    part into [1/2, 1).  In-range columns keep e = 0, so their norms keep
+    the bits norms_of gives them.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = norms_of(pts)
+        far = ~((norms >= 2.0**-500) & (norms < np.inf))
+        e = np.zeros(far.shape, dtype=int)
+        if np.any(far):
+            e[far] = _exponents(pts[:, far])
+            norms = norms_of(_ldexp(pts, -e))
+    return norms, e
 
 
 def green_values(
@@ -342,19 +371,12 @@ def green_values(
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[0] != seq.num_vars:
         raise DimensionMismatch("expected point batch of shape (num_vars, B)")
-    with np.errstate(over="ignore", under="ignore"):
-        norms = _column_norms(pts)
-    # A sum of squares that overflows, or underflows below 2^-1000, leaves
-    # the float range; such columns are divided by the power of two 2^e
-    # that brings their largest part into [1/2, 1), and log 2^e is added
-    # back below.  In-range columns keep e = 0 and so keep their bits.
-    far = ~((norms >= 2.0**-500) & (norms < np.inf))
-    log_scale = None
-    if np.any(far):
-        e = np.where(far, _exponents(pts), 0)
+    # Columns whose norm leaves the float range are iterated from pts / 2^e,
+    # and log 2^e is added back below.
+    norms, e = _scaled_norms(pts)
+    far = bool(np.any(e))
+    if far:
         pts = _ldexp(pts, -e)
-        norms = _column_norms(pts)
-        log_scale = e * math.log(2.0)
     if np.any(norms == 0):
         raise NonzeroRequired("Green function of the zero vector")
     steps = _plan_depth(seq, tol, depth)
@@ -371,8 +393,8 @@ def green_values(
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
         acc = np.log(norms[start:stop])
-        if log_scale is not None:
-            acc += log_scale[start:stop]
+        if far:
+            acc += e[start:stop] * math.log(2.0)
         v = pts[:, start:stop] / norms[start:stop]
         buf = np.empty_like(v)
         ny = np.empty(stop - start)
@@ -418,17 +440,12 @@ def admissible_potential(
 ) -> float:
     """u(x) = log|x|^2 - G(x); invariant under scaling of x."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    with np.errstate(over="ignore", under="ignore"):
-        norm = float(np.linalg.norm(vec))
-    if not 2.0**-500 <= norm < math.inf:
-        # u is scale invariant: take x / 2^e, whose norm is in range
-        col = vec[:, None]
-        vec = _ldexp(col, -_exponents(col))[:, 0]
-        norm = float(np.linalg.norm(vec))
-    if norm == 0:
+    norms, e = _scaled_norms(vec[:, None], _vector_norms)
+    if norms[0] == 0:
         raise NonzeroRequired("potential of the zero vector")
     g = green_function(seq, vec, tol)
-    return 2.0 * math.log(norm) - g.value
+    log_norm = math.log(norms[0]) + int(e[0]) * math.log(2.0)
+    return 2.0 * log_norm - g.value
 
 
 class ChartFunction:
@@ -527,24 +544,16 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
     if not (radius > 0 and 0 < rho2 * rho2 < math.inf):
         raise ValueError(f"bump radius needs 0 < r**4 < inf in floats, got {radius:g}")
 
-    # denom = rho2 - |z - z0|^2 lies in (1e-12 rho2, rho2], so denom**4 is
-    # a normal float for 1e-64 <= rho2 <= 1e76.  Other radii take the
-    # Laplacian in the scaled variable q = denom / rho2 in (1e-12, 1].
-    scaled = not 1e-64 <= rho2 <= 1e76
-
     def chart0_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = np.abs(z - z0) ** 2
         inside = t < rho2 * (1.0 - 1e-12)
         tt = np.where(inside, t, 0.0)
         denom = rho2 - tt
         val = np.where(inside, np.exp(1.0 - rho2 / denom), 0.0)
-        if scaled:
-            q = denom / rho2
-            lap = 4.0 / rho2 * (tt / rho2 * (val / q**4 - 2.0 * val / q**3) - val / q**2)
-        else:
-            d1 = -rho2 / denom**2 * val
-            d2 = val * (rho2**2 / denom**4) - 2.0 * rho2 / denom**3 * val
-            lap = 4.0 * (tt * d2 + d1)
+        # In q = denom / rho2, which lies in (1e-12, 1], the powers of q
+        # stay normal floats at every radius.
+        q = denom / rho2
+        lap = 4.0 / rho2 * (tt / rho2 * (val / q**4 - 2.0 * val / q**3) - val / q**2)
         return val, np.where(inside, lap, 0.0)
 
     def val(chart: int, z: np.ndarray) -> np.ndarray:

@@ -221,7 +221,7 @@ def test_bump_laplacian_matches_stencil_both_charts():
 @pytest.mark.parametrize("radius", [1e70, 1e-70, 1e40, 1e-40])
 def test_bump_laplacian_scales_with_the_radius(radius):
     # bump(c, r)(z) = bump(c / r, 1)(z / r), so the Laplacian scales by
-    # 1 / r^2; radii this far from 1 take the scaled formula
+    # 1 / r^2; at radii this far from 1, denom**4 overflowed or went subnormal
     z = np.array([0.1, 0.5 + 0.2j, -0.3 + 0.7j, 0.99, 2.0])
     big, unit = radial_bump(0.2j * radius, radius), radial_bump(0.2j, 1.0)
     with warnings.catch_warnings():
