@@ -16,9 +16,11 @@ found by exact linear algebra.  The certificate is what turns "no common
 zero" into an effective lower height bound: together with the triangle
 inequality it pins |log H(f(x)) - d log H(x)| between computable constants.
 
-The linear solves use fraction-free (Bareiss) elimination over the integers,
-so no rational blowup occurs mid-solve; solutions are reconstructed as exact
-fractions only during back-substitution.
+Each degree M takes one linear solve: a single fraction-free (Bareiss)
+elimination over the integers carries the right-hand sides of all N+1
+targets x_j^M at once, so no rational blowup occurs mid-solve, and the
+back-substitution runs in integers as well (Cramer's rule makes
+det * x integral), forming each exact fraction only at the end.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -413,49 +416,78 @@ def _binary_coeff_vector(form: HomogeneousForm) -> list[int]:
 
 
 def solve_integer_linear(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> list[Fraction] | None:
-    """Solve A x = b exactly over Q for integer A, b.
+    rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
+) -> list[list[Fraction]] | None:
+    """Solve A x = b exactly over Q for integer A and every column b in rhs.
 
-    Returns one solution (free variables set to 0) or None when the system is
-    inconsistent.  Elimination is fraction-free Bareiss; only the final
-    back-substitution produces Fractions.
+    rhs is a list of right-hand-side columns, each with one entry per row
+    of A.  Returns one solution per column (free variables set to 0), or
+    None when any column is inconsistent.
+
+    One fraction-free (Bareiss) elimination runs over [A | b_0 ... b_T].
+    Its pivots depend only on A, so each column is eliminated exactly as it
+    would be alone.  The last pivot det is the determinant of the pivot
+    minor, so det * x is integral by Cramer's rule, and back-substitution
+    stays in integers: row[c] * num_c = det * row[t] - sum_j row[j] * num_j
+    divides exactly, and x = num / det is the only Fraction formed.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return [[] for _ in rhs]
     ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
+    # A row with a 0 in the pivot column would only be scaled by lead / prev.
+    # That is deferred: scale[i] is the pivot row i was last updated with,
+    # and the next update of the row divides by it in place of prev, which
+    # gives the same Bareiss row (a row that becomes the pivot row is
+    # brought up to date first).  Most rows of a cofactor matrix are 0 in
+    # most pivot columns.
+    scale = [1] * m
     prev = 1
-    rank = 0
-    pivots: list[tuple[int, int]] = []
+    pivot_cols: list[int] = []
     for col in range(ncols):
+        rank = len(pivot_cols)
         pivot = next((i for i in range(rank, m) if aug[i][col] != 0), None)
         if pivot is None:
             continue
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        lead = aug[rank][col]
+        scale[rank], scale[pivot] = scale[pivot], scale[rank]
+        prow = aug[rank]
+        if scale[rank] != prev:
+            prow[col:] = [a * prev // scale[rank] for a in prow[col:]]
+        lead = prow[col]
+        tail = prow[col + 1 :]
         for i in range(rank + 1, m):
-            factor = aug[i][col]
-            for j in range(col + 1, ncols + 1):
-                aug[i][j] = (lead * aug[i][j] - factor * aug[rank][j]) // prev
-            aug[i][col] = 0
+            row = aug[i]
+            factor = row[col]
+            if factor:
+                s = scale[i]
+                row[col:] = [0] + [
+                    (lead * a - factor * p) // s for a, p in zip(row[col + 1 :], tail)
+                ]
+                scale[i] = lead
         prev = lead
-        pivots.append((rank, col))
-        rank += 1
-        if rank == m:
+        pivot_cols.append(col)
+        if rank + 1 == m:
             break
-    for i in range(rank, m):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in reversed(pivots):
-        s = Fraction(aug[r][ncols])
-        for j in range(c + 1, ncols):
-            if aug[r][j] and x[j]:
-                s -= aug[r][j] * x[j]
-        x[c] = s / aug[r][c]
-    return x
+    rank = len(pivot_cols)
+    if any(any(row[ncols:]) for row in aug[rank:]):
+        return None
+    det = prev
+    # pivot row k, its pivot column and its nonzero entries in later pivot
+    # columns (free variables are 0 and drop out)
+    steps = [
+        (aug[k], c, [(j, aug[k][j]) for j in pivot_cols[k + 1 :] if aug[k][j]])
+        for k, c in enumerate(pivot_cols)
+    ]
+    steps.reverse()
+    out = []
+    for t in range(ncols, ncols + len(rhs)):
+        num = [0] * ncols
+        for row, c, later in steps:
+            num[c] = (det * row[t] - sum(v * num[j] for j, v in later)) // row[c]
+        out.append([Fraction(v, det) for v in num])
+    return out
 
 
 @dataclass(frozen=True)
@@ -472,16 +504,22 @@ class NullstellensatzCertificate:
     cofactors: tuple[tuple[HomogeneousForm, ...], ...]
 
     def verify(self, forms: Sequence[HomogeneousForm]) -> bool:
-        """Exact expansion check of every defining identity."""
+        """Exact expansion check of every defining identity.
+
+        Each sum_k G_jk F_k is expanded term by term into one dict and
+        compared with the single term e * x_j^M, independent of how the
+        cofactors were found.
+        """
         n = forms[0].num_vars
         for j in range(n):
-            exps = tuple(self.exponent if i == j else 0 for i in range(n))
-            target = HomogeneousForm.monomial(n, exps, self.denominator)
-            acc = HomogeneousForm(n, self.exponent, ())
+            acc: dict[Exponents, int] = {}
             for g, f in zip(self.cofactors[j], forms):
-                if not g.is_zero:
-                    acc = acc + g * f
-            if acc != target:
+                for eg, cg in g.terms:
+                    for ef, cf in f.terms:
+                        key = tuple(map(add, eg, ef))
+                        acc[key] = acc.get(key, 0) + cg * cf
+            target = tuple(self.exponent if i == j else 0 for i in range(n))
+            if {e: c for e, c in acc.items() if c} != {target: self.denominator}:
                 return False
         return True
 
@@ -521,17 +559,17 @@ def find_certificate(
         for ci, mono in enumerate(cof_monos):
             col = k * len(cof_monos) + ci
             for exps, coeff in f.terms:
-                key = tuple(a + b for a, b in zip(exps, mono))
+                key = tuple(map(add, exps, mono))
                 matrix[row_index[key]][col] += coeff
 
-    per_j: list[list[Fraction]] = []
+    targets = []
     for j in range(n):
         rhs = [0] * len(tgt_monos)
         rhs[row_index[tuple(target_degree if i == j else 0 for i in range(n))]] = 1
-        sol = solve_integer_linear(matrix, rhs)
-        if sol is None:
-            raise CertificateNotFound(target_degree)
-        per_j.append(sol)
+        targets.append(rhs)
+    per_j = solve_integer_linear(matrix, targets)
+    if per_j is None:
+        raise CertificateNotFound(target_degree)
 
     e = math.lcm(*[f.denominator for sol in per_j for f in sol] or [1])
     cofactors = []
@@ -540,9 +578,9 @@ def find_certificate(
         for k in range(n):
             terms = {}
             for ci, mono in enumerate(cof_monos):
-                val = sol[k * len(cof_monos) + ci] * e
+                val = sol[k * len(cof_monos) + ci]
                 if val:
-                    terms[mono] = int(val)
+                    terms[mono] = val.numerator * (e // val.denominator)
             row.append(HomogeneousForm.from_terms(n, target_degree - d, terms))
         cofactors.append(tuple(row))
     cert = NullstellensatzCertificate(target_degree, e, tuple(cofactors))

@@ -510,13 +510,21 @@ def sample_words(
     return words
 
 
+def _config_int(value, what: str) -> int:
+    """value, when it is a JSON integer; int() would truncate 2.9 and read
+    true as 1, so floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _form_from_config(entry: Sequence, num_vars: int, degree: int) -> HomogeneousForm:
     terms: dict[tuple[int, ...], int] = {}
     for exps, coeff in entry:
         if len(exps) != num_vars:
             raise DimensionMismatch("exponent vector length != dim + 1")
-        key = tuple(int(e) for e in exps)
-        terms[key] = terms.get(key, 0) + int(coeff)
+        key = tuple(_config_int(e, "exponent") for e in exps)
+        terms[key] = terms.get(key, 0) + _config_int(coeff, "coefficient")
     return HomogeneousForm.from_terms(num_vars, degree, terms)
 
 
@@ -524,13 +532,23 @@ def maps_from_config(cfg: dict) -> list[CheckedMap]:
     """Build and validate the generating set of a config dictionary.
 
     Expected shape: {"dim": N, "maps": [{"name": str, "degree": d,
-    "forms": [[[e0..eN], coeff], ...] per component}, ...]}.
+    "forms": [[[e0..eN], coeff], ...] per component}, ...]}, with at least
+    one map, distinct names and every number a JSON integer.
     """
-    dim = int(cfg["dim"])
+    dim = _config_int(cfg["dim"], "dim")
     n = dim + 1
+    if not cfg["maps"]:
+        raise ValueError("the config has no maps")
+    seen = set()
+    for m in cfg["maps"]:
+        name = m.get("name")
+        if name in seen:
+            raise ValueError(f"duplicate map name {name!r}")
+        if name:
+            seen.add(name)
     out = []
     for m in cfg["maps"]:
-        degree = int(m["degree"])
+        degree = _config_int(m["degree"], "degree")
         comps = m["forms"]
         if len(comps) != n:
             raise DimensionMismatch(
@@ -550,7 +568,7 @@ def _resolve_word(entries: Sequence, maps: Sequence[CheckedMap]) -> tuple[int, .
                 raise ValueError(f"unknown map name {w!r} in word")
             word.append(by_name[w])
         else:
-            idx = int(w)
+            idx = _config_int(w, "word index")
             if not 0 <= idx < len(maps):
                 raise ValueError(f"word index {idx} out of range")
             word.append(idx)
@@ -575,5 +593,5 @@ def sequence_from_config(cfg: dict, maps: Sequence[CheckedMap]) -> SequenceSpec:
             _resolve_word(seq.get("tail", []), maps),
         )
     if kind == "random":
-        return RandomWord(gens, int(seq.get("seed", 0)))
+        return RandomWord(gens, _config_int(seq.get("seed", 0), "random seed"))
     raise ValueError(f"unknown sequence type {kind!r}")

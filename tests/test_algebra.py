@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,15 +126,14 @@ def test_integer_linear_solve_matches_sympy(seed):
     # integer matrix and rhs (the solver's contract); solvable by planting
     # an integer solution, though the returned one may differ for wide
     # systems (free variables are pinned to zero)
-    import random
-
     rng = random.Random(100 + seed)
     rows, cols = rng.choice([(3, 3), (4, 3), (3, 4)])
     mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
     planted = [rng.randint(-5, 5) for _ in range(cols)]
     rhs = [sum(mat[i][j] * planted[j] for j in range(cols)) for i in range(rows)]
-    got = solve_integer_linear(mat, rhs)
-    assert got is not None
+    sols = solve_integer_linear(mat, [rhs])
+    assert sols is not None
+    (got,) = sols
     sy = sympy.Matrix(mat)
     assert sy * sympy.Matrix([[sympy.Rational(v)] for v in got]) == sympy.Matrix(
         [[sympy.Rational(v)] for v in rhs]
@@ -140,14 +141,280 @@ def test_integer_linear_solve_matches_sympy(seed):
 
 
 def test_integer_linear_solve_fractional_solution():
-    got = solve_integer_linear([[2, 0], [0, 3]], [1, 1])
-    assert got == [Fraction(1, 2), Fraction(1, 3)]
+    got = solve_integer_linear([[2, 0], [0, 3]], [[1, 1]])
+    assert got == [[Fraction(1, 2), Fraction(1, 3)]]
 
 
 def test_integer_linear_solve_inconsistent():
     mat = [[1, 1], [2, 2]]
     rhs = [1, 3]
-    assert solve_integer_linear(mat, rhs) is None
+    assert solve_integer_linear(mat, [rhs]) is None
+
+
+def _reference_solve(rows, rhs):
+    """The single right-hand-side Bareiss solver that solve_integer_linear
+    replaced: one elimination per column, Fraction back-substitution."""
+    m = len(rows)
+    if m == 0:
+        return []
+    ncols = len(rows[0])
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    prev = 1
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, m) if aug[i][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        lead = aug[rank][col]
+        for i in range(rank + 1, m):
+            factor = aug[i][col]
+            for j in range(col + 1, ncols + 1):
+                aug[i][j] = (lead * aug[i][j] - factor * aug[rank][j]) // prev
+            aug[i][col] = 0
+        prev = lead
+        pivots.append((rank, col))
+        rank += 1
+        if rank == m:
+            break
+    for i in range(rank, m):
+        if aug[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, c in reversed(pivots):
+        s = Fraction(aug[r][ncols])
+        for j in range(c + 1, ncols):
+            if aug[r][j] and x[j]:
+                s -= aug[r][j] * x[j]
+        x[c] = s / aug[r][c]
+    return x
+
+
+def _random_system(rng, rows, cols, rank, columns):
+    """An integer rows x cols matrix of the given rank (a product of random
+    rows x rank and rank x cols factors, with some entries of the factors
+    zeroed, as in the sparse cofactor matrices) and `columns` consistent
+    right-hand sides A y for random integer y."""
+
+    def entry():
+        return rng.randint(-4, 4) if rng.random() < 0.7 else 0
+
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    mat = [
+        [sum(left[i][k] * right[k][j] for k in range(rank)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    rhs = []
+    for _ in range(columns):
+        planted = [rng.randint(-5, 5) for _ in range(cols)]
+        rhs.append([sum(r[j] * planted[j] for j in range(cols)) for r in mat])
+    return mat, rhs
+
+
+def _assert_matches_reference(mat, rhs):
+    got = solve_integer_linear(mat, rhs)
+    want = [_reference_solve(mat, b) for b in rhs]
+    if any(w is None for w in want):
+        assert got is None
+        return
+    assert got is not None and len(got) == len(rhs)
+    for sol, ref in zip(got, want):
+        assert sol == ref
+        assert all(isinstance(v, Fraction) for v in sol)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(6, 6), (5, 9), (9, 5), (1, 4), (4, 1)],
+    ids=["square", "wide", "tall", "row", "column"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_multi_column_solve_matches_the_single_column_reference(shape, seed):
+    rng = random.Random(f"{shape}:{seed}")
+    rows, cols = shape
+    for _ in range(10):
+        mat, rhs = _random_system(rng, rows, cols, min(rows, cols), 3)
+        _assert_matches_reference(mat, rhs)
+        # arbitrary right-hand sides: fractional solutions when the matrix
+        # has full row rank, mostly inconsistent columns when it is tall
+        free = [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(2)]
+        _assert_matches_reference(mat, free)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (5, 8), (8, 5)], ids=["square", "wide", "tall"])
+@pytest.mark.parametrize("rank", [0, 1, 3])
+def test_multi_column_solve_matches_the_reference_when_rank_deficient(shape, rank):
+    rng = random.Random(f"deficient:{shape}:{rank}")
+    rows, cols = shape
+    for _ in range(10):
+        mat, rhs = _random_system(rng, rows, cols, rank, 4)
+        assert all(_reference_solve(mat, b) is not None for b in rhs)
+        _assert_matches_reference(mat, rhs)
+
+
+def test_an_inconsistent_column_among_consistent_ones_gives_none():
+    rng = random.Random("inconsistent")
+    for trial in range(20):
+        mat, rhs = _random_system(rng, 7, 6, 4, 3)
+        # a row of zeros in the matrix with a nonzero right-hand side is
+        # inconsistent for any rank
+        mat.append([0] * 6)
+        for b in rhs:
+            b.append(0)
+        bad = [rng.randint(-5, 5) for _ in range(7)] + [rng.randint(1, 5)]
+        rhs.insert(trial % 4, bad)
+        assert _reference_solve(mat, bad) is None
+        assert all(_reference_solve(mat, b) is not None for b in rhs if b is not bad)
+        assert solve_integer_linear(mat, rhs) is None
+        rhs.remove(bad)
+        _assert_matches_reference(mat, rhs)
+
+
+def test_multi_column_solve_of_no_rows_and_no_columns():
+    assert solve_integer_linear([], [[], []]) == [[], []]
+    assert solve_integer_linear([[1, 2], [3, 4]], []) == []
+
+
+def _reference_certificate(forms, target_degree):
+    """find_certificate as it was before the one-elimination solver: one
+    single-column solve per target monomial x_j^M.  Returns (exponent,
+    denominator, cofactors), or None when some target has no solution."""
+    n = forms[0].num_vars
+    d = forms[0].degree
+    cof_monos = monomials(n, target_degree - d)
+    tgt_monos = monomials(n, target_degree)
+    row_index = {mono: i for i, mono in enumerate(tgt_monos)}
+    ncols = n * len(cof_monos)
+    matrix = [[0] * ncols for _ in tgt_monos]
+    for k, f in enumerate(forms):
+        for ci, mono in enumerate(cof_monos):
+            for exps, coeff in f.terms:
+                key = tuple(a + b for a, b in zip(exps, mono))
+                matrix[row_index[key]][k * len(cof_monos) + ci] += coeff
+    per_j = []
+    for j in range(n):
+        rhs = [0] * len(tgt_monos)
+        rhs[row_index[tuple(target_degree if i == j else 0 for i in range(n))]] = 1
+        sol = _reference_solve(matrix, rhs)
+        if sol is None:
+            return None
+        per_j.append(sol)
+    e = math.lcm(*[f.denominator for sol in per_j for f in sol] or [1])
+    cofactors = tuple(
+        tuple(
+            HomogeneousForm.from_terms(
+                n,
+                target_degree - d,
+                {
+                    mono: int(sol[k * len(cof_monos) + ci] * e)
+                    for ci, mono in enumerate(cof_monos)
+                    if sol[k * len(cof_monos) + ci]
+                },
+            )
+            for k in range(n)
+        )
+        for sol in per_j
+    )
+    return target_degree, e, cofactors
+
+
+def _census_style_forms(rng, n, d):
+    """Random forms like the census maps: coefficients in {-1, 0, 1} on P^1;
+    on P^2, component j is c x_j^d plus random terms with some x_i, i < j
+    (no common zero), with coefficients in {-2, -1, 1, 2}."""
+    if n == 2:
+        while True:
+            forms = [
+                HomogeneousForm.from_terms(
+                    2, d, {(d - i, i): rng.randint(-1, 1) for i in range(d + 1)}
+                )
+                for _ in range(2)
+            ]
+            if not any(f.is_zero for f in forms):
+                return forms
+    forms = []
+    for j in range(n):
+        terms = {}
+        for mono in monomials(n, d):
+            if mono[j] == d:
+                terms[mono] = rng.choice((1, -1, 2, -2))
+            elif any(mono[i] for i in range(j)) and rng.random() < 0.5:
+                terms[mono] = rng.choice((1, -1, 2, -2))
+        forms.append(HomogeneousForm.from_terms(n, d, terms))
+    return forms
+
+
+@pytest.mark.parametrize(
+    "n, d, count", [(2, 2, 40), (2, 3, 40), (3, 3, 4), (3, 4, 2)],
+    ids=["P1-deg2", "P1-deg3", "P2-deg3", "P2-deg4"],
+)
+def test_certificates_match_the_per_target_reference(n, d, count):
+    rng = random.Random(f"census-style:{n}:{d}")
+    for _ in range(count):
+        forms = _census_style_forms(rng, n, d)
+        for m in range(d, n * (d - 1) + 2):
+            want = _reference_certificate(forms, m)
+            if want is None:
+                with pytest.raises(CertificateNotFound):
+                    find_certificate(forms, m)
+                continue
+            cert = find_certificate(forms, m)
+            assert (cert.exponent, cert.denominator, cert.cofactors) == want
+
+
+def _bad_certificates(cert):
+    """Copies of cert, each with one defect verify must catch: every
+    nonzero cofactor coefficient off by one, in every row j, the
+    denominator off by one, two cofactor rows swapped, the wrong exponent."""
+    for j, row in enumerate(cert.cofactors):
+        for k, g in enumerate(row):
+            for exps, c in g.terms:
+                terms = g.as_dict()
+                terms[exps] = c + 1
+                bad = HomogeneousForm.from_terms(g.num_vars, g.degree, terms)
+                new_row = row[:k] + (bad,) + row[k + 1 :]
+                rows = cert.cofactors[:j] + (new_row,) + cert.cofactors[j + 1 :]
+                yield f"cofactor {j},{k} at {exps}", dataclasses.replace(
+                    cert, cofactors=rows
+                )
+    yield "denominator", dataclasses.replace(cert, denominator=cert.denominator + 1)
+    rows = list(cert.cofactors)
+    rows[0], rows[1] = rows[1], rows[0]
+    yield "rows swapped", dataclasses.replace(cert, cofactors=tuple(rows))
+    yield "exponent", dataclasses.replace(cert, exponent=cert.exponent + 1)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        # (2 x0^2 + x0 x1 : 3 x1^2 - x0 x1), denominator 42
+        [
+            HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+            HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+        ],
+        # (x0^2 + x1^2 : x0 x1 + x1^2), certified only at degree 3
+        [
+            HomogeneousForm.from_terms(2, 2, {(2, 0): 1, (0, 2): 1}),
+            HomogeneousForm.from_terms(2, 2, {(1, 1): 1, (0, 2): 1}),
+        ],
+        # a P^2 quadric map with a cross term in every component
+        [
+            HomogeneousForm.from_terms(3, 2, {(2, 0, 0): 1, (0, 1, 1): 1}),
+            HomogeneousForm.from_terms(3, 2, {(0, 2, 0): 2, (1, 0, 1): -1}),
+            HomogeneousForm.from_terms(3, 2, {(0, 0, 2): 1, (1, 1, 0): 1}),
+        ],
+    ],
+    ids=["e42", "degree-3", "P2"],
+)
+def test_verify_rejects_bad_certificates(forms):
+    cert = certify(forms)
+    assert cert.verify(forms)
+    bad = list(_bad_certificates(cert))
+    assert len(bad) > 3
+    for what, wrong in bad:
+        assert not wrong.verify(forms), what
 
 
 def test_certificate_power_map():

@@ -153,6 +153,129 @@ def test_malformed_sequence_is_an_input_error(capsys, tmp_path, sequence, messag
     assert message in captured.err
 
 
+def _write_raw_config(tmp_path, cfg):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _one_map_raw(forms, degree=2):
+    return _sq_psq_raw(
+        maps=[{"name": "sq", "degree": degree, "forms": forms}],
+        sequence={"type": "constant", "map": "sq"},
+    )
+
+
+def _sq_psq_raw(**changes):
+    cfg = {
+        "dim": 1,
+        "maps": [
+            {"name": "sq", "degree": 2, "forms": SQ_FORMS},
+            {"name": "psq", "degree": 2, "forms": PSQ_FORMS},
+        ],
+        "sequence": {"type": "periodic", "word": ["sq", "psq"]},
+    }
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (
+            _one_map_raw([[[[2, 0], 2.9]], [[[0, 2], 1]]]),
+            "coefficient must be an integer, got 2.9",
+        ),
+        (
+            _one_map_raw([[[[2, 0], True]], [[[0, 2], 1]]]),
+            "coefficient must be an integer, got True",
+        ),
+        (
+            _one_map_raw([[[[2, 0], "3"]], [[[0, 2], 1]]]),
+            "coefficient must be an integer, got '3'",
+        ),
+        (
+            _one_map_raw(SQ_FORMS, degree=2.5),
+            "degree must be an integer, got 2.5",
+        ),
+        (
+            _one_map_raw([[[[2.0, 0], 1]], [[[0, 2], 1]]]),
+            "exponent must be an integer, got 2.0",
+        ),
+        (_sq_psq_raw(dim=1.0), "dim must be an integer, got 1.0"),
+        (
+            _sq_psq_raw(sequence={"type": "periodic", "word": [0.9, 1]}),
+            "word index must be an integer, got 0.9",
+        ),
+        (
+            _sq_psq_raw(sequence={"type": "constant", "map": False}),
+            "word index must be an integer, got False",
+        ),
+        (
+            _sq_psq_raw(sequence={"type": "random", "seed": 1.5}),
+            "random seed must be an integer, got 1.5",
+        ),
+        (
+            _sq_psq_raw(sequence={"type": "random", "seed": True}),
+            "random seed must be an integer, got True",
+        ),
+    ],
+    ids=[
+        "float-coefficient",
+        "bool-coefficient",
+        "string-coefficient",
+        "float-degree",
+        "float-exponent",
+        "float-dim",
+        "float-word-index",
+        "bool-map",
+        "float-seed",
+        "bool-seed",
+    ],
+)
+def test_config_numbers_must_be_integers(capsys, tmp_path, cfg, message):
+    # int() used to truncate these (a coefficient 2.9 gave the height for
+    # coefficient 2, exit 0); each is now refused before any map is built
+    path = _write_raw_config(tmp_path, cfg)
+    assert main(["canheight", "--config", path, "--point", "2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+def test_duplicate_map_names_are_an_input_error(capsys, tmp_path):
+    # with two maps named sq, the name in a word used to mean the last one
+    cfg = _sq_psq_raw(
+        maps=[
+            {"name": "sq", "degree": 2, "forms": SQ_FORMS},
+            {"name": "sq", "degree": 2, "forms": PSQ_FORMS},
+        ],
+        sequence={"type": "constant", "map": "sq"},
+    )
+    assert main(["validate", "--config", _write_raw_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: duplicate map name 'sq'\n"
+
+
+def test_unnamed_maps_may_share_the_missing_name(capsys, tmp_path):
+    cfg = _sq_psq_raw(
+        maps=[{"degree": 2, "forms": SQ_FORMS}, {"degree": 2, "forms": PSQ_FORMS}],
+        sequence={"type": "periodic", "word": [1, 0]},
+    )
+    code, doc = _run_json(capsys, ["validate", "--config", _write_raw_config(tmp_path, cfg)])
+    assert code == 0
+    assert len(doc["maps"]) == 2
+
+
+def test_a_config_without_maps_is_an_input_error(capsys, tmp_path):
+    cfg = _sq_psq_raw(maps=[], sequence={"type": "constant"})
+    assert main(["validate", "--config", _write_raw_config(tmp_path, cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: the config has no maps\n"
+
+
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
