@@ -8,19 +8,27 @@ d_j / sum(d) reproduces it.  Concretely, the exact depth-i average
     E_i(x) = sum over words w of length i of h(g_w(x)) / (sum_j d_j)^i
 
 satisfies the recursion E_i(x) = (1/sum_d) * sum_j E_{i-1}(g_j(x)) (condition
-on the first letter), which is what eigensystem_height_exact memoizes; the
-same quantity is the expectation over degree-weighted i.i.d. words of the
-normalized truncation h(g_w(x)) / prod_a d_{w_a}, which is what the Monte
-Carlo estimator samples.  Both converge to the eigensystem height at the
-usual 2c/2^i truncation rate, so agreement within stderr plus twice the
+on the first letter); the same quantity is the expectation over
+degree-weighted i.i.d. words of the normalized truncation
+h(g_w(x)) / prod_a d_{w_a}, which is what the Monte Carlo estimator samples.
+
+Both read the leaves of one walk of the word trie (_word_leaves).
+eigensystem_height_exact walks all k^i words and reduces the leaves level
+by level with the recursion's own sums; eigensystem_height_mc walks only the
+distinct sampled words, so its depth is not bounded by the word budget;
+verify_averaging walks the full tree once and reads each sampled word's
+value from its leaves.  Both averages converge to the eigensystem height at
+the usual 2c/2^i truncation rate, so agreement within stderr plus twice the
 truncation radius is the pass condition verify_averaging reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
@@ -34,6 +42,84 @@ from .morphisms import CheckedMap, sample_words
 
 DEFAULT_WORD_BUDGET = 3**10
 
+# The least integer float() rounds to infinity: halfway between the largest
+# double, 2^1024 - 2^971, and 2^1024, where round-half-even goes up.
+_FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)
+
+
+def _check_inputs(
+    generators: Sequence[CheckedMap],
+    depth: int,
+    budget_bits: int,
+    samples: int | None = None,
+) -> None:
+    if not generators:
+        raise ValueError("no generators")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    if samples is not None and samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    _check_budget(budget_bits)
+
+
+def _check_word_budget(k: int, depth: int, word_budget: int) -> None:
+    # k^depth >= 2^depth once k > 1, so a depth at or past the budget's bit
+    # length is refused without forming k^depth.
+    if (k > 1 and depth >= word_budget.bit_length()) or k**depth > word_budget:
+        raise BudgetExceeded(f"{k}^{depth} words exceeds budget {word_budget}")
+
+
+def _word_leaves(
+    x: RationalProjectivePoint,
+    generators: Sequence[CheckedMap],
+    words: Iterable[tuple[int, ...]],
+    budget_bits: int,
+) -> list[float]:
+    """log H(g_w(x)) (0.0 at height 1) for each word w, in lexicographic order.
+
+    Each word reuses the orbit prefix it shares with the one before, so
+    every node of the word trie is applied once, in the preorder of a
+    recursion over the tree (the first step over budget_bits is the one that
+    recursion refuses), and only the current path of points is kept.
+    """
+    path = [x]
+    widths = [multiplicative_height(x).bit_length()]
+    prev: tuple[int, ...] = ()
+    leaves = []
+    for word in words:
+        shared = 0
+        while shared < len(prev) and prev[shared] == word[shared]:
+            shared += 1
+        del path[shared + 1 :], widths[shared + 1 :]
+        for pos in range(shared, len(word)):
+            q, bits = _apply_within_budget(
+                generators[word[pos]], path[-1], widths[-1], budget_bits, pos + 1
+            )
+            path.append(q)
+            widths.append(bits)
+        h = multiplicative_height(path[-1])
+        leaves.append(math.log(h) if h > 1 else 0.0)
+        prev = word
+    return leaves
+
+
+def _tree_average(leaves: list[float], k: int, depth: int, total_degree: int) -> float:
+    """E_depth from the k^depth leaves of the full tree in lexicographic order.
+
+    Each level sums every k siblings from 0.0 in generator order and divides
+    by total_degree: the recursion's sums, so its value to the last bit.
+    """
+    level = leaves
+    for _ in range(depth):
+        parents = []
+        for start in range(0, len(level), k):
+            acc = 0.0
+            for value in level[start : start + k]:
+                acc += value
+            parents.append(acc / total_degree)
+        level = parents
+    return level[0]
+
 
 def eigensystem_height_exact(
     x: RationalProjectivePoint,
@@ -42,48 +128,16 @@ def eigensystem_height_exact(
     word_budget: int = DEFAULT_WORD_BUDGET,
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> float:
-    """Exact depth-i word average E_i(x), memoized on orbit points.
+    """Exact depth-i word average E_i(x) over all k^depth words.
 
-    The full word tree has k^depth leaves; the budget guards against
-    accidental explosions even though memoization usually collapses it.
+    The word budget bounds the k^depth leaves the walk visits.
     """
+    _check_inputs(generators, depth, budget_bits)
     k = len(generators)
-    if k == 0:
-        raise ValueError("no generators")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    _check_budget(budget_bits)
-    if k**depth > word_budget:
-        raise BudgetExceeded(f"{k}^{depth} words exceeds budget {word_budget}")
-    total_degree = sum(g.degree for g in generators)
-    memo: dict[tuple[RationalProjectivePoint, int], float] = {}
-
-    def rec(p: RationalProjectivePoint, bits: int, remaining: int) -> float:
-        key = (p, remaining)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if remaining == 0:
-            h = multiplicative_height(p)
-            val = math.log(h) if h > 1 else 0.0
-        else:
-            acc = 0.0
-            for g in generators:
-                q, q_bits = _apply_within_budget(
-                    g, p, bits, budget_bits, depth - remaining + 1
-                )
-                acc += rec(q, q_bits, remaining - 1)
-            val = acc / total_degree
-        memo[key] = val
-        return val
-
-    try:
-        return rec(x, multiplicative_height(x).bit_length(), depth)
-    finally:
-        # rec refers to itself through its closure, so without this the memo
-        # (every orbit point of the word tree) would stay alive until the
-        # cyclic garbage collector next runs.
-        memo.clear()
+    _check_word_budget(k, depth, word_budget)
+    tree = itertools.product(range(k), repeat=depth)
+    leaves = _word_leaves(x, generators, tree, budget_bits)
+    return _tree_average(leaves, k, depth, sum(g.degree for g in generators))
 
 
 @dataclass(frozen=True)
@@ -93,6 +147,52 @@ class MonteCarloAverage:
     samples: int
     depth: int
     seed: int
+
+
+def _divide(value: float, norm: int) -> float:
+    """value / norm as float division rounds it, also where norm is past
+    the float range and float division raises OverflowError: there the
+    exact ratio, rounded once."""
+    if norm < _FLOAT_OVERFLOW:
+        return value / norm
+    num, den = value.as_integer_ratio()
+    return num / (den * norm)
+
+
+def _sampled_average(
+    words: list[tuple[int, ...]],
+    leaf_of: Mapping[tuple[int, ...], float],
+    generators: Sequence[CheckedMap],
+    samples: int,
+    depth: int,
+    seed: int,
+) -> MonteCarloAverage:
+    """Mean and standard error of h(g_w(x)) / prod(d_w) over the sampled words.
+
+    Each distinct word's value is formed once and enters math.fsum as often
+    as the word was drawn; fsum rounds the exact sum once, so the order of
+    its terms does not change a bit.
+    """
+    counts = Counter(words)
+    values = [
+        _divide(leaf_of[word], math.prod(generators[j].degree for j in word))
+        for word in counts
+    ]
+
+    def total(terms: list[float]) -> float:
+        return math.fsum(
+            itertools.chain.from_iterable(map(itertools.repeat, terms, counts.values()))
+        )
+
+    mean = total(values) / samples
+    var = total([(v - mean) ** 2 for v in values]) / (samples - 1)
+    return MonteCarloAverage(
+        mean=mean,
+        stderr=math.sqrt(var / samples),
+        samples=samples,
+        depth=depth,
+        seed=seed,
+    )
 
 
 def eigensystem_height_mc(
@@ -110,45 +210,15 @@ def eigensystem_height_mc(
     (seed, samples, depth).  All words come from one batched draw
     (sample_words), the same words a per-sample sample_word loop gives.
 
-    Each distinct word is evaluated once.  The distinct words are walked in
-    sorted order, and each reuses the orbit prefix it shares with the one
-    before, so every node of the word trie is applied once while only the
-    current path of points is kept.
+    The walk visits only the distinct sampled words, each once, so no word
+    budget applies: the depth may be one whose full tree is too large.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    _check_budget(budget_bits)
+    _check_inputs(generators, depth, budget_bits, samples)
     words = sample_words(generators, depth, seed, samples)
-    by_word: dict[tuple[int, ...], float] = {}
-    path = [x]
-    widths = [multiplicative_height(x).bit_length()]
-    norms = [1]
-    prev: tuple[int, ...] = ()
-    for word in sorted(set(words)):
-        shared = 0
-        while shared < len(prev) and prev[shared] == word[shared]:
-            shared += 1
-        del path[shared + 1 :], widths[shared + 1 :], norms[shared + 1 :]
-        for pos in range(shared, depth):
-            g = generators[word[pos]]
-            q, bits = _apply_within_budget(g, path[-1], widths[-1], budget_bits, pos + 1)
-            path.append(q)
-            widths.append(bits)
-            norms.append(norms[-1] * g.degree)
-        h = multiplicative_height(path[-1])
-        by_word[word] = (math.log(h) if h > 1 else 0.0) / norms[-1]
-        prev = word
-    values = [by_word[word] for word in words]
-    mean = math.fsum(values) / samples
-    var = math.fsum((v - mean) ** 2 for v in values) / (samples - 1)
-    return MonteCarloAverage(
-        mean=mean,
-        stderr=math.sqrt(var / samples),
-        samples=samples,
-        depth=depth,
-        seed=seed,
+    distinct = sorted(set(words))
+    leaves = _word_leaves(x, generators, distinct, budget_bits)
+    return _sampled_average(
+        words, dict(zip(distinct, leaves)), generators, samples, depth, seed
     )
 
 
@@ -177,16 +247,28 @@ def verify_averaging(
     word_budget: int = DEFAULT_WORD_BUDGET,
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> AveragingReport:
-    """Compare the exact recursion against Monte Carlo at the same depth.
+    """Compare the exact average against Monte Carlo at the same depth.
+
+    One walk of the full word tree gives both: the exact average reduces
+    its leaves, and each sampled word reads its own leaf.  The result is
+    the one eigensystem_height_exact and eigensystem_height_mc give.  Every
+    input is checked, and the words drawn, before a map is applied.
 
     Pass condition: |exact - mc| <= 3 * stderr + 2 * truncation_radius,
     where truncation_radius = 2c/2^depth absorbs the depth-i truncation
     error on both sides.
     """
-    exact = eigensystem_height_exact(x, generators, depth, word_budget, budget_bits)
-    mc = eigensystem_height_mc(x, generators, samples, depth, seed, budget_bits)
+    _check_inputs(generators, depth, budget_bits, samples)
+    k = len(generators)
+    _check_word_budget(k, depth, word_budget)
+    words = sample_words(generators, depth, seed, samples)
+    tree = list(itertools.product(range(k), repeat=depth))
+    leaves = _word_leaves(x, generators, tree, budget_bits)
+    exact = _tree_average(leaves, k, depth, sum(g.degree for g in generators))
+    mc = _sampled_average(words, dict(zip(tree, leaves)), generators, samples, depth, seed)
     c = max(g.distortion.c_bound for g in generators)
-    radius = 2.0 * c / 2**depth
+    # 2c / 2^depth, by exponent so that no depth overflows a float
+    radius = math.ldexp(2.0 * c, -depth)
     disc = abs(exact - mc.mean)
     tol = 3.0 * mc.stderr + 2.0 * radius
     return AveragingReport(

@@ -4,19 +4,39 @@ import math
 
 import pytest
 
-from seqheight.algebra import normalize
+from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.averaging import (
+    AveragingReport,
     eigensystem_height_exact,
     eigensystem_height_mc,
     verify_averaging,
 )
 from seqheight.errors import BudgetExceeded
-from seqheight.heights import multiplicative_height
-from seqheight.morphisms import child_seed, perturbed_power_map, power_map, sample_word
+from seqheight.heights import (
+    DEFAULT_BUDGET_BITS,
+    _apply_within_budget,
+    multiplicative_height,
+)
+from seqheight.morphisms import (
+    CheckedMap,
+    child_seed,
+    perturbed_power_map,
+    power_map,
+    sample_word,
+    validate,
+)
 
 SQ = power_map(1, 2, "sq")
 CUBE = power_map(1, 3, "cube")
 PSQ = perturbed_power_map(1, 2, "psq")
+# (2 x0^2 + x0 x1 : 3 x1^2 - x0 x1): certificate denominator e = 42
+E42 = validate(
+    [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ],
+    "e42",
+)
 
 # frozen in a separate run: memoized recursion and the 4^8-word brute sum
 # agreed to the last digit at depth 8 for (1:1) over {sq, psq}
@@ -133,8 +153,9 @@ def test_mc_memo_matches_per_sample_loop(gens, depth):
 
 
 def test_exact_average_frees_its_memo_without_the_cyclic_collector():
-    # Left to the collector, the memo of a depth-6 tree holds over a
-    # hundred orbit points; what remains is the recursive closure itself.
+    # Over a hundred orbit points of a depth-6 tree pass through the walk;
+    # a self-referencing closure holding them would leave them to the
+    # cyclic collector instead of freeing them on return.
     gc.collect()
     gc.disable()
     try:
@@ -156,3 +177,151 @@ def test_negative_depth_is_rejected():
 def test_mc_budget_guard():
     with pytest.raises(BudgetExceeded):
         eigensystem_height_mc(normalize([3, 7]), [SQ, PSQ], 50, 8, 1, budget_bits=64)
+
+
+# -- the one walk against independent references -----------------------------
+#
+# The memoized recursion over the first letter below and the per-sample loop
+# above compute the exact average and the Monte Carlo estimate on their own
+# orbits.  The one walk must give every report field to the last bit, and
+# refuse the same step with the same message.
+
+
+def _memo_exact(x, generators, depth, budget_bits=DEFAULT_BUDGET_BITS):
+    """E_depth(x) by the recursion over the first letter, memoized on points."""
+    total_degree = sum(g.degree for g in generators)
+    memo = {}
+
+    def rec(p, bits, remaining):
+        key = (p, remaining)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if remaining == 0:
+            h = multiplicative_height(p)
+            val = math.log(h) if h > 1 else 0.0
+        else:
+            acc = 0.0
+            for g in generators:
+                q, q_bits = _apply_within_budget(
+                    g, p, bits, budget_bits, depth - remaining + 1
+                )
+                acc += rec(q, q_bits, remaining - 1)
+            val = acc / total_degree
+        memo[key] = val
+        return val
+
+    return rec(x, multiplicative_height(x).bit_length(), depth)
+
+
+def _reference_report(x, generators, depth, samples, seed, budget_bits=DEFAULT_BUDGET_BITS):
+    exact = _memo_exact(x, generators, depth, budget_bits)
+    mean, stderr = _mc_per_sample(x, generators, samples, depth, seed)
+    radius = 2.0 * max(g.distortion.c_bound for g in generators) / 2**depth
+    disc = abs(exact - mean)
+    tol = 3.0 * stderr + 2.0 * radius
+    return AveragingReport(
+        exact_value=exact,
+        mc_value=mean,
+        mc_stderr=stderr,
+        truncation_radius=radius,
+        depth=depth,
+        samples=samples,
+        seed=seed,
+        discrepancy=disc,
+        tolerance=tol,
+        passed=disc <= tol,
+    )
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return BudgetExceeded, str(exc)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 6, 8])
+@pytest.mark.parametrize(
+    "gens",
+    [[SQ, PSQ], [PSQ, CUBE], [SQ, PSQ, CUBE], [E42, PSQ]],
+    ids=["sq-psq", "psq-cube", "all", "e42-psq"],
+)
+def test_verify_averaging_matches_recursion_and_per_sample_loop(gens, depth):
+    for coords, seed in [([1, 1], 3), ([2, 3], 17), ([-7, 5], 2024)]:
+        x = normalize(coords)
+        samples = 300 if len(gens) == 2 else 120
+        got = verify_averaging(x, gens, depth, samples, seed)
+        assert got == _reference_report(x, gens, depth, samples, seed)
+        assert eigensystem_height_exact(x, gens, depth) == got.exact_value
+
+
+@pytest.mark.parametrize("budget_bits", [1, 3, 20, 64, 200, 1000])
+@pytest.mark.parametrize(
+    "gens", [[SQ, PSQ], [E42, PSQ], [PSQ, CUBE]], ids=["sq-psq", "e42-psq", "psq-cube"]
+)
+def test_verify_averaging_refuses_the_recursions_step(gens, budget_bits):
+    x = normalize([5, 3])
+    got = _outcome(verify_averaging, x, gens, 6, 40, 9, budget_bits=budget_bits)
+    want = _outcome(_reference_report, x, gens, 6, 40, 9, budget_bits)
+    assert got == want
+    assert _outcome(eigensystem_height_exact, x, gens, 6, budget_bits=budget_bits) == (
+        _outcome(_memo_exact, x, gens, 6, budget_bits)
+    )
+
+
+def _count_applies(monkeypatch):
+    applied = []
+    apply = CheckedMap.apply
+
+    def spy(self, point):
+        applied.append(self.name)
+        return apply(self, point)
+
+    monkeypatch.setattr(CheckedMap, "apply", spy)
+    return applied
+
+
+def test_commuting_generators_apply_every_trie_node_once(monkeypatch):
+    # sq and cube commute, so the memo collapsed the tree to its distinct
+    # points; the walk applies all 2 + 4 + ... + 2^8 trie nodes, once each.
+    applied = _count_applies(monkeypatch)
+    x = normalize([2, 3])
+    got = verify_averaging(x, [SQ, CUBE], 8, 500, 5)
+    assert len(applied) == sum(2**i for i in range(1, 9))
+    monkeypatch.undo()
+    assert got == _reference_report(x, [SQ, CUBE], 8, 500, 5)
+    assert got.exact_value == pytest.approx(math.log(3), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"samples": 1}, ValueError),
+        ({"depth": -1}, ValueError),
+        ({"generators": []}, ValueError),
+        ({"budget_bits": 0}, ValueError),
+        ({"word_budget": 255}, BudgetExceeded),
+        ({"depth": 10**9}, BudgetExceeded),
+    ],
+    ids=["samples", "depth", "generators", "budget-bits", "word-budget", "huge-depth"],
+)
+def test_inputs_are_checked_before_any_map_is_applied(monkeypatch, kwargs, error):
+    applied = _count_applies(monkeypatch)
+    args = {"x": normalize([2, 3]), "generators": [SQ, PSQ], "depth": 8}
+    args |= {"samples": 50, "seed": 1} | kwargs
+    with pytest.raises(error):
+        verify_averaging(**args)
+    assert applied == []
+
+
+def test_word_budget_admits_exactly_its_word_count():
+    x = normalize([2, 3])
+    assert verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=256).depth == 8
+    with pytest.raises(BudgetExceeded, match=r"^2\^8 words exceeds budget 255$"):
+        verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=255)
+    with pytest.raises(BudgetExceeded, match=r"^3\^9 words exceeds budget 19682$"):
+        verify_averaging(x, [SQ, PSQ, CUBE], 9, 50, 1, word_budget=3**9 - 1)
+    # one generator has one word at every depth
+    rep = verify_averaging(x, [SQ], 12, 50, 1, word_budget=1)
+    assert rep.exact_value == pytest.approx(math.log(3), abs=1e-12)

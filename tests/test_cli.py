@@ -386,6 +386,17 @@ def test_average_verifies(capsys, mixed_config):
     assert doc["discrepancy"] <= doc["tolerance"]
 
 
+def test_average_past_the_float_exponent_range(capsys, sq_config):
+    # (1:1) is fixed by sq, so the one word's orbit stays at height 1 while
+    # the depth passes Python's recursion limit and 2^depth, the word's
+    # degree product, passes the largest double.
+    argv = ["average", "--config", sq_config, "--point", "1,1", "--samples", "10"]
+    code, doc = _run_json(capsys, [*argv, "--depth", "1100"])
+    assert code == 0
+    assert doc["exact"] == doc["mc"] == 0.0
+    assert doc["passed"] is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [
