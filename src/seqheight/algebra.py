@@ -192,39 +192,6 @@ class HomogeneousForm:
             total = total + term
         return total
 
-    def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        self._check_compatible(other)
-        merged = self.as_dict()
-        for e, c in other.terms:
-            merged[e] = merged.get(e, 0) + c
-        return HomogeneousForm.from_terms(self.num_vars, self.degree, merged)
-
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "HomogeneousForm":
-        if k == 0:
-            return HomogeneousForm(self.num_vars, self.degree, ())
-        return HomogeneousForm(
-            self.num_vars, self.degree, tuple((e, k * c) for e, c in self.terms)
-        )
-
-    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatch("variable counts differ")
-        prod: dict[Exponents, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod[key] = prod.get(key, 0) + c1 * c2
-        return HomogeneousForm.from_terms(
-            self.num_vars, self.degree + other.degree, prod
-        )
-
-    def _check_compatible(self, other: "HomogeneousForm") -> None:
-        if self.num_vars != other.num_vars or self.degree != other.degree:
-            raise DimensionMismatch("form shapes differ")
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -65,8 +65,11 @@ class NonzeroRequired(SeqHeightError):
 
 
 class DegenerateNearZero(SeqHeightError):
-    """A lift drove a unit vector numerically to zero; the lift is not a
-    morphism lift (or is catastrophically scaled)."""
+    """A lift drove a unit vector numerically to zero in the Green step loop.
+
+    A certified lift keeps |F(v)| >= exp(-d c_bar) on unit vectors, so this
+    is a safety check: it fires when a lift's values leave the float range
+    (huge coefficients or a rescaling) or on a map that is not a morphism."""
 
 
 class UnsupportedDimension(SeqHeightError):

@@ -74,10 +74,9 @@ _BLOCK = 8192
 class ComplexLiftMap:
     """A homogeneous polynomial lift C^n -> C^n with a distortion constant.
 
-    c_bar bounds |log|F(v)|/d| on Euclidean unit vectors.  Lifts built from
-    validated integer maps carry a certified bound derived from the integer
-    distortion certificate; lifts from raw complex coefficients get a
-    sampled estimate and are flagged uncertified.
+    c_bar bounds |log|F(v)|/d| on Euclidean unit vectors.  from_checked
+    lifts a validated integer map with the bound certified by its integer
+    distortion certificate; rescaled() widens that bound by the scale.
     """
 
     def __init__(
@@ -86,8 +85,6 @@ class ComplexLiftMap:
         num_vars: int,
         components: Sequence[tuple[np.ndarray, np.ndarray]],
         c_bar: float,
-        certified: bool,
-        label: str | None = None,
     ):
         if len(components) != num_vars:
             raise DimensionMismatch("need num_vars components")
@@ -112,8 +109,6 @@ class ComplexLiftMap:
             for e, c in self.components
         )
         self.c_bar = float(c_bar)
-        self.certified = certified
-        self.label = label
 
     @classmethod
     def from_checked(cls, cmap: CheckedMap) -> "ComplexLiftMap":
@@ -140,53 +135,12 @@ class ComplexLiftMap:
             math.log(dist.cofactor_l1 / dist.denominator) / d + 0.5 * math.log(n)
         )
         c_bar = max(up, down)
-        return cls(d, n, comps, c_bar, certified=True, label=cmap.name)
-
-    @classmethod
-    def from_coefficients(
-        cls,
-        degree: int,
-        num_vars: int,
-        components: Sequence[dict],
-        c_bar: float | None = None,
-        label: str | None = None,
-    ) -> "ComplexLiftMap":
-        """Lift from raw {exponents: complex coefficient} dictionaries.
-
-        Without an explicit c_bar, estimates it by sampling 20000 unit
-        vectors (seed 7) and padding by 25 percent; the result is flagged
-        uncertified.
-        """
-        comps = []
-        for comp in components:
-            exps = [list(e) for e in comp] or [[0] * num_vars]
-            coeffs = [complex(comp[e]) for e in comp] or [0.0j]
-            comps.append((np.array(exps), np.array(coeffs)))
-        lift = cls(degree, num_vars, comps, 0.0, certified=False, label=label)
-        if c_bar is None:
-            rng = np.random.default_rng(7)
-            shape = (num_vars, 20000)
-            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            v /= np.linalg.norm(v, axis=0)
-            norms = np.linalg.norm(lift.evaluate(v), axis=0)
-            if norms.min() <= 0:
-                raise DegenerateNearZero("lift vanishes on a sampled unit vector")
-            worst = max(abs(np.log(norms.max())), abs(np.log(norms.min()))) / degree
-            c_bar = 1.25 * worst + 1e-9
-        lift.c_bar = float(c_bar)
-        return lift
+        return cls(d, n, comps, c_bar)
 
     def rescaled(self, scale: complex) -> "ComplexLiftMap":
         comps = [(e, c * scale) for e, c in self.components]
         extra = abs(cmath.log(complex(scale)).real) / self.degree
-        return ComplexLiftMap(
-            self.degree,
-            self.num_vars,
-            comps,
-            self.c_bar + extra,
-            self.certified,
-            self.label,
-        )
+        return ComplexLiftMap(self.degree, self.num_vars, comps, self.c_bar + extra)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply the lift to a batch of column vectors, shape (n, B).
@@ -229,19 +183,14 @@ class LiftSequence:
     """The lifts of a SequenceSpec: the lift at position a is
     generators[spec.index_at(a)], times scalars[a] where a scalar is given.
 
-    CheckedMap generators are lifted once with ComplexLiftMap.from_checked
-    (certified c_bar); generators that are already ComplexLiftMaps are used
-    as they are, so a spec over from_coefficients lifts gives an
-    uncertified sequence.  Per-position scalars support the rescaling
+    Each CheckedMap generator is lifted once with ComplexLiftMap.from_checked,
+    so every c_bar is certified.  Per-position scalars support the rescaling
     experiments; their rescaled lifts are built here, once.
     """
 
     def __init__(self, spec: SequenceSpec, scalars: Sequence[complex] = ()):
         self.spec = spec
-        self.generators = tuple(
-            g if isinstance(g, ComplexLiftMap) else ComplexLiftMap.from_checked(g)
-            for g in spec.generators
-        )
+        self.generators = tuple(ComplexLiftMap.from_checked(g) for g in spec.generators)
         self.scalars = tuple(complex(s) for s in scalars)
         # The lifts at the scaled positions, rescaled where the scalar is not 1.
         head = [self.generators[spec.index_at(a)] for a in range(len(self.scalars))]
@@ -260,10 +209,6 @@ class LiftSequence:
     @property
     def c_bar(self) -> float:
         return max(g.c_bar for g in self.generators + self._head)
-
-    @property
-    def certified(self) -> bool:
-        return all(g.certified for g in self.generators)
 
     def lift_at(self, position: int) -> ComplexLiftMap:
         if position < len(self._head):
@@ -343,9 +288,10 @@ def _scaled_norms(
     A sum of squares that overflows, or underflows below 2^-1000, leaves
     the float range; such columns take the e that brings their largest
     part into [1/2, 1).  In-range columns keep e = 0, so their norms keep
-    the bits norms_of gives them.
+    the bits norms_of gives them.  A column with a non-finite coordinate
+    gets a non-finite norm; every other column gets a finite one.
     """
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         norms = norms_of(pts)
         far = ~((norms >= 2.0**-500) & (norms < np.inf))
         e = np.zeros(far.shape, dtype=int)
@@ -374,6 +320,8 @@ def green_values(
     # Columns whose norm leaves the float range are iterated from pts / 2^e,
     # and log 2^e is added back below.
     norms, e = _scaled_norms(pts)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("Green function of a point with a non-finite coordinate")
     far = bool(np.any(e))
     if far:
         pts = _ldexp(pts, -e)
@@ -473,25 +421,6 @@ class ChartFunction:
     def laplacian(self, chart: int, z) -> np.ndarray:
         return self._laplacian(chart, np.asarray(z, dtype=np.complex128))
 
-    @classmethod
-    def from_callable(
-        cls, name: str, fn: Callable[[int, np.ndarray], np.ndarray]
-    ) -> "ChartFunction":
-        """Wrap a plain chart-wise function; Laplacian by 5-point stencil
-        with step 1e-4."""
-
-        def lap(chart: int, z: np.ndarray) -> np.ndarray:
-            h = 1e-4
-            return (
-                fn(chart, z + h)
-                + fn(chart, z - h)
-                + fn(chart, z + 1j * h)
-                + fn(chart, z - 1j * h)
-                - 4.0 * fn(chart, z)
-            ) / h**2
-
-        return cls(name, lambda c, z: np.asarray(fn(c, z), dtype=float), lap)
-
 
 def constant_one() -> ChartFunction:
     return ChartFunction(
@@ -539,6 +468,8 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
     1/|w|^4.
     """
     z0 = complex(center)
+    if not cmath.isfinite(z0):
+        raise ValueError(f"bump center must be finite, got {z0.real:g}{z0.imag:+g}i")
     radius = float(radius)
     rho2 = radius * radius
     if not (radius > 0 and 0 < rho2 * rho2 < math.inf):

@@ -16,7 +16,6 @@ from seqheight.algebra import HomogeneousForm, evaluate_forms, normalize
 from seqheight.averaging import eigensystem_height_exact, verify_averaging
 from seqheight.equidist import equidistribution_report, preimage_cloud
 from seqheight.green import (
-    ComplexLiftMap,
     LiftSequence,
     PairingGrid,
     green_values,
@@ -187,10 +186,9 @@ def test_criterion_05_word_average_identity():
 
 
 def test_criterion_06_green_tail_bound():
-    lifts = (ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ))
     seqs = (
-        LiftSequence(PeriodicWord(lifts, (0, 1))),
-        LiftSequence.from_spec(RandomWord((SQ, PSQ), seed=11)),
+        LiftSequence(PeriodicWord((SQ, PSQ), (0, 1))),
+        LiftSequence(RandomWord((SQ, PSQ), seed=11)),
     )
     rng = np.random.default_rng(17)
     v = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
@@ -210,7 +208,7 @@ def test_criterion_06_green_tail_bound():
 def test_criterion_07_squaring_green_closed_form():
     rng = np.random.default_rng(23)
     pts = (rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))) * 3.0
-    seq = LiftSequence(Constant(ComplexLiftMap.from_checked(SQ)))
+    seq = LiftSequence(Constant(SQ))
     vals, _, _ = green_values(seq, pts, tol=1e-11)
     expect = 2.0 * np.log(np.maximum(np.abs(pts[0]), np.abs(pts[1])))
     assert float(np.max(np.abs(vals - expect))) < 1e-10
@@ -218,11 +216,10 @@ def test_criterion_07_squaring_green_closed_form():
 
 
 def test_criterion_08_current_mass():
-    lifts = (ComplexLiftMap.from_checked(SQ), ComplexLiftMap.from_checked(PSQ))
     for seq in (
-        LiftSequence(Constant(lifts[0])),
-        LiftSequence(Constant(lifts[1])),
-        LiftSequence(PeriodicWord(lifts, (0, 1))),
+        LiftSequence(Constant(SQ)),
+        LiftSequence(Constant(PSQ)),
+        LiftSequence(PeriodicWord((SQ, PSQ), (0, 1))),
     ):
         grid = PairingGrid(seq, resolution=512)
         assert grid.mass() == pytest.approx(1.0, abs=1e-3)
@@ -230,16 +227,14 @@ def test_criterion_08_current_mass():
 
 
 def test_criterion_09_lift_scaling_invariance():
-    base = LiftSequence(Constant(ComplexLiftMap.from_checked(PSQ)))
+    base = LiftSequence(Constant(PSQ))
     scalars = [2.0, 0.5j, 3.0]
     rep = lift_scaling_check(base, scalars, [1.0, 1.0 + 0.5j], check_tol=1e-8)
     assert rep.passed
     assert rep.error <= 1e-8
     assert rep.psi_delta == -rep.delta_green
 
-    scaled = LiftSequence(
-        Constant(ComplexLiftMap.from_checked(PSQ))
-    ).scaled(scalars)
+    scaled = LiftSequence(Constant(PSQ)).scaled(scalars)
     g0 = PairingGrid(base, resolution=512)
     g1 = PairingGrid(scaled, resolution=512)
     for phi in (sphere_re(), sphere_im(), sphere_height()):

@@ -586,6 +586,19 @@ def test_green_far_and_near_points(capsys, psq_config, point, rescaled, scale):
     assert abs(doc["value"] - expected) <= doc["radius"]
 
 
+@pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,infj"])
+def test_green_rejects_a_point_that_is_not_finite(capsys, psq_config, point):
+    # these printed "value": NaN, which is not JSON, with exit 0
+    argv = ["green", "--config", psq_config, "--point", point]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "non-finite" in captured.err
+
+
 def test_pair_huge_bump_warns_of_no_overflow(capsys, sq_config):
     # denom**4 in the bump's Laplacian overflowed at this radius
     argv = ["pair", "--config", sq_config, "--phi", "bump:0,0,1e70", "--grid", "16"]
@@ -656,7 +669,7 @@ def test_green_grid_csv_bytes_match_csv_writer(capsys, tmp_path, mixed_config, c
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     _, _, spec = cli._load_config(mixed_config)
-    grid = PairingGrid(LiftSequence.from_spec(spec), 16)
+    grid = PairingGrid(LiftSequence(spec), 16)
     green = grid.green(chart)
     xx, yy = np.meshgrid(grid.centers, grid.centers, indexing="xy")
     expected = io.StringIO(newline="")
@@ -704,6 +717,16 @@ def test_pair_rejects_a_bump_radius_that_is_not_finite_and_positive(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: bump radius")
+
+
+@pytest.mark.parametrize("center", ["nan,0", "inf,0", "0,-inf", "1,nan"])
+def test_pair_rejects_a_bump_center_that_is_not_finite(capsys, mixed_config, center):
+    # these paired the bump as the zero function: exit 0, "value": 0.0
+    argv = ["pair", "--config", mixed_config, "--phi", f"bump:{center},0.5"]
+    assert main(argv + ["--grid", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: bump center")
 
 
 def test_pair_workers_give_identical_reports(capsys, mixed_config):

@@ -224,7 +224,7 @@ def test_engine_from_a_later_start_matches_exact():
 )
 def test_engine_agrees_with_green_at_tight_tol(spec):
     # e = 1 everywhere: the canonical height is half the escape rate G
-    seq = LiftSequence.from_spec(spec)
+    seq = LiftSequence(spec)
     for x in _rational_corpus(15, seed=11):
         est = canonical_height(x, spec, 1e-12)
         assert est.conforming
