@@ -36,15 +36,12 @@ from .heights import (
     DEFAULT_BUDGET_BITS,
     _apply_within_budget,
     _check_budget,
+    _divide,
     multiplicative_height,
 )
 from .morphisms import CheckedMap, sample_words
 
 DEFAULT_WORD_BUDGET = 3**10
-
-# The least integer float() rounds to infinity: halfway between the largest
-# double, 2^1024 - 2^971, and 2^1024, where round-half-even goes up.
-_FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)
 
 
 def _check_inputs(
@@ -63,10 +60,17 @@ def _check_inputs(
 
 
 def _check_word_budget(k: int, depth: int, word_budget: int) -> None:
-    # k^depth >= 2^depth once k > 1, so a depth at or past the budget's bit
-    # length is refused without forming k^depth.
-    if (k > 1 and depth >= word_budget.bit_length()) or k**depth > word_budget:
-        raise BudgetExceeded(f"{k}^{depth} words exceeds budget {word_budget}")
+    """Refuse k^depth words whose trie has more than word_budget nodes,
+    sum_{i<=depth} k^i: the walk applies a map at each node, so the count
+    bounds its work also for one generator.  No large power is formed."""
+    nodes, level = 0, 1
+    for _ in range(depth + 1):
+        nodes += level
+        if nodes > word_budget:
+            raise BudgetExceeded(
+                f"the trie of {k}^{depth} words has more than {word_budget} nodes"
+            )
+        level *= k
 
 
 def _word_leaves(
@@ -130,7 +134,7 @@ def eigensystem_height_exact(
 ) -> float:
     """Exact depth-i word average E_i(x) over all k^depth words.
 
-    The word budget bounds the k^depth leaves the walk visits.
+    The word budget bounds the nodes of the word trie the walk visits.
     """
     _check_inputs(generators, depth, budget_bits)
     k = len(generators)
@@ -147,16 +151,6 @@ class MonteCarloAverage:
     samples: int
     depth: int
     seed: int
-
-
-def _divide(value: float, norm: int) -> float:
-    """value / norm as float division rounds it, also where norm is past
-    the float range and float division raises OverflowError: there the
-    exact ratio, rounded once."""
-    if norm < _FLOAT_OVERFLOW:
-        return value / norm
-    num, den = value.as_integer_ratio()
-    return num / (den * norm)
 
 
 def _sampled_average(

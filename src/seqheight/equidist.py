@@ -12,9 +12,9 @@ degree is multiplicity at infinity).  One pullback step solves the forms of
 all its targets together: rows of equal degree are stacked, their roots are
 the eigenvalues of companion matrices built as np.roots builds them, and a
 vectorised Newton polish brings every root to a scaled residual below 1e-10;
-an Aberth-Ehrlich iteration serves as the fallback for any form that still
-fails.  Within one form, nearby roots are clustered into a single point with
-a multiplicity, at tolerance 1e-5 * (1 + |t|).  The first pullback of a
+a form whose roots it cannot bring there raises RootFindingFailed.  Within
+one form, nearby roots are clustered into a single point with a
+multiplicity, at tolerance 1e-5 * (1 + |t|).  The first pullback of a
 rational target is exact instead: B has rational coefficients, and its
 squarefree split through gcd(B, B') gives every root its multiplicity.
 
@@ -51,6 +51,7 @@ from .green import (
     ChartFunction,
     LiftSequence,
     PairingGrid,
+    _complex,
     _scaled_norms,
     _vector_norms,
     radial_bump,
@@ -183,41 +184,14 @@ def _newton_polish(
     return z, _residual_ok(coeffs_low, z)
 
 
-def _aberth(coeffs_low: np.ndarray) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration from a Cauchy-bound circle, at
-    most 400 steps."""
-    k = len(coeffs_low) - 1
-    monic = coeffs_low / coeffs_low[-1]
-    radius = 1.0 + float(np.max(np.abs(monic[:-1]))) if k > 0 else 1.0
-    angles = 2.0 * math.pi * (np.arange(k) + 0.25) / k + 0.39996
-    z = radius * np.exp(1j * angles)
-    for _ in range(400):
-        p, dp = _horner(monic, z)
-        w = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.1)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        corr = np.where(denom != 0, w / np.where(denom == 0, 1.0, denom), w)
-        z = z - corr
-        if np.max(np.abs(corr)) <= 1e-14 * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
 def _certify(coeffs_low: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Polish a stack of root rows; retry failing rows from Aberth and raise
-    RootFindingFailed if the residual test still fails."""
+    """Polish a stack of root rows; RootFindingFailed if a row still fails
+    the residual test."""
     roots, ok = _newton_polish(coeffs_low, roots)
-    for i in np.nonzero(~ok.all(axis=1))[0]:
-        retry, ok_i = _newton_polish(coeffs_low[i], _aberth(coeffs_low[i]))
-        if not ok_i.all():
-            raise RootFindingFailed(
-                f"polynomial roots did not reach residual {RESIDUAL_SCALE:g}"
-            )
-        roots[i] = retry
+    if not ok.all():
+        raise RootFindingFailed(
+            f"polynomial roots did not reach residual {RESIDUAL_SCALE:g}"
+        )
     return roots
 
 
@@ -306,7 +280,8 @@ def _pullback(cmap: CheckedMap, a0: np.ndarray, a1: np.ndarray):
     d = cmap.degree
     # row k holds F_k(1, t), low power of t first
     table = np.array(
-        [_binary_coeff_vector(f) for f in cmap.forms], dtype=np.complex128
+        [[_complex(c) for c in _binary_coeff_vector(f)] for f in cmap.forms],
+        dtype=np.complex128,
     )
     coeffs = a1[:, None] * table[0] - a0[:, None] * table[1]
     mags = np.hypot(coeffs.real, coeffs.imag)
@@ -401,7 +376,7 @@ def _exact_pullback(cmap: CheckedMap, a0, a1):
     if parts:
         width = max(len(s) for s, _ in parts)
         rows = np.array(
-            [[complex(c) for c in s] + [0j] * (width - len(s)) for s, _ in parts],
+            [[_complex(c) for c in s] + [0j] * (width - len(s)) for s, _ in parts],
             dtype=np.complex128,
         )
         degree = np.array([len(s) - 1 for s, _ in parts])

@@ -67,9 +67,11 @@ class NonzeroRequired(SeqHeightError):
 class DegenerateNearZero(SeqHeightError):
     """A lift drove a unit vector numerically to zero in the Green step loop.
 
-    A certified lift keeps |F(v)| >= exp(-d c_bar) on unit vectors, so this
-    is a safety check: it fires when a lift's values leave the float range
-    (huge coefficients or a rescaling) or on a map that is not a morphism."""
+    A certified lift keeps |F(v)| >= exp(-d c_bar) on unit vectors, and
+    green_values refuses a lift whose range e^(+-d c_bar) leaves the float
+    range before any step, so this is a safety check: it fires on a map that
+    is not a morphism (a CheckedMap built without validate), or where the
+    rounding of a float evaluation cancels a value below 1e-280."""
 
 
 class UnsupportedDimension(SeqHeightError):

@@ -46,7 +46,9 @@ for the mass.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,88 +71,72 @@ DEFAULT_TRANSITION = 0.25
 # with 32768 (cache misses) and 0.52-0.56 s with 2048 (per-block overhead);
 # over both full charts (524288 points) unblocked took 1.1-1.2 s.
 _BLOCK = 8192
+# 2 d c_bar must stay below this for the squared norms of a lift's values
+# to be normal floats (see green_values).
+_LOG_SQUARE_RANGE = 1022 * math.log(2.0)
+
+
+def _complex(value) -> complex:
+    """value as a complex float; past the float range, an input error."""
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValueError("a coefficient is beyond the floating-point range") from None
 
 
 class ComplexLiftMap:
-    """A homogeneous polynomial lift C^n -> C^n with a distortion constant.
+    """The complex view of one CheckedMap: its lift C^n -> C^n, possibly
+    times a scale, with a certified distortion constant c_bar.
 
-    c_bar bounds |log|F(v)|/d| on Euclidean unit vectors.  from_checked
-    lifts a validated integer map with the bound certified by its integer
-    distortion certificate; rescaled() widens that bound by the scale.
+    The view walks the map's own term table (CheckedMap.powers and
+    CheckedMap.terms), with each coefficient converted to a complex float
+    once; a coefficient past the float range is an input error.  c_bar
+    bounds |log|F(v)|/d| on Euclidean unit vectors.  With n = num_vars, A
+    the amplification and C_inf, e the certificate constants, on unit
+    vectors
+
+        (1/d) log|F(v)|  <=  (log A + log(n)/2) / d
+        (1/d) log|F(v)|  >=  -log(C_inf/e)/d - log(n)/2
+
+    and rescaled() adds |log|scale||/d for a scaled lift.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        num_vars: int,
-        components: Sequence[tuple[np.ndarray, np.ndarray]],
-        c_bar: float,
-    ):
-        if len(components) != num_vars:
-            raise DimensionMismatch("need num_vars components")
-        self.degree = degree
-        self.num_vars = num_vars
-        self.components = []
-        for exps, coeffs in components:
-            e = np.array(exps, dtype=np.int64).reshape(-1, num_vars)
-            c = np.array(coeffs, dtype=np.complex128).reshape(-1)
-            if len(e) != len(c):
-                raise DimensionMismatch("exponent/coefficient length mismatch")
-            e.setflags(write=False)
-            c.setflags(write=False)
-            self.components.append((e, c))
-        # Per component: (coefficient, ((variable, exponent), ...)) per term,
-        # zero exponents left out; evaluate() walks these plain tuples.
-        self._terms = tuple(
-            tuple(
-                (coeff, tuple((i, int(k)) for i, k in enumerate(row) if k))
-                for row, coeff in zip(e.tolist(), c.tolist())
-            )
-            for e, c in self.components
+    def __init__(self, cmap: CheckedMap):
+        self.map = cmap
+        self.degree = cmap.degree
+        self.num_vars = cmap.num_vars
+        # per form, the complex coefficient of each of the map's terms
+        self._coefficients = tuple(
+            tuple(_complex(c) for c, _, _ in terms) for terms in cmap.terms
         )
-        self.c_bar = float(c_bar)
-
-    @classmethod
-    def from_checked(cls, cmap: CheckedMap) -> "ComplexLiftMap":
-        """Lift of a validated integer map with a certified c_bar.
-
-        With n = num_vars, A the amplification and C_inf, e the certificate
-        constants, on unit vectors
-
-            (1/d) log|F(v)|  <=  (log A + log(n)/2) / d
-            (1/d) log|F(v)|  >=  -log(C_inf/e)/d - log(n)/2
-
-        rescaled() adds |log|scale||/d for a scaled lift.
-        """
-        n = cmap.num_vars
-        d = cmap.degree
-        comps = []
-        for form in cmap.forms:
-            exps = [list(e) for e, _ in form.terms] or [[0] * n]
-            coeffs = [complex(c) for _, c in form.terms] or [0.0j]
-            comps.append((np.array(exps), np.array(coeffs)))
+        n, d = self.num_vars, self.degree
         dist = cmap.distortion
+        try:
+            log_ratio = math.log(dist.cofactor_l1 / dist.denominator)
+        except OverflowError:  # C_inf / e past the float range
+            log_ratio = math.log(dist.cofactor_l1) - math.log(dist.denominator)
         up = (math.log(dist.amplification) + 0.5 * math.log(n)) / d
-        down = (
-            math.log(dist.cofactor_l1 / dist.denominator) / d + 0.5 * math.log(n)
-        )
-        c_bar = max(up, down)
-        return cls(d, n, comps, c_bar)
+        self.c_bar = max(up, log_ratio / d + 0.5 * math.log(n))
 
     def rescaled(self, scale: complex) -> "ComplexLiftMap":
-        comps = [(e, c * scale) for e, c in self.components]
-        extra = abs(cmath.log(complex(scale)).real) / self.degree
-        return ComplexLiftMap(self.degree, self.num_vars, comps, self.c_bar + extra)
+        lift = copy.copy(self)
+        lift._coefficients = tuple(
+            tuple((np.array(cs, dtype=np.complex128) * scale).tolist())
+            for cs in self._coefficients
+        )
+        lift.c_bar = self.c_bar + abs(cmath.log(complex(scale)).real) / self.degree
+        return lift
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply the lift to a batch of column vectors, shape (n, B).
 
-        Each power pts[i]**e is computed once per call and shared by every
-        term and component.  A term multiplies its coefficient (skipped when
-        it is exactly 1) by the powers in variable order.  Complex products
-        round differently with their operands swapped, so this order is
-        what keeps the values bit-identical to a term-by-term expansion (up
-        to the sign of zeros).
+        Each of the map's powers pts[i]**e is computed once per call and
+        shared by every term and component.  A term multiplies its
+        coefficient (skipped when it is exactly 1) by its powers in variable
+        order, the order CheckedMap.values multiplies them in.  Complex
+        products round differently with their operands swapped, so this
+        order is what keeps the values bit-identical to a term-by-term
+        expansion of the forms (up to the sign of zeros).
         """
         pts = np.asarray(points, dtype=np.complex128)
         squeeze = pts.ndim == 1
@@ -158,24 +144,17 @@ class ComplexLiftMap:
             pts = pts[:, None]
         if pts.shape[0] != self.num_vars:
             raise DimensionMismatch("point batch has wrong variable count")
-        powers: dict[tuple[int, int], np.ndarray] = {}
+        powers = [pts[i] ** e for i, e in self.map.powers]
         out = np.empty_like(pts)
-        for j, terms in enumerate(self._terms):
-            for t, (coeff, factors) in enumerate(terms):
-                term = None if coeff == 1 else coeff
-                for i, e in factors:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = pts[i] ** e
-                    term = power if term is None else term * power
-                if term is None:
-                    term = coeff
-                if t == 0:
-                    out[j] = term
-                else:
+        for j, (terms, coeffs) in enumerate(zip(self.map.terms, self._coefficients)):
+            for t, ((_, first, rest), coeff) in enumerate(zip(terms, coeffs)):
+                term = powers[first] if coeff == 1 else coeff * powers[first]
+                for s in rest:
+                    term = term * powers[s]
+                if t:
                     out[j] += term
-            if not terms:
-                out[j] = 0
+                else:
+                    out[j] = term
         return out[:, 0] if squeeze else out
 
 
@@ -183,14 +162,14 @@ class LiftSequence:
     """The lifts of a SequenceSpec: the lift at position a is
     generators[spec.index_at(a)], times scalars[a] where a scalar is given.
 
-    Each CheckedMap generator is lifted once with ComplexLiftMap.from_checked,
-    so every c_bar is certified.  Per-position scalars support the rescaling
+    Each CheckedMap generator is lifted once, as its ComplexLiftMap view, so
+    every c_bar is certified.  Per-position scalars support the rescaling
     experiments; their rescaled lifts are built here, once.
     """
 
     def __init__(self, spec: SequenceSpec, scalars: Sequence[complex] = ()):
         self.spec = spec
-        self.generators = tuple(ComplexLiftMap.from_checked(g) for g in spec.generators)
+        self.generators = tuple(ComplexLiftMap(g) for g in spec.generators)
         self.scalars = tuple(complex(s) for s in scalars)
         # The lifts at the scaled positions, rescaled where the scalar is not 1.
         head = [self.generators[spec.index_at(a)] for a in range(len(self.scalars))]
@@ -231,7 +210,9 @@ class GreenValue:
 
 
 def _plan_depth(seq: LiftSequence, tol: float, depth: int | None) -> int:
-    """Smallest depth with certified tail 4 c_bar / prod(d) <= tol."""
+    """Smallest depth with certified tail 4 c_bar / prod(d) <= tol.  The
+    loop ends once the float product of the degrees passes the float range,
+    at the latest, with a depth that green_values refuses."""
     if depth is not None:
         return depth
     if not tol > 0:
@@ -242,8 +223,6 @@ def _plan_depth(seq: LiftSequence, tol: float, depth: int | None) -> int:
     while 4.0 * c / prod > tol:
         prod *= seq.lift_at(i).degree
         i += 1
-        if i > 10_000:
-            raise ValueError("tolerance unreachably small")
     return i
 
 
@@ -313,6 +292,18 @@ def green_values(
     from the certified tail bound, so results are deterministic.  The whole
     step loop runs on one block of _BLOCK columns at a time; every column
     is iterated on its own, so the values do not depend on the blocking.
+
+    Two float ranges are checked before any step; either failing is a
+    ValueError.  The degree product d_1...d_depth must be a float, as the
+    values and the radius are divided by it.  And each lift's certified
+    range must fit the squared norm the step loop takes: on a unit vector
+    v, |log|F(v)|/d| <= c_bar gives
+
+        e^(-2 d c_bar)  <=  |F(v)|^2  <=  e^(2 d c_bar),
+
+    inside the normal floats [2^-1022, 2^1024) when 2 d c_bar < 1022 log 2;
+    each term of F(v) is at most A <= e^(d c_bar) in modulus, so none
+    overflows.  Past that range a lift would overflow or read as degenerate.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[0] != seq.num_vars:
@@ -330,8 +321,16 @@ def green_values(
     steps = _plan_depth(seq, tol, depth)
     lifts = [seq.lift_at(a) for a in range(steps)]
     prod = 1
-    for lift in lifts:
+    for a, lift in enumerate(lifts):
         prod *= lift.degree
+        if not 2 * lift.degree * lift.c_bar < _LOG_SQUARE_RANGE:
+            raise ValueError(
+                f"lift at step {a + 1}: its certified range e^(+-d c_bar) of "
+                f"|F(v)| leaves the floating-point range (d c_bar = "
+                f"{lift.degree * lift.c_bar:.4g})"
+            )
+    if prod > sys.float_info.max:
+        raise ValueError(f"tolerance unreachably small: d_1...d_{steps} is not a float")
     n, count = pts.shape
     values = np.empty(count)
     # Steps run while no column has degenerated; a degenerate column

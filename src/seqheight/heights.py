@@ -68,9 +68,18 @@ class ExactLogHeight:
 
     @property
     def value(self) -> float:
-        if self.multiplicative == 1:
-            return 0.0
-        return math.log(self.multiplicative) / self.normalizer
+        return _divide(math.log(self.multiplicative), self.normalizer)
+
+
+def _divide(value: float, norm: int) -> float:
+    """value / norm as float division rounds it, also where norm is past
+    the float range and float division raises OverflowError: there the
+    exact ratio, rounded once."""
+    try:
+        return value / norm
+    except OverflowError:
+        num, den = value.as_integer_ratio()
+        return num / (den * norm)
 
 
 @dataclass(frozen=True)
@@ -204,9 +213,13 @@ _FLOAT_EVAL_ERROR = 2.0**-50
 
 def _direction_gain(g: CheckedMap) -> float:
     """A * C_inf / e: one step of g turns a direction error delta into at
-    most this times (1 + delta)^d - 1."""
+    most this times (1 + delta)^d - 1.  The exact ratio, rounded once, and
+    inf past the float range, where no precision can serve the engine."""
     dist = g.distortion
-    return dist.amplification * dist.cofactor_l1 / dist.denominator
+    try:
+        return dist.amplification * dist.cofactor_l1 / dist.denominator
+    except OverflowError:
+        return math.inf
 
 
 def rounding_radius(
@@ -242,7 +255,9 @@ def bounded_truncation(
     point is the orbit's canonical point x_j, normalizer is d_1...d_j and
     maps are f_{j+1} ... f_n in the order applied.  Returns (value, radius)
     with |value - h_n| <= radius, rounding of every kind included.  The
-    integers formed are bounded by _engine_bits.
+    integers formed are bounded by _engine_bits.  Each step evaluates the
+    map's term table (CheckedMap.values, apply without its gcd reduction)
+    on the fixed-point vector and on the residues.
     """
     rounding = rounding_radius(maps, precision, normalizer)
     modulus = math.prod(g.certificate.denominator for g in maps)
@@ -253,7 +268,7 @@ def bounded_truncation(
     scale = shift
     log_gcds = []
     for g in maps:
-        v = [f.evaluate(u) for f in g.forms]
+        v = g.values(u)
         shift = max(0, max(abs(c) for c in v).bit_length() - precision - 1)
         u = [c >> shift for c in v]
         scale = g.degree * scale + shift
@@ -262,7 +277,7 @@ def bounded_truncation(
             # F(x) mod modulus is exact; dividing by gcd | e keeps x mod the
             # product of the denominators still ahead
             e = g.certificate.denominator
-            w = [f.evaluate(residues) % modulus for f in g.forms]
+            w = [c % modulus for c in g.values(residues)]
             gcd = math.gcd(e, *w)
             modulus //= e
             residues = [c // gcd % modulus for c in w]
@@ -406,7 +421,7 @@ def canonical_height(
                 )
             seen[key] = depth
         h = multiplicative_height(p)
-        if not 2.0 * c / normalizer > tol:
+        if not _divide(2.0 * c, normalizer) > tol:
             break
         if (
             plan is not None
@@ -424,7 +439,7 @@ def canonical_height(
             break
     return HeightEstimate(
         value=ExactLogHeight(h, normalizer).value,
-        radius=2.0 * c / normalizer,
+        radius=_divide(2.0 * c, normalizer),
         depth=depth,
         c_used=c,
         multiplicative=h,

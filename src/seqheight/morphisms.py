@@ -121,7 +121,15 @@ class DistortionCertificate:
 
 @dataclass(frozen=True)
 class CheckedMap:
-    """A validated morphism of P^N given by integer forms of degree d >= 2."""
+    """A validated morphism of P^N given by integer forms of degree d >= 2.
+
+    __post_init__ builds the one term table that every evaluation walks:
+    values() and apply(), the engine of heights.bounded_truncation and the
+    complex view green.ComplexLiftMap.  powers lists the map's distinct
+    (variable, exponent >= 1) powers; terms holds, per form, a (coefficient,
+    first slot, other slots) triple per term, the slots indexing powers in
+    variable order.
+    """
 
     forms: tuple[HomogeneousForm, ...]
     degree: int
@@ -130,9 +138,6 @@ class CheckedMap:
     name: str | None = None
 
     def __post_init__(self):
-        # The map's distinct (variable, exponent) powers, and per form the
-        # (coefficient, first power slot, other power slots) of each term,
-        # zero exponents left out; apply() computes each power once per step.
         slots: dict[tuple[int, int], int] = {}
         terms = []
         for f in self.forms:
@@ -145,8 +150,8 @@ class CheckedMap:
                 ]
                 form_terms.append((coeff, used[0], tuple(used[1:])))
             terms.append(tuple(form_terms))
-        object.__setattr__(self, "_powers", tuple(slots))
-        object.__setattr__(self, "_terms", tuple(terms))
+        object.__setattr__(self, "powers", tuple(slots))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def num_vars(self) -> int:
@@ -156,31 +161,22 @@ class CheckedMap:
     def dim(self) -> int:
         return self.num_vars - 1
 
-    def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
-        """Image of a canonical point, renormalized exactly.
-
-        The cofactor identity e*x_j^M = sum G_jk F_k holds over the integers
-        and the input coordinates are coprime, so the output components do
-        not all vanish and any common divisor of them divides e: the
-        renormalization gcd runs modulo that small constant instead of on
-        the full coordinates, which deep orbits cannot afford.
+    def values(self, coords: Sequence[int]) -> list[int]:
+        """The form values F_0(coords) .. F_N(coords), exactly.
 
         Each power x_i^k is computed once and shared by every term that
         uses it, so a power repeated across forms (x1^2 in (x0^2 + x1^2 :
-        x1^2)) costs one squaring per step, not two.  Powers (by
-        square-and-multiply) and the products of powers in a term go
-        through algebra._mul, which is Python's multiplication below about
-        32k bits and an exact 12-bit-limb FFT product above, up to products
-        of about 1.5M bits; the result is the same integer either way.
+        x1^2)) costs one squaring, not two.  Powers (by square-and-multiply)
+        and the products of powers in a term go through algebra._mul, which
+        is Python's multiplication below about 32k bits and an exact
+        12-bit-limb FFT product above, up to products of about 1.5M bits;
+        the result is the same integer either way.
         """
-        cs = point.coords
-        if len(cs) != self.num_vars:
-            raise DimensionMismatch("form/point variable counts differ")
         # No product by a coefficient 1 and no sum with the starting 0: at a
         # million bits each would copy a coordinate-sized integer.
-        powers = [_pow(cs[i], k) for i, k in self._powers]
+        powers = [_pow(coords[i], k) for i, k in self.powers]
         values = []
-        for terms in self._terms:
+        for terms in self.terms:
             total = 0
             for coeff, first, rest in terms:
                 term = powers[first]
@@ -190,6 +186,21 @@ class CheckedMap:
                     term *= coeff
                 total = term if total == 0 else total + term
             values.append(total)
+        return values
+
+    def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
+        """Image of a canonical point: values() renormalized exactly.
+
+        The cofactor identity e*x_j^M = sum G_jk F_k holds over the integers
+        and the input coordinates are coprime, so the values do not all
+        vanish and any common divisor of them divides e: the renormalization
+        gcd runs modulo that small constant instead of on the full
+        coordinates, which deep orbits cannot afford.
+        """
+        cs = point.coords
+        if len(cs) != self.num_vars:
+            raise DimensionMismatch("form/point variable counts differ")
+        values = self.values(cs)
         e = self.certificate.denominator
         g = math.gcd(*[v % e for v in values], e) if e > 1 else 1
         return RationalProjectivePoint._from_canonical(

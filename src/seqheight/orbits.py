@@ -114,17 +114,19 @@ def forward_orbit(
 
 
 def _floor_root(value: int, k: int) -> int:
-    """floor(value ** (1/k)) for nonnegative integers, exactly."""
+    """floor(value ** (1/k)) for nonnegative integers, exactly, at any size:
+    Newton's iteration on integers from 2^ceil(bits/k), above the root; by
+    AM-GM the iterates stay at or above the floor and fall to it."""
     if value < 0:
         raise ValueError("negative radicand")
-    if value in (0, 1) or k == 1:
+    if value < 2 or k == 1:
         return value
-    r = int(round(value ** (1.0 / k)))
-    while r > 0 and r**k > value:
-        r -= 1
-    while (r + 1) ** k <= value:
-        r += 1
-    return r
+    r = 1 << -(-value.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + value // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def bounded_height_points(

@@ -315,13 +315,26 @@ def test_inputs_are_checked_before_any_map_is_applied(monkeypatch, kwargs, error
     assert applied == []
 
 
-def test_word_budget_admits_exactly_its_word_count():
+def test_word_budget_admits_exactly_its_trie_node_count():
+    # the trie of k^depth words has sum_{i<=depth} k^i nodes
     x = normalize([2, 3])
-    assert verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=256).depth == 8
-    with pytest.raises(BudgetExceeded, match=r"^2\^8 words exceeds budget 255$"):
-        verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=255)
-    with pytest.raises(BudgetExceeded, match=r"^3\^9 words exceeds budget 19682$"):
-        verify_averaging(x, [SQ, PSQ, CUBE], 9, 50, 1, word_budget=3**9 - 1)
-    # one generator has one word at every depth
-    rep = verify_averaging(x, [SQ], 12, 50, 1, word_budget=1)
+    assert verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=511).depth == 8
+    with pytest.raises(
+        BudgetExceeded, match=r"^the trie of 2\^8 words has more than 510 nodes$"
+    ):
+        verify_averaging(x, [SQ, PSQ], 8, 50, 1, word_budget=510)
+    nodes = (3**10 - 1) // 2
+    assert verify_averaging(x, [SQ, PSQ, CUBE], 9, 50, 1, word_budget=nodes).depth == 9
+    with pytest.raises(BudgetExceeded, match=r"^the trie of 3\^9 words"):
+        verify_averaging(x, [SQ, PSQ, CUBE], 9, 50, 1, word_budget=nodes - 1)
+    # three maps at depth 10: 3^10 leaves fit the default budget, the
+    # 88573 nodes do not
+    with pytest.raises(BudgetExceeded, match=r"more than 59049 nodes"):
+        eigensystem_height_exact(x, [SQ, PSQ, CUBE], 10)
+    # one generator has one word, and depth + 1 nodes, at every depth
+    rep = verify_averaging(x, [SQ], 12, 50, 1, word_budget=13)
     assert rep.exact_value == pytest.approx(math.log(3), abs=1e-12)
+    with pytest.raises(BudgetExceeded, match=r"^the trie of 1\^12 words"):
+        verify_averaging(x, [SQ], 12, 50, 1, word_budget=12)
+    with pytest.raises(BudgetExceeded, match=r"^the trie of 1\^1000000000 words"):
+        verify_averaging(x, [SQ], 10**9, 50, 1)

@@ -18,7 +18,7 @@ from seqheight.equidist import (
     preimages_one_step,
     roundtrip_residual,
 )
-from seqheight.errors import EnumerationTooLarge
+from seqheight.errors import EnumerationTooLarge, RootFindingFailed
 from seqheight.green import ComplexLiftMap, constant_one, sphere_height
 from seqheight.heights import canonical_height
 from seqheight.morphisms import (
@@ -238,7 +238,7 @@ def _per_branch_cloud(spec, pair, depth):
 
 
 def _per_point_roundtrip(spec, cloud, target_pair):
-    lifts = [ComplexLiftMap.from_checked(g) for g in spec.generators]
+    lifts = [ComplexLiftMap(g) for g in spec.generators]
     worst = 0.0
     for p in cloud.points:
         v = np.array(p.embedding(), dtype=complex)
@@ -380,13 +380,14 @@ def test_targets_floats_cannot_carry_are_value_errors(target):
             call()
 
 
-def test_failed_row_falls_back_to_aberth():
+def test_row_the_polish_cannot_certify_raises():
     coeffs = np.array([[-2.0, 0.0, 1.0], [-3.0, 0.0, 1.0]], dtype=complex)
     # Newton cannot leave the critical point 0 of t^2 - 2
     start = np.array([[0.0, 0.0], [-np.sqrt(3.0), np.sqrt(3.0)]], dtype=complex)
-    roots = _certify(coeffs, start)
-    assert sorted(roots[0].real) == pytest.approx([-np.sqrt(2.0), np.sqrt(2.0)])
-    assert list(roots[1]) == list(start[1])
+    with pytest.raises(RootFindingFailed, match="did not reach residual"):
+        _certify(coeffs, start)
+    # the row the polish certifies comes back as it started
+    assert list(_certify(coeffs[1:], start[1:])[0]) == list(start[1])
 
 
 def test_squarefree_split_matches_sympy():

@@ -29,7 +29,9 @@ from seqheight.green import (
 )
 from seqheight.heights import canonical_height
 from seqheight.morphisms import (
+    CheckedMap,
     Constant,
+    DistortionCertificate,
     ExplicitWord,
     PeriodicWord,
     RandomWord,
@@ -70,23 +72,19 @@ def _psq_seq():
     return LiftSequence(Constant(PSQ))
 
 
-class _RawLiftSequence:
-    """A constant sequence over one raw lift with c_bar = 1.  The lifts the
-    degenerate-step tests need are not morphisms, so they have no
-    certificate and no LiftSequence."""
-
-    def __init__(self, components):
-        self.num_vars = 2
-        self.c_bar = 1.0
-        self._lift = ComplexLiftMap(2, 2, components, 1.0)
-
-    def lift_at(self, position):
-        return self._lift
+def _unvalidated_sequence(*forms):
+    """The constant lift sequence of a binary quadratic CheckedMap built
+    without validate.  The maps the degenerate-step tests need are not
+    morphisms, so they have no certificate; the distortion fields give
+    c_bar = (log 2 + log(2)/2) / 2."""
+    dist = DistortionCertificate(0.0, 0.0, 0.0, 2, 1, 1, 1)
+    forms = [HomogeneousForm.from_terms(2, 2, f) for f in forms]
+    return LiftSequence(Constant(CheckedMap(tuple(forms), 2, None, dist, "raw")))
 
 
 def test_certified_c_bar_values():
-    assert ComplexLiftMap.from_checked(SQ).c_bar == pytest.approx(0.5 * math.log(2))
-    assert ComplexLiftMap.from_checked(PSQ).c_bar == pytest.approx(math.log(2))
+    assert ComplexLiftMap(SQ).c_bar == pytest.approx(0.5 * math.log(2))
+    assert ComplexLiftMap(PSQ).c_bar == pytest.approx(math.log(2))
 
 
 def test_squaring_green_is_log_sup():
@@ -145,7 +143,7 @@ def test_input_guards():
 
 def test_degenerate_lift_detected_near_zero():
     # (x0^2, x0 x1) kills (0, 1); the unit-vector recursion must refuse
-    seq = _RawLiftSequence([([[2, 0]], [1.0]), ([[1, 1]], [1.0])])
+    seq = _unvalidated_sequence({(2, 0): 1}, {(1, 1): 1})
     with pytest.raises(DegenerateNearZero):
         green_values(seq, np.array([[0.0], [1.0]], dtype=complex))
 
@@ -408,9 +406,10 @@ def test_grid_computes_only_the_green_values_a_report_reads(monkeypatch):
 # -- the blocked kernel against the term-by-term, unblocked one ------------
 
 
-def _reference_evaluate(lift, pts):
-    """Term-by-term lift evaluation: a full array of the coefficient times
-    each power in variable order, summed into a zero accumulator.
+def _reference_evaluate(cmap, scale, pts):
+    """Term-by-term evaluation of the map's forms, times scale: a full array
+    of the coefficient times each power in variable order, summed into a
+    zero accumulator.  It reads the forms, not the lift's term table.
 
     np.multiply keeps the operand order: for arrays over 256 KiB the
     operator form `term * pts[i] ** e` lets numpy reuse the temporary power
@@ -418,17 +417,24 @@ def _reference_evaluate(lift, pts):
     differently with its operands swapped.
     """
     out = np.empty_like(pts)
-    for j, (exps, coeffs) in enumerate(lift.components):
+    for j, form in enumerate(cmap.forms):
+        coeffs = np.array([complex(c) for _, c in form.terms]) * scale
         acc = np.zeros(pts.shape[1], dtype=np.complex128)
-        for t in range(len(coeffs)):
-            term = np.full(pts.shape[1], coeffs[t])
-            for i in range(lift.num_vars):
-                e = exps[t, i]
+        for (exps, _), coeff in zip(form.terms, coeffs.tolist()):
+            term = np.full(pts.shape[1], coeff)
+            for i, e in enumerate(exps):
                 if e:
-                    term = np.multiply(term, pts[i] ** int(e))
+                    term = np.multiply(term, pts[i] ** e)
             acc += term
         out[j] = acc
     return out
+
+
+def _reference_lift(seq, position):
+    """(map, scale) of the lift at a position, read from the spec and the
+    scalars, not from the lift."""
+    scale = seq.scalars[position] if position < len(seq.scalars) else 1.0
+    return seq.spec.generator_at(position), scale
 
 
 def _reference_green_values(seq, pts, tol=1e-9, depth=None):
@@ -440,7 +446,7 @@ def _reference_green_values(seq, pts, tol=1e-9, depth=None):
     prod = 1
     for a in range(steps):
         lift = seq.lift_at(a)
-        y = _reference_evaluate(lift, v)
+        y = _reference_evaluate(*_reference_lift(seq, a), v)
         ny = np.linalg.norm(y, axis=0)
         if np.any(ny < 1e-280):
             raise DegenerateNearZero(f"lift at step {a + 1} drove a unit vector to ~0")
@@ -484,8 +490,67 @@ def test_blocked_kernel_matches_unblocked_reference(name):
             assert np.array_equal(got[0], ref[0])
             assert got[1:] == ref[1:]
         lift = seq.lift_at(1)
-        assert np.array_equal(lift.evaluate(pts), _reference_evaluate(lift, pts))
-        assert np.array_equal(lift.evaluate(pts[:, 0]), _reference_evaluate(lift, pts)[:, 0])
+        ref = _reference_evaluate(*_reference_lift(seq, 1), pts)
+        assert np.array_equal(lift.evaluate(pts), ref)
+        assert np.array_equal(lift.evaluate(pts[:, 0]), ref[:, 0])
+
+
+# (3 x0^2 + x1 x2 : 2 x1^2 - x2^2 : 5 x2^2 + x0 x1): a P^2 map whose terms
+# share powers across forms and multiply two of them
+P2 = validate(
+    [
+        HomogeneousForm.from_terms(3, 2, {(2, 0, 0): 3, (0, 1, 1): 1}),
+        HomogeneousForm.from_terms(3, 2, {(0, 2, 0): 2, (0, 0, 2): -1}),
+        HomogeneousForm.from_terms(3, 2, {(0, 0, 2): 5, (1, 1, 0): 1}),
+    ],
+    "p2",
+)
+
+
+@pytest.mark.parametrize("cmap", [SQ, PSQ, E42, CUBIC, P2], ids=lambda m: m.name)
+@pytest.mark.parametrize("scale", [1, 3.0, 0.25j, 2.0 - 1.0j])
+def test_lift_view_matches_the_forms_bit_for_bit(cmap, scale):
+    lift = ComplexLiftMap(cmap)
+    if scale != 1:
+        lift = lift.rescaled(complex(scale))
+    assert lift.map is cmap
+    rng = np.random.default_rng(7)
+    n = cmap.num_vars
+    for width in (1, 7, 9000):
+        pts = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        ref = _reference_evaluate(cmap, complex(scale), pts)
+        assert np.array_equal(lift.evaluate(pts), ref)
+        assert np.array_equal(lift.evaluate(pts[:, 0]), ref[:, 0])
+
+
+def test_lift_of_a_coefficient_past_the_float_range_is_an_input_error():
+    forms = [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 10**400, (0, 2): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 1}),
+    ]
+    big = validate(forms, "big")
+    with pytest.raises(ValueError, match="beyond the floating-point range"):
+        ComplexLiftMap(big)
+
+
+def test_lift_whose_range_leaves_the_float_range_is_refused_before_any_step():
+    # 2 d c_bar is about 922 for the coefficient 10^200, past 1022 log 2
+    forms = [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 10**200, (0, 2): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 1}),
+    ]
+    seq = LiftSequence(Constant(validate(forms, "big")))
+    with pytest.raises(ValueError, match="lift at step 1: its certified range"):
+        green_values(seq, np.array([[1.0], [1.0]], dtype=complex))
+
+
+def test_degree_product_past_the_float_range_is_refused():
+    # 2^1024 is past the largest float; 2^1023 is not
+    assert green_values(_psq_seq(), np.ones((2, 1)), depth=1023)[1] == 1023
+    with pytest.raises(ValueError, match="tolerance unreachably small"):
+        green_values(_psq_seq(), np.ones((2, 1)), depth=1024)
+    with pytest.raises(ValueError, match="tolerance unreachably small"):
+        green_function(_psq_seq(), [1.0, 1.0], tol=1e-320)
 
 
 def test_blocked_kernel_reports_the_first_degenerate_step():
@@ -493,8 +558,8 @@ def test_blocked_kernel_reports_the_first_degenerate_step():
     # which the next step kills; points with x0 = x1 die at step 1.  The
     # one step-1 point sits in the last block, after blocks that degenerate
     # at step 2.
-    form = ([[2, 0], [0, 2]], [1.0, -1.0])
-    seq = _RawLiftSequence([form, form])
+    form = {(2, 0): 1, (0, 2): -1}
+    seq = _unvalidated_sequence(form, form)
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((2, 2 * 8192 + 5)) + 0.5j
     for late in (False, True):
@@ -546,7 +611,7 @@ def test_lift_sequence_reads_the_spec_word(kind):
     spec = specs[kind]
     seq = LiftSequence(spec)
     assert [g.c_bar for g in seq.generators] == [
-        ComplexLiftMap.from_checked(g).c_bar for g in spec.generators
+        ComplexLiftMap(g).c_bar for g in spec.generators
     ]
     for pos in range(64):
         assert seq.lift_at(pos) is seq.generators[spec.index_at(pos)]
@@ -562,10 +627,11 @@ def test_scaled_random_word_rescales_exactly_the_scaled_positions():
         lift = scaled.lift_at(pos)
         if pos < len(scalars) and scalars[pos] != 1.0:
             assert lift is not base
+            assert lift.map is base.map
             assert lift.c_bar == base.rescaled(scalars[pos]).c_bar
-            for (e, c), (e0, c0) in zip(lift.components, base.components):
-                assert np.array_equal(e, e0)
-                assert np.array_equal(c, c0 * scalars[pos])
+            pts = np.array([[1.0, 0.5j, -2.0], [0.25, 1.0 + 1.0j, 3.0]])
+            got = lift.evaluate(pts)
+            assert np.array_equal(got, _reference_evaluate(base.map, scaled.scalars[pos], pts))
         else:
             assert lift is base
     rescaled = [scaled.lift_at(pos) for pos in (0, 2, 3, 5)]

@@ -336,10 +336,19 @@ def test_shared_power_apply_matches_per_form_evaluation():
     for g in maps:
         for x in _test_points(rng, g.num_vars, big=True):
             values = [f.evaluate(x.coords) for f in g.forms]
+            assert g.values(x.coords) == values
             image = g.apply(x)
             assert image.coords == _canonical(values)
             assert image == evaluate_forms(g.forms, x)
             renormalized += image.coords != tuple(values)
+        # values() also serves the engine's vectors, which need not be
+        # canonical points: common factors, zeros, the zero vector
+        for raw in (
+            [0] * g.num_vars,
+            [6] * g.num_vars,
+            [rng.randint(-9, 9) for _ in g.forms],
+        ):
+            assert g.values(raw) == [f.evaluate(raw) for f in g.forms]
     # The gcd and sign steps run on a good share of these points.
     assert renormalized >= 40
 
