@@ -39,8 +39,8 @@ time, so its temporaries stay in cache.  Each step rounds as np.linalg.norm
 and division by the norm round, and a column's value does not depend on
 the batch or block it is in.  PairingGrid runs on one thread and calls
 green_values only for the cells a report reads: one chart's full square for
-the CSV export, both charts' cells with nonzero cutoff for a pairing, none
-for the mass.
+the CSV export, for a pairing the cells where rho * laplacian(phi) != 0
+(memoised per cell, one chart at a time), none for the mass.
 """
 
 from __future__ import annotations
@@ -66,10 +66,11 @@ DEFAULT_TRANSITION = 0.25
 
 # Columns per block of green_values: the step loop's temporaries for one
 # block (a few (n, 8192) complex arrays, about 1 MB) stay in cache.  On a
-# 2-core Xeon, the Green values of a 512 x 512 pairing (both charts' 411784
-# cells with nonzero cutoff) took 0.30-0.31 s with this block, 0.33-0.38 s
-# with 32768 (cache misses) and 0.52-0.56 s with 2048 (per-block overhead);
-# over both full charts (524288 points) unblocked took 1.1-1.2 s.
+# 2-core Xeon, the Green values of both charts' 411784 cells with nonzero
+# cutoff on a 512 x 512 grid, in one call, took 0.30-0.31 s with this
+# block, 0.33-0.38 s with 32768 (cache misses) and 0.52-0.56 s with 2048
+# (per-block overhead); over both full charts (524288 points) unblocked
+# took 1.1-1.2 s.
 _BLOCK = 8192
 # 2 d c_bar must stay below this for the squared norms of a lift's values
 # to be normal floats (see green_values).
@@ -399,33 +400,39 @@ class ChartFunction:
     """A C^2 test function on P^1 given per chart with its flat Laplacian.
 
     chart 0 uses the coordinate z = x1/x0, chart 1 uses w = x0/x1; the two
-    descriptions agree under z = 1/w.  laplacian() is the flat Laplacian in
-    the local coordinate of the chart asked for (the 4 d/dz d/dzbar one), so
-    dd^c phi = laplacian/(4 pi) dA in that chart.
+    descriptions agree under z = 1/w.  The Laplacian is the flat one in the
+    local coordinate of the chart asked for (the 4 d/dz d/dzbar one), so
+    dd^c phi = laplacian/(4 pi) dA in that chart.  fn(chart, z) returns
+    (value, laplacian) from one evaluation; value() and laplacian() read
+    one of the two.
     """
 
     def __init__(
         self,
         name: str,
-        value_fn: Callable[[int, np.ndarray], np.ndarray],
-        laplacian_fn: Callable[[int, np.ndarray], np.ndarray],
+        fn: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]],
     ):
         self.name = name
-        self._value = value_fn
-        self._laplacian = laplacian_fn
+        self._fn = fn
+
+    def evaluate(self, chart: int, z) -> tuple[np.ndarray, np.ndarray]:
+        """(value, laplacian) at the points z of one chart."""
+        return self._fn(chart, np.asarray(z, dtype=np.complex128))
 
     def value(self, chart: int, z) -> np.ndarray:
-        return self._value(chart, np.asarray(z, dtype=np.complex128))
+        return self.evaluate(chart, z)[0]
 
     def laplacian(self, chart: int, z) -> np.ndarray:
-        return self._laplacian(chart, np.asarray(z, dtype=np.complex128))
+        return self.evaluate(chart, z)[1]
 
 
 def constant_one() -> ChartFunction:
     return ChartFunction(
         "one",
-        lambda chart, z: np.ones(z.shape, dtype=float),
-        lambda chart, z: np.zeros(z.shape, dtype=float),
+        lambda chart, z: (
+            np.ones(z.shape, dtype=float),
+            np.zeros(z.shape, dtype=float),
+        ),
     )
 
 
@@ -433,15 +440,12 @@ def _sphere_eigen(name: str, chart_sign: tuple[float, float], part) -> ChartFunc
     """Degree-1 spherical harmonics: Delta phi = -8 phi / (1+|z|^2)^2 in any
     stereographic chart; only the sign flips between charts."""
 
-    def val(chart: int, z: np.ndarray) -> np.ndarray:
+    def fn(chart: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r2 = np.abs(z) ** 2
-        return chart_sign[chart] * part(z) / (1.0 + r2)
+        val = chart_sign[chart] * part(z) / (1.0 + r2)
+        return val, -8.0 * val / (1.0 + r2) ** 2
 
-    def lap(chart: int, z: np.ndarray) -> np.ndarray:
-        r2 = np.abs(z) ** 2
-        return -8.0 * val(chart, z) / (1.0 + r2) ** 2
-
-    return ChartFunction(name, val, lap)
+    return ChartFunction(name, fn)
 
 
 def sphere_re() -> ChartFunction:
@@ -486,21 +490,18 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
         lap = 4.0 / rho2 * (tt / rho2 * (val / q**4 - 2.0 * val / q**3) - val / q**2)
         return val, np.where(inside, lap, 0.0)
 
-    def val(chart: int, z: np.ndarray) -> np.ndarray:
+    def fn(chart: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if chart == 0:
-            return chart0_pair(z)[0]
-        safe = np.where(z == 0, 1.0, z)
-        v = chart0_pair(1.0 / safe)[0]
-        return np.where(z == 0, 0.0, v)
+            return chart0_pair(z)
+        at_zero = z == 0
+        safe = np.where(at_zero, 1.0, z)
+        v, l0 = chart0_pair(1.0 / safe)
+        return (
+            np.where(at_zero, 0.0, v),
+            np.where(at_zero, 0.0, l0 / np.abs(safe) ** 4),
+        )
 
-    def lap(chart: int, z: np.ndarray) -> np.ndarray:
-        if chart == 0:
-            return chart0_pair(z)[1]
-        safe = np.where(z == 0, 1.0, z)
-        l0 = chart0_pair(1.0 / safe)[1]
-        return np.where(z == 0, 0.0, l0 / np.abs(safe) ** 4)
-
-    return ChartFunction(f"bump({z0.real:g}{z0.imag:+g}i,{radius:g})", val, lap)
+    return ChartFunction(f"bump({z0.real:g}{z0.imag:+g}i,{radius:g})", fn)
 
 
 def _smooth_cutoff(s: np.ndarray, a: float) -> np.ndarray:
@@ -522,8 +523,8 @@ class PairingGrid:
     = 0.  Both charts use the same cell centers, so z, rho and fs are shared
     between them.  Green values are computed only where a report reads
     them: green(chart) over one chart's full square for the CSV export,
-    pair() on both charts' cells with rho != 0 (once, kept for later
-    pairings), and mass() none at all.
+    pair() on the cells where rho * laplacian(phi) != 0, memoised per cell
+    for later pairings, and mass() none at all.
     """
 
     def __init__(
@@ -553,48 +554,56 @@ class PairingGrid:
         self.rho = _smooth_cutoff(abs_z, self.transition)
         self.fs = (1.0 / math.pi) / (1.0 + r2) ** 2
         self.log1p_r2 = np.log1p(r2)
-        # Per chart, u = log(1+|z|^2) - G on the support of rho and 0 off
-        # it; built by the first pair() call.
-        self._u: list[np.ndarray] | None = None
+        # Per chart, u = log(1+|z|^2) - G at the cells pair() has read and
+        # 0 elsewhere; unread marks the cells with rho != 0 not read yet.
+        self._u = np.zeros((2, self.z.size))
+        self._unread = np.stack([self.rho != 0] * 2)
+        self._range_checked = False
 
-    def _greens(self, cells: np.ndarray, charts: Sequence[int]) -> list[np.ndarray]:
-        """Green values at the given cells of each chart, from one
-        green_values call on the stacked embeddings."""
+    def _green(self, chart: int, cells: np.ndarray) -> np.ndarray:
+        """Green values at the given cells of one chart."""
         if self.seq is None:
-            return [np.zeros(cells.size) for _ in charts]
+            return np.zeros(cells.size)
         # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
-        emb = np.ones((2, len(charts) * cells.size), dtype=np.complex128)
-        for k, chart in enumerate(charts):
-            emb[1 - chart, k * cells.size : (k + 1) * cells.size] = cells
-        g, _, _ = green_values(self.seq, emb, self.green_tol)
-        return np.split(g, len(charts))
+        emb = np.ones((2, cells.size), dtype=np.complex128)
+        emb[1 - chart] = cells
+        return green_values(self.seq, emb, self.green_tol)[0]
 
     def green(self, chart: int) -> np.ndarray:
         """Green values of one chart over the full square."""
-        return self._greens(self.z, (chart,))[0]
+        return self._green(chart, self.z)
 
     def pair(self, phi: ChartFunction) -> float:
-        """T(phi) = integral phi omega_FS - integral u dd^c phi."""
-        if self._u is None:
-            support = np.flatnonzero(self.rho)
-            self._u = []
-            for g in self._greens(self.z[support], (0, 1)):
-                u = np.zeros(self.z.size)
-                u[support] = self.log1p_r2[support] - g
-                self._u.append(u)
+        """T(phi) = integral phi omega_FS - integral u dd^c phi.
+
+        u is read only where rho != 0 and laplacian(phi) != 0: at every
+        other cell u * laplacian is a signed zero (u is finite) or the term
+        is multiplied by rho = 0, so the sum does not depend on u there.
+        Chart by chart, the Green values of the cells not read before are
+        computed in one green_values call and kept.
+        The first call makes a green_values call even when it reads no
+        cell, so a lift past the float range or an unreachable tolerance is
+        refused whatever phi is.
+        """
         total = 0.0
         w = self.cell**2
-        for chart, u in enumerate(self._u):
-            vals = phi.value(chart, self.z)
-            laps = phi.laplacian(chart, self.z)
+        for chart in (0, 1):
+            vals, laps = phi.evaluate(chart, self.z)
+            u = self._u[chart]
+            unread = self._unread[chart]
+            read = np.flatnonzero(unread & (laps != 0))
+            if read.size or not self._range_checked:
+                u[read] = self.log1p_r2[read] - self._green(chart, self.z[read])
+                unread[read] = False
+                self._range_checked = True
             integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
             total += float(np.sum(integrand)) * w
         return total
 
     def mass(self) -> float:
         """T(1) without Green values: the Laplacian of 1 is 0, so each chart
-        contributes sum(rho * fs) h^2, and with u finite this equals
-        pair(constant_one()) bit for bit."""
+        contributes sum(rho * fs) h^2, which equals pair(constant_one())
+        bit for bit."""
         return 2.0 * (float(np.sum(self.rho * self.fs)) * self.cell**2)
 
     def write_csv(self, chart: int, path: str) -> int:

@@ -136,9 +136,13 @@ def bounded_height_points(
     n = dim + 1
     raw_estimate = ((2 * h_max + 1) ** n - 1) // 2
     if raw_estimate > cap:
-        raise EnumerationTooLarge(
-            f"about {raw_estimate} candidate tuples exceeds cap {cap}"
+        # past 10^18 the estimate is given by its nearest power of ten
+        shown = (
+            str(raw_estimate)
+            if raw_estimate < 10**18
+            else f"10^{round(math.log10(raw_estimate))}"
         )
+        raise EnumerationTooLarge(f"about {shown} candidate tuples exceeds cap {cap}")
     # a tuple is canonical when it is coprime and lexicographically above
     # the origin, i.e. its first nonzero coordinate is positive
     origin = (0,) * n

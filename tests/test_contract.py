@@ -106,6 +106,24 @@ def test_lifts_are_refused_for_the_float_range_not_called_degenerate(
     assert code == 1 and reason in err
 
 
+@pytest.mark.parametrize("config", ["coefficient_1e200", "cofactor_ratio_1e320"])
+def test_pair_of_the_constant_one_still_refuses_the_lifts(capsys, config):
+    # --phi one reads no Green value, but the lifts' range is still checked
+    argv = ["pair", "--grid", "8", "--config", str(CONFIGS / f"{config}.json")]
+    code, _, err = _assert_contract(capsys, argv)
+    assert code == 1 and "leaves the floating-point range" in err
+
+
+@pytest.mark.parametrize(
+    "config", ["coefficient_1e200", "coefficient_1e391", "cofactor_ratio_1e320"]
+)
+def test_census_refusal_gives_the_estimate_by_its_power_of_ten(capsys, config):
+    argv = ["census", "--config", str(CONFIGS / f"{config}.json")]
+    code, _, err = _assert_contract(capsys, argv)
+    assert code == 2 and "candidate tuples exceeds cap" in err
+    assert len(err) < 120, err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -8,6 +8,7 @@ import pytest
 
 from seqheight import green
 from seqheight.algebra import HomogeneousForm, normalize
+from seqheight.equidist import equidistribution_report
 from seqheight.errors import DegenerateNearZero, DimensionMismatch, NonzeroRequired
 from seqheight.green import (
     DEFAULT_TRANSITION,
@@ -399,8 +400,120 @@ def test_grid_computes_only_the_green_values_a_report_reads(monkeypatch):
     grid.pair(sphere_re())
     grid.pair(sphere_height())
     support = np.count_nonzero(grid.rho)
-    assert points == [64 * 64, 2 * support]
+    # one call per chart, over its support; the second pairing reads the memo
+    assert points == [64 * 64, support, support]
     assert support < 0.8 * 64 * 64
+
+
+# -- pairings read u only where rho * laplacian != 0 ----------------------
+
+
+class _FullSupportGrid(PairingGrid):
+    """The grid whose pair() computes u on both charts' whole support
+    before it looks at phi: a verbatim copy of the full-support pair."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._u = None
+
+    def _greens(self, cells: np.ndarray, charts) -> list:
+        """Green values at the given cells of each chart, from one
+        green_values call on the stacked embeddings."""
+        if self.seq is None:
+            return [np.zeros(cells.size) for _ in charts]
+        # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
+        emb = np.ones((2, len(charts) * cells.size), dtype=np.complex128)
+        for k, chart in enumerate(charts):
+            emb[1 - chart, k * cells.size : (k + 1) * cells.size] = cells
+        g, _, _ = green_values(self.seq, emb, self.green_tol)
+        return np.split(g, len(charts))
+
+    def pair(self, phi) -> float:
+        """T(phi) = integral phi omega_FS - integral u dd^c phi."""
+        if self._u is None:
+            support = np.flatnonzero(self.rho)
+            self._u = []
+            for g in self._greens(self.z[support], (0, 1)):
+                u = np.zeros(self.z.size)
+                u[support] = self.log1p_r2[support] - g
+                self._u.append(u)
+        total = 0.0
+        w = self.cell**2
+        for chart, u in enumerate(self._u):
+            vals = phi.value(chart, self.z)
+            laps = phi.laplacian(chart, self.z)
+            integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
+            total += float(np.sum(integrand)) * w
+        return total
+
+
+def _pairing_phis():
+    # R = e^a is about 1.284: the first bump lies inside chart 0's disc, the
+    # second straddles |z| = R, the third is off chart 0's disc entirely
+    return (
+        radial_bump(0.3 - 0.2j, 0.5),
+        sphere_re(),
+        constant_one(),
+        radial_bump(1.1 + 0.4j, 0.5),
+        sphere_im(),
+        radial_bump(2.5 - 1.0j, 0.6),
+        sphere_height(),
+        radial_bump(0.5 - 0.3j, 0.6),
+    )
+
+
+@pytest.mark.parametrize("resolution", [16, 65, 256])
+@pytest.mark.parametrize("name", ["psq", "sq,psq", "scaled"])
+def test_pair_matches_full_support_reference_bit_for_bit(name, resolution):
+    seq = _grid_sequences()[name]
+    ref = _FullSupportGrid(seq, resolution)
+    phis = _pairing_phis()
+    # bumps first, then the harmonics, and the reverse: the memo is filled
+    # in different orders
+    for order in (phis, phis[::-1]):
+        grid = PairingGrid(seq, resolution)
+        for phi in order:
+            assert grid.pair(phi).hex() == ref.pair(phi).hex(), phi.name
+        assert grid.mass().hex() == ref.pair(constant_one()).hex()
+
+
+def test_pairing_reads_only_the_cells_where_rho_laplacian_is_nonzero(monkeypatch):
+    points = []
+    real = green.green_values
+
+    def counting(seq, pts, *args, **kwargs):
+        points.append(pts.shape[1])
+        return real(seq, pts, *args, **kwargs)
+
+    monkeypatch.setattr(green, "green_values", counting)
+    grid = PairingGrid(_psq_seq(), resolution=256)
+    grid.pair(constant_one())
+    # no cell is read, but the first pairing still checks the lifts' range
+    assert points == [0]
+    bump = radial_bump(0.5 - 0.3j, 0.6)
+    grid.pair(bump)
+    reads = [np.count_nonzero(grid.rho * bump.laplacian(c, grid.z)) for c in (0, 1)]
+    assert points == [0, *reads]
+    # 17169 of both charts' 102936 support cells
+    assert 0 < sum(reads) < 0.2 * 2 * np.count_nonzero(grid.rho)
+    grid.pair(bump)
+    grid.pair(constant_one())
+    assert points == [0, *reads]
+
+
+def test_equidistribution_report_computes_each_support_cell_once(monkeypatch):
+    columns = []
+    real = green.green_values
+
+    def recording(seq, pts, *args, **kwargs):
+        columns.extend(zip(pts[0].tolist(), pts[1].tolist()))
+        return real(seq, pts, *args, **kwargs)
+
+    monkeypatch.setattr(green, "green_values", recording)
+    equidistribution_report(Constant(PSQ), 2, depths=(2,), resolution=64)
+    support = np.count_nonzero(PairingGrid(None, 64).rho)
+    # chart 0 embeds z as (1, z) and chart 1 as (z, 1); no center is 1
+    assert len(columns) == len(set(columns)) == 2 * support
 
 
 # -- the blocked kernel against the term-by-term, unblocked one ------------

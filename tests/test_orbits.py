@@ -76,6 +76,25 @@ def test_bounded_height_points_cap():
         bounded_height_points(2, 10_000)
 
 
+@pytest.mark.parametrize(
+    "dim, h_max, shown",
+    [
+        # the e = 42 census: threshold 1386, printed in full
+        (1, 1386, "3844764"),
+        (2, 10_000, "4000600030000"),
+        # (2 * 10^6 + 1)^3 // 2 is about 4 * 10^18
+        (2, 10**6, "10^19"),
+        # 4300 digits and more cannot go through str() at all
+        (1, 10**3000, "10^6000"),
+    ],
+    ids=["e42", "below-1e18", "past-1e18", "past-str-limit"],
+)
+def test_cap_message_gives_large_estimates_by_their_power_of_ten(dim, h_max, shown):
+    with pytest.raises(EnumerationTooLarge) as info:
+        bounded_height_points(dim, h_max)
+    assert str(info.value) == f"about {shown} candidate tuples exceeds cap 1000000"
+
+
 def test_bounded_height_points_is_lexicographic():
     pts = bounded_height_points(2, 3)
     assert [p.coords for p in pts] == sorted(p.coords for p in pts)
