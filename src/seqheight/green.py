@@ -39,8 +39,9 @@ time, so its temporaries stay in cache.  Each step rounds as np.linalg.norm
 and division by the norm round, and a column's value does not depend on
 the batch or block it is in.  PairingGrid runs on one thread and calls
 green_values only for the cells a report reads: one chart's full square for
-the CSV export, for a pairing the cells where rho * laplacian(phi) != 0
-(memoised per cell, one chart at a time), none for the mass.
+the CSV export, for a pairing the support of each chart where
+laplacian(phi) != 0 somewhere on it (one chart at a time, kept for later
+pairings), none for the mass.
 """
 
 from __future__ import annotations
@@ -523,8 +524,8 @@ class PairingGrid:
     = 0.  Both charts use the same cell centers, so z, rho and fs are shared
     between them.  Green values are computed only where a report reads
     them: green(chart) over one chart's full square for the CSV export,
-    pair() on the cells where rho * laplacian(phi) != 0, memoised per cell
-    for later pairings, and mass() none at all.
+    pair() on the support of each chart where laplacian(phi) != 0 at some
+    support cell, kept for later pairings, and mass() none at all.
     """
 
     def __init__(
@@ -554,10 +555,9 @@ class PairingGrid:
         self.rho = _smooth_cutoff(abs_z, self.transition)
         self.fs = (1.0 / math.pi) / (1.0 + r2) ** 2
         self.log1p_r2 = np.log1p(r2)
-        # Per chart, u = log(1+|z|^2) - G at the cells pair() has read and
-        # 0 elsewhere; unread marks the cells with rho != 0 not read yet.
-        self._u = np.zeros((2, self.z.size))
-        self._unread = np.stack([self.rho != 0] * 2)
+        # Per chart, u = log(1+|z|^2) - G on the support of rho and 0 off
+        # it, once a pairing has read that chart; None before.
+        self._u: list[np.ndarray | None] = [None, None]
         self._range_checked = False
 
     def _green(self, chart: int, cells: np.ndarray) -> np.ndarray:
@@ -576,26 +576,31 @@ class PairingGrid:
     def pair(self, phi: ChartFunction) -> float:
         """T(phi) = integral phi omega_FS - integral u dd^c phi.
 
-        u is read only where rho != 0 and laplacian(phi) != 0: at every
-        other cell u * laplacian is a signed zero (u is finite) or the term
-        is multiplied by rho = 0, so the sum does not depend on u there.
-        Chart by chart, the Green values of the cells not read before are
-        computed in one green_values call and kept.
+        A chart's u is read only when laplacian(phi) != 0 at a cell of its
+        support: otherwise u * laplacian is a signed zero at every cell (u
+        is finite) or the term is multiplied by rho = 0, so the sum does
+        not depend on u.  A chart that is read gets the Green values of its
+        whole support in one green_values call, kept for later pairings.
         The first call makes a green_values call even when it reads no
-        cell, so a lift past the float range or an unreachable tolerance is
-        refused whatever phi is.
+        chart, so a lift past the float range or an unreachable tolerance
+        is refused whatever phi is.
         """
         total = 0.0
         w = self.cell**2
+        support = None
         for chart in (0, 1):
             vals, laps = phi.evaluate(chart, self.z)
             u = self._u[chart]
-            unread = self._unread[chart]
-            read = np.flatnonzero(unread & (laps != 0))
-            if read.size or not self._range_checked:
-                u[read] = self.log1p_r2[read] - self._green(chart, self.z[read])
-                unread[read] = False
-                self._range_checked = True
+            if u is None:
+                if support is None:
+                    support = np.flatnonzero(self.rho)
+                read = support if np.any(laps[support] != 0) else support[:0]
+                u = np.zeros(self.z.size)
+                if read.size or not self._range_checked:
+                    u[read] = self.log1p_r2[read] - self._green(chart, self.z[read])
+                    self._range_checked = True
+                if read.size:
+                    self._u[chart] = u
             integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
             total += float(np.sum(integrand)) * w
         return total

@@ -477,7 +477,7 @@ def test_pair_matches_full_support_reference_bit_for_bit(name, resolution):
         assert grid.mass().hex() == ref.pair(constant_one()).hex()
 
 
-def test_pairing_reads_only_the_cells_where_rho_laplacian_is_nonzero(monkeypatch):
+def test_pairing_reads_a_chart_only_where_its_laplacian_is_nonzero(monkeypatch):
     points = []
     real = green.green_values
 
@@ -487,18 +487,23 @@ def test_pairing_reads_only_the_cells_where_rho_laplacian_is_nonzero(monkeypatch
 
     monkeypatch.setattr(green, "green_values", counting)
     grid = PairingGrid(_psq_seq(), resolution=256)
+    support = np.count_nonzero(grid.rho)
     grid.pair(constant_one())
-    # no cell is read, but the first pairing still checks the lifts' range
+    # no chart is read, but the first pairing still checks the lifts' range
     assert points == [0]
+    # this bump's Laplacian vanishes on chart 1's support (|w| >= 1/1.0)
+    inner = radial_bump(0.1 + 0.1j, 0.3)
+    assert not np.any(grid.rho * inner.laplacian(1, grid.z))
+    grid.pair(inner)
+    assert points == [0, support]
+    # a bump on both charts reads chart 1's whole support, chart 0 from the memo
     bump = radial_bump(0.5 - 0.3j, 0.6)
     grid.pair(bump)
-    reads = [np.count_nonzero(grid.rho * bump.laplacian(c, grid.z)) for c in (0, 1)]
-    assert points == [0, *reads]
-    # 17169 of both charts' 102936 support cells
-    assert 0 < sum(reads) < 0.2 * 2 * np.count_nonzero(grid.rho)
+    assert points == [0, support, support]
     grid.pair(bump)
+    grid.pair(sphere_re())
     grid.pair(constant_one())
-    assert points == [0, *reads]
+    assert points == [0, support, support]
 
 
 def test_equidistribution_report_computes_each_support_cell_once(monkeypatch):
