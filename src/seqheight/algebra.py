@@ -165,8 +165,8 @@ class HomogeneousForm:
         return cls(num_vars, degree, cleaned)
 
     @classmethod
-    def monomial(cls, num_vars: int, exps: Sequence[int], coeff: int = 1) -> "HomogeneousForm":
-        return cls.from_terms(num_vars, sum(exps), {tuple(exps): coeff})
+    def monomial(cls, num_vars: int, exps: Sequence[int]) -> "HomogeneousForm":
+        return cls.from_terms(num_vars, sum(exps), {tuple(exps): 1})
 
     def as_dict(self) -> dict[Exponents, int]:
         return dict(self.terms)

@@ -108,7 +108,9 @@ def _parse_target(text: str):
     def one(p: str):
         try:
             return Fraction(p)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in a target coordinate") from None
+        except ValueError:
             return complex(p)
 
     if len(parts) == 1:

@@ -86,9 +86,6 @@ class PreimageCloud:
     total: int
     word: tuple[int, ...]
 
-    def weight(self) -> int:
-        return sum(p.multiplicity for p in self.points)
-
 
 def _target_pair(target) -> tuple:
     """Normalize a target to homogeneous coordinates (a0, a1).
@@ -101,8 +98,6 @@ def _target_pair(target) -> tuple:
         if target.dim != 1:
             raise UnsupportedDimension("backward orbits are implemented on P^1")
         pair = target.coords
-    elif isinstance(target, CloudPoint):
-        pair = target.embedding()
     elif isinstance(target, (tuple, list)) and len(target) == 2:
         pair = tuple(target)
     elif target is None:
@@ -561,13 +556,12 @@ def equidistribution_report(
     spec: SequenceSpec,
     target,
     depths: Sequence[int] = (2, 4, 6, 8, 10),
-    phis: Sequence[ChartFunction] | None = None,
     resolution: int = 256,
     green_tol: float = 1e-9,
-    budget: int = DEFAULT_CLOUD_BUDGET,
 ) -> EquidistributionReport:
-    """Pair each test function against clouds of increasing depth and
-    against the quadrature current, and check the discrepancy trend.
+    """Pair each test function of default_test_functions() against clouds
+    of increasing depth and against the quadrature current, and check the
+    discrepancy trend.
 
     The current comes from a PairingGrid with the default transition width
     DEFAULT_TRANSITION.  The trend rule is delta(depths[-1]) <=
@@ -575,8 +569,7 @@ def equidistribution_report(
     symmetry keep every delta at roundoff, which the floor treats as a pass
     rather than demanding decay of pure noise.
     """
-    if phis is None:
-        phis = default_test_functions()
+    phis = default_test_functions()
     depths = sorted(depths)
     if not depths:
         raise ValueError("need at least one depth")
@@ -585,7 +578,7 @@ def equidistribution_report(
     rows: list[EquidistributionRow] = []
     max_rt = 0.0
     for depth in depths:
-        cloud = preimage_cloud(spec, target, depth, budget)
+        cloud = preimage_cloud(spec, target, depth)
         max_rt = max(max_rt, roundtrip_residual(spec, cloud, target))
         for phi in phis:
             emp = empirical_pairing(cloud, phi)

@@ -18,7 +18,7 @@ so u(x) = log|x|^2 - G(x) descends to a continuous potential on P^{n-1}
 
     T = omega_FS - dd^c u,      dd^c = (i/2 pi) d dbar,
 
-with total mass 1.  current_pairing integrates a C^2 test function against T
+with total mass 1.  PairingGrid integrates a C^2 test function against T
 over two overlapping chart disks |z| <= R, R = e^a, glued by the smooth
 log-symmetric weight chi(|z|) with chi(s) + chi(1/s) = 1, using cell-centered
 midpoint quadrature:
@@ -41,7 +41,8 @@ the batch or block it is in.  PairingGrid runs on one thread and calls
 green_values only for the cells a report reads: one chart's full square for
 the CSV export, for a pairing the support of each chart where
 laplacian(phi) != 0 somewhere on it (one chart at a time, kept for later
-pairings), none for the mass.
+pairings), none for the mass.  It checks the lifts' float range and the
+tolerance when it is built, with the plan green_values makes (_plan).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DegenerateNearZero,
     DimensionMismatch,
     NonzeroRequired,
@@ -64,6 +66,11 @@ from .errors import (
 from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_TRANSITION = 0.25
+# Largest PairingGrid resolution.  Its arrays grow with the square of it:
+# at 1024 the peak RSS of one CLI process was 0.56 GB for a CSV export
+# (green --grid --out) and 0.22 GB for a pairing of a harmonic, at 2048
+# about 2.2 GB and 0.7 GB.
+MAX_GRID_RESOLUTION = 2048
 
 # Columns per block of green_values: the step loop's temporaries for one
 # block (a few (n, 8192) complex arrays, about 1 MB) stay in cache.  On a
@@ -74,7 +81,7 @@ DEFAULT_TRANSITION = 0.25
 # took 1.1-1.2 s.
 _BLOCK = 8192
 # 2 d c_bar must stay below this for the squared norms of a lift's values
-# to be normal floats (see green_values).
+# to be normal floats (see _plan).
 _LOG_SQUARE_RANGE = 1022 * math.log(2.0)
 
 
@@ -141,11 +148,8 @@ class ComplexLiftMap:
         expansion of the forms (up to the sign of zeros).
         """
         pts = np.asarray(points, dtype=np.complex128)
-        squeeze = pts.ndim == 1
-        if squeeze:
-            pts = pts[:, None]
-        if pts.shape[0] != self.num_vars:
-            raise DimensionMismatch("point batch has wrong variable count")
+        if pts.ndim != 2 or pts.shape[0] != self.num_vars:
+            raise DimensionMismatch("expected point batch of shape (num_vars, B)")
         powers = [pts[i] ** e for i, e in self.map.powers]
         out = np.empty_like(pts)
         for j, (terms, coeffs) in enumerate(zip(self.map.terms, self._coefficients)):
@@ -157,7 +161,7 @@ class ComplexLiftMap:
                     out[j] += term
                 else:
                     out[j] = term
-        return out[:, 0] if squeeze else out
+        return out
 
 
 class LiftSequence:
@@ -211,21 +215,50 @@ class GreenValue:
     radius: float
 
 
-def _plan_depth(seq: LiftSequence, tol: float, depth: int | None) -> int:
-    """Smallest depth with certified tail 4 c_bar / prod(d) <= tol.  The
-    loop ends once the float product of the degrees passes the float range,
-    at the latest, with a depth that green_values refuses."""
-    if depth is not None:
-        return depth
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    c = seq.c_bar
-    prod = 1.0
-    i = 0
-    while 4.0 * c / prod > tol:
-        prod *= seq.lift_at(i).degree
-        i += 1
-    return i
+def _plan(
+    seq: LiftSequence, tol: float, depth: int | None
+) -> tuple[list[ComplexLiftMap], int]:
+    """The lifts of the first depth steps and the product of their degrees.
+
+    With depth None, the depth is the smallest with certified tail
+    4 c_bar / prod(d) <= tol; that loop ends once the float product of the
+    degrees passes the float range, at the latest, with a depth refused
+    below.
+
+    Two float ranges are checked; either failing is a ValueError.  Each
+    lift's certified range must fit the squared norm the step loop of
+    green_values takes: on a unit vector v, |log|F(v)|/d| <= c_bar gives
+
+        e^(-2 d c_bar)  <=  |F(v)|^2  <=  e^(2 d c_bar),
+
+    inside the normal floats [2^-1022, 2^1024) when 2 d c_bar < 1022 log 2;
+    each term of F(v) is at most A <= e^(d c_bar) in modulus, so none
+    overflows.  Past that range a lift would overflow or read as degenerate.
+    And the degree product d_1...d_depth must be a float, as the values and
+    the radius are divided by it.
+    """
+    if depth is None:
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        c = seq.c_bar
+        bound = 1.0
+        depth = 0
+        while 4.0 * c / bound > tol:
+            bound *= seq.lift_at(depth).degree
+            depth += 1
+    lifts = [seq.lift_at(a) for a in range(depth)]
+    prod = 1
+    for a, lift in enumerate(lifts):
+        prod *= lift.degree
+        if not 2 * lift.degree * lift.c_bar < _LOG_SQUARE_RANGE:
+            raise ValueError(
+                f"lift at step {a + 1}: its certified range e^(+-d c_bar) of "
+                f"|F(v)| leaves the floating-point range (d c_bar = "
+                f"{lift.degree * lift.c_bar:.4g})"
+            )
+    if prod > sys.float_info.max:
+        raise ValueError(f"tolerance unreachably small: d_1...d_{depth} is not a float")
+    return lifts, prod
 
 
 def _column_norms(
@@ -295,17 +328,9 @@ def green_values(
     step loop runs on one block of _BLOCK columns at a time; every column
     is iterated on its own, so the values do not depend on the blocking.
 
-    Two float ranges are checked before any step; either failing is a
-    ValueError.  The degree product d_1...d_depth must be a float, as the
-    values and the radius are divided by it.  And each lift's certified
-    range must fit the squared norm the step loop takes: on a unit vector
-    v, |log|F(v)|/d| <= c_bar gives
-
-        e^(-2 d c_bar)  <=  |F(v)|^2  <=  e^(2 d c_bar),
-
-    inside the normal floats [2^-1022, 2^1024) when 2 d c_bar < 1022 log 2;
-    each term of F(v) is at most A <= e^(d c_bar) in modulus, so none
-    overflows.  Past that range a lift would overflow or read as degenerate.
+    After the point checks, _plan picks the depth and refuses, as a
+    ValueError, a lift whose certified range leaves the float range or a
+    degree product that is not a float, before any step runs.
     """
     pts = np.asarray(points, dtype=np.complex128)
     if pts.ndim != 2 or pts.shape[0] != seq.num_vars:
@@ -320,19 +345,8 @@ def green_values(
         pts = _ldexp(pts, -e)
     if np.any(norms == 0):
         raise NonzeroRequired("Green function of the zero vector")
-    steps = _plan_depth(seq, tol, depth)
-    lifts = [seq.lift_at(a) for a in range(steps)]
-    prod = 1
-    for a, lift in enumerate(lifts):
-        prod *= lift.degree
-        if not 2 * lift.degree * lift.c_bar < _LOG_SQUARE_RANGE:
-            raise ValueError(
-                f"lift at step {a + 1}: its certified range e^(+-d c_bar) of "
-                f"|F(v)| leaves the floating-point range (d c_bar = "
-                f"{lift.degree * lift.c_bar:.4g})"
-            )
-    if prod > sys.float_info.max:
-        raise ValueError(f"tolerance unreachably small: d_1...d_{steps} is not a float")
+    lifts, prod = _plan(seq, tol, depth)
+    steps = len(lifts)
     n, count = pts.shape
     values = np.empty(count)
     # Steps run while no column has degenerated; a degenerate column
@@ -516,34 +530,42 @@ def _smooth_cutoff(s: np.ndarray, a: float) -> np.ndarray:
 
 class PairingGrid:
     """Cell-centered quadrature data for pairing test functions against the
-    current of a lift sequence (or against omega_FS alone when seq is None).
+    current of a lift sequence.
 
     P^1 only.  Two charts cover the sphere with disks |z| <= R = e^a glued
     by a smooth partition of unity; all arrays are flattened row-major over
     the full square [-R, R]^2, and cells outside the disk carry weight rho
     = 0.  Both charts use the same cell centers, so z, rho and fs are shared
-    between them.  Green values are computed only where a report reads
-    them: green(chart) over one chart's full square for the CSV export,
-    pair() on the support of each chart where laplacian(phi) != 0 at some
-    support cell, kept for later pairings, and mass() none at all.
+    between them.  The lifts' float range and green_tol are checked when
+    the grid is built, before any array, so a grid that exists can compute
+    every Green value it reads.  Green values are computed only where a
+    report reads them: green(chart) over one chart's full square for the
+    CSV export, pair() on the support of each chart where laplacian(phi)
+    != 0 at some support cell, kept for later pairings, and mass() none at
+    all.
     """
 
     def __init__(
         self,
-        seq: LiftSequence | None,
+        seq: LiftSequence,
         resolution: int = 512,
         transition: float = DEFAULT_TRANSITION,
         green_tol: float = 1e-9,
     ):
-        if seq is not None and seq.num_vars != 2:
-            raise UnsupportedDimension("current_pairing is implemented for P^1")
+        if seq.num_vars != 2:
+            raise UnsupportedDimension("the current pairing is implemented for P^1")
         self.resolution = int(resolution)
         if self.resolution < 1:
             raise ValueError("grid resolution must be at least 1")
+        if self.resolution > MAX_GRID_RESOLUTION:
+            raise BudgetExceeded(
+                f"grid resolution {self.resolution} exceeds the cap {MAX_GRID_RESOLUTION}"
+            )
+        self.green_tol = float(green_tol)
+        _plan(seq, self.green_tol, None)
         self.seq = seq
         self.transition = float(transition)
         self.radius = math.exp(self.transition)
-        self.green_tol = float(green_tol)
         n = self.resolution
         r = self.radius
         self.cell = 2.0 * r / n
@@ -558,12 +580,9 @@ class PairingGrid:
         # Per chart, u = log(1+|z|^2) - G on the support of rho and 0 off
         # it, once a pairing has read that chart; None before.
         self._u: list[np.ndarray | None] = [None, None]
-        self._range_checked = False
 
     def _green(self, chart: int, cells: np.ndarray) -> np.ndarray:
         """Green values at the given cells of one chart."""
-        if self.seq is None:
-            return np.zeros(cells.size)
         # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
         emb = np.ones((2, cells.size), dtype=np.complex128)
         emb[1 - chart] = cells
@@ -581,9 +600,6 @@ class PairingGrid:
         is finite) or the term is multiplied by rho = 0, so the sum does
         not depend on u.  A chart that is read gets the Green values of its
         whole support in one green_values call, kept for later pairings.
-        The first call makes a green_values call even when it reads no
-        chart, so a lift past the float range or an unreachable tolerance
-        is refused whatever phi is.
         """
         total = 0.0
         w = self.cell**2
@@ -594,12 +610,9 @@ class PairingGrid:
             if u is None:
                 if support is None:
                     support = np.flatnonzero(self.rho)
-                read = support if np.any(laps[support] != 0) else support[:0]
                 u = np.zeros(self.z.size)
-                if read.size or not self._range_checked:
-                    u[read] = self.log1p_r2[read] - self._green(chart, self.z[read])
-                    self._range_checked = True
-                if read.size:
+                if np.any(laps[support] != 0):
+                    u[support] = self.log1p_r2[support] - self._green(chart, self.z[support])
                     self._u[chart] = u
             integrand = self.rho * (vals * self.fs - u * laps / (4.0 * math.pi))
             total += float(np.sum(integrand)) * w
@@ -636,17 +649,6 @@ class PairingGrid:
         return len(green)
 
 
-def current_pairing(
-    seq: LiftSequence,
-    phi: ChartFunction,
-    resolution: int = 512,
-) -> float:
-    """One-off pairing; build a PairingGrid directly to pair many functions
-    against the same current."""
-    grid = PairingGrid(seq, resolution)
-    return grid.pair(phi)
-
-
 @dataclass(frozen=True)
 class LiftScalingReport:
     """Measured vs predicted Green shift under per-step lift rescaling."""
@@ -664,9 +666,8 @@ def lift_scaling_check(
     scalars: Sequence[complex],
     x: Sequence[complex],
     tol: float = 1e-10,
-    check_tol: float = 1e-8,
 ) -> LiftScalingReport:
-    """Verify G_scaled - G = sum_k log|c_k|^2 / (d_1 .. d_k).
+    """Verify G_scaled - G = sum_k log|c_k|^2 / (d_1 .. d_k), to 1e-8.
 
     Both Green functions run to the same depth (at least len(scalars)), so
     the identity holds exactly up to float accumulation; psi shifts by the
@@ -674,8 +675,8 @@ def lift_scaling_check(
     """
     scaled = seq.scaled(scalars)
     depth = max(
-        _plan_depth(seq, tol, None),
-        _plan_depth(scaled, tol, None),
+        len(_plan(seq, tol, None)[0]),
+        len(_plan(scaled, tol, None)[0]),
         len(scalars),
     )
     g0 = green_function(seq, x, tol, depth=depth)
@@ -693,5 +694,5 @@ def lift_scaling_check(
         error=err,
         psi_delta=-delta,
         depth=depth,
-        passed=err <= check_tol,
+        passed=err <= 1e-8,
     )

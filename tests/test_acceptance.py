@@ -229,7 +229,7 @@ def test_criterion_08_current_mass():
 def test_criterion_09_lift_scaling_invariance():
     base = LiftSequence(Constant(PSQ))
     scalars = [2.0, 0.5j, 3.0]
-    rep = lift_scaling_check(base, scalars, [1.0, 1.0 + 0.5j], check_tol=1e-8)
+    rep = lift_scaling_check(base, scalars, [1.0, 1.0 + 0.5j])
     assert rep.passed
     assert rep.error <= 1e-8
     assert rep.psi_delta == -rep.delta_green

@@ -489,11 +489,12 @@ def test_commands_without_an_exact_orbit_reject_a_bit_budget(capsys, sq_config, 
 )
 def test_zero_denominator_is_an_input_error(capsys, mixed_config, argv):
     # Fraction("1/0") raises ZeroDivisionError, which used to escape main
-    # as a traceback
+    # as a traceback; a target then fell through to complex("1/0"), whose
+    # message was "complex() arg is a malformed string"
     assert main([argv[0], "--config", mixed_config, *argv[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("input error:")
+    assert captured.err.startswith("input error: zero denominator in a ")
 
 
 @pytest.mark.parametrize(
@@ -700,6 +701,32 @@ def test_pair_rejects_nonpositive_grid(capsys, mixed_config, grid):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--grid", "1000000"],
+        ["green", "--grid", "1000000", "--out", "{out}"],
+        ["equidist", "--target", "2", "--depths", "2", "--grid", "1000000"],
+        ["pair", "--grid", "2049"],
+    ],
+    ids=["pair", "green", "equidist", "pair-2049"],
+)
+def test_grid_above_the_cap_is_a_contract_error(
+    capsys, monkeypatch, tmp_path, mixed_config, argv
+):
+    # grids of 10^6 asked numpy for 7.28 TiB and ended in a traceback
+    def no_array(*args, **kwargs):
+        raise AssertionError("the grid built an array")
+
+    monkeypatch.setattr(np, "meshgrid", no_array)
+    argv = [a.replace("{out}", str(tmp_path / "green.csv")) for a in argv]
+    assert main([argv[0], "--config", mixed_config, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    size = argv[argv.index("--grid") + 1]
+    assert captured.err == f"contract violation: grid resolution {size} exceeds the cap 2048\n"
 
 
 @pytest.mark.parametrize(

@@ -108,7 +108,8 @@ def test_lifts_are_refused_for_the_float_range_not_called_degenerate(
 
 @pytest.mark.parametrize("config", ["coefficient_1e200", "cofactor_ratio_1e320"])
 def test_pair_of_the_constant_one_still_refuses_the_lifts(capsys, config):
-    # --phi one reads no Green value, but the lifts' range is still checked
+    # --phi one reads no Green value, but the grid checks the lifts' range
+    # when it is built
     argv = ["pair", "--grid", "8", "--config", str(CONFIGS / f"{config}.json")]
     code, _, err = _assert_contract(capsys, argv)
     assert code == 1 and "leaves the floating-point range" in err

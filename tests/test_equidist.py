@@ -244,7 +244,7 @@ def _per_point_roundtrip(spec, cloud, target_pair):
         v = np.array(p.embedding(), dtype=complex)
         v /= np.linalg.norm(v)
         for pos in range(cloud.depth):
-            v = lifts[spec.index_at(pos)].evaluate(v)
+            v = lifts[spec.index_at(pos)].evaluate(v[:, None])[:, 0]
             v /= np.linalg.norm(v)
         worst = max(worst, float(chordal_distance(v, target_pair)))
     return worst

@@ -9,7 +9,12 @@ import pytest
 from seqheight import green
 from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.equidist import equidistribution_report
-from seqheight.errors import DegenerateNearZero, DimensionMismatch, NonzeroRequired
+from seqheight.errors import (
+    BudgetExceeded,
+    DegenerateNearZero,
+    DimensionMismatch,
+    NonzeroRequired,
+)
 from seqheight.green import (
     DEFAULT_TRANSITION,
     ComplexLiftMap,
@@ -17,9 +22,8 @@ from seqheight.green import (
     PairingGrid,
     admissible_potential,
     constant_one,
-    current_pairing,
     green_function,
-    _plan_depth,
+    _plan,
     _smooth_cutoff,
     green_values,
     lift_scaling_check,
@@ -258,7 +262,9 @@ def test_chart_overlap_values_agree():
 
 
 def test_fubini_study_mass_is_one():
-    assert PairingGrid(None, resolution=128).mass() == pytest.approx(1.0, abs=1e-6)
+    # mass() sums rho * fs alone, the omega_FS term, whatever the lifts
+    for seq in (_sq_seq(), _psq_seq()):
+        assert PairingGrid(seq, resolution=128).mass() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_current_mass_is_one():
@@ -277,15 +283,9 @@ def test_pairing_independent_of_transition_width():
         assert a.pair(phi) == pytest.approx(b.pair(phi), abs=tol)
 
 
-def test_one_off_pairing_matches_grid():
-    grid = PairingGrid(_sq_seq(), resolution=64)
-    assert current_pairing(_sq_seq(), constant_one(), resolution=64) == pytest.approx(
-        grid.pair(constant_one()), abs=1e-15
-    )
-
-
 def test_grid_rows_shape(tmp_path):
-    grid = PairingGrid(None, resolution=8)
+    seq = _psq_seq()
+    grid = PairingGrid(seq, resolution=8)
     path = tmp_path / "grid.csv"
     assert grid.write_csv(0, str(path)) == 64
     with open(path, newline="") as fh:
@@ -294,14 +294,55 @@ def test_grid_rows_shape(tmp_path):
     assert len(rows) == 65
     for row in rows[1:]:
         x, y, g, u = (float(v) for v in row)
-        assert g == 0.0
-        assert u == pytest.approx(math.log1p(x**2 + y**2))
+        # chart 0 embeds z = x + iy as (1, z)
+        assert g == green_function(seq, [1.0, complex(x, y)]).value
+        assert u == pytest.approx(math.log1p(x**2 + y**2) - g, abs=1e-12)
 
 
 @pytest.mark.parametrize("resolution", [0, -4])
 def test_pairing_grid_rejects_nonpositive_resolution(resolution):
     with pytest.raises(ValueError):
         PairingGrid(_sq_seq(), resolution=resolution)
+
+
+def _big_coefficient_seq():
+    """(10^200 x0^2 + x1^2 : x1^2): 2 d c_bar is about 922, past 1022 log 2."""
+    forms = [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 10**200, (0, 2): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 1}),
+    ]
+    return LiftSequence(Constant(validate(forms, "big")))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("coefficient_1e200", "lift at step 1: its certified range"),
+        ("tol_1e-320", "tolerance unreachably small"),
+    ],
+)
+def test_grid_refuses_its_lifts_when_it_is_built(monkeypatch, case, message):
+    calls = []
+    monkeypatch.setattr(green, "green_values", lambda *a, **k: calls.append(a))
+    if case == "coefficient_1e200":
+        seq, tol = _big_coefficient_seq(), 1e-9
+    else:
+        seq, tol = _psq_seq(), 1e-320
+    with pytest.raises(ValueError, match=message):
+        PairingGrid(seq, resolution=8, green_tol=tol)
+    assert calls == []
+
+
+def test_grid_above_the_cap_is_refused_before_any_array(monkeypatch):
+    def no_array(*args, **kwargs):
+        raise AssertionError("the grid built an array")
+
+    monkeypatch.setattr(np, "meshgrid", no_array)
+    cap = green.MAX_GRID_RESOLUTION
+    for seq in (_psq_seq(), _big_coefficient_seq()):
+        # the cap comes before the lifts' range check
+        with pytest.raises(BudgetExceeded, match=f"exceeds the cap {cap}"):
+            PairingGrid(seq, resolution=cap + 1)
 
 
 # -- the on-demand grid against an eager, full-square reference -----------
@@ -320,14 +361,11 @@ class _EagerGrid:
         abs_z = np.abs(self.z)
         self.rho = _smooth_cutoff(abs_z, DEFAULT_TRANSITION)
         self.fs = (1.0 / math.pi) / (1.0 + abs_z**2) ** 2
-        if seq is None:
-            self.greens = (np.zeros(self.z.size),) * 2
-        else:
-            emb = np.ones((2, 2 * self.z.size), dtype=np.complex128)
-            emb[1, : self.z.size] = self.z
-            emb[0, self.z.size :] = self.z
-            g = green_values(seq, emb)[0]
-            self.greens = (g[: self.z.size], g[self.z.size :])
+        emb = np.ones((2, 2 * self.z.size), dtype=np.complex128)
+        emb[1, : self.z.size] = self.z
+        emb[0, self.z.size :] = self.z
+        g = green_values(seq, emb)[0]
+        self.greens = (g[: self.z.size], g[self.z.size :])
         self.us = [np.log1p(abs_z**2) - g for g in self.greens]
 
     def pair(self, phi):
@@ -351,7 +389,6 @@ class _EagerGrid:
 def _grid_sequences():
     word = LiftSequence(PeriodicWord((SQ, PSQ), (0, 1)))
     return {
-        "none": None,
         "sq": _sq_seq(),
         "psq": _psq_seq(),
         "sq,psq": word,
@@ -360,7 +397,7 @@ def _grid_sequences():
 
 
 @pytest.mark.parametrize("resolution", [1, 7, 16, 64])
-@pytest.mark.parametrize("name", ["none", "sq", "psq", "sq,psq", "scaled"])
+@pytest.mark.parametrize("name", ["sq", "psq", "sq,psq", "scaled"])
 def test_on_demand_grid_matches_eager_reference(tmp_path, name, resolution):
     seq = _grid_sequences()[name]
     grid = PairingGrid(seq, resolution)
@@ -489,21 +526,21 @@ def test_pairing_reads_a_chart_only_where_its_laplacian_is_nonzero(monkeypatch):
     grid = PairingGrid(_psq_seq(), resolution=256)
     support = np.count_nonzero(grid.rho)
     grid.pair(constant_one())
-    # no chart is read, but the first pairing still checks the lifts' range
-    assert points == [0]
+    # no chart is read: the grid checked the lifts' range when it was built
+    assert points == []
     # this bump's Laplacian vanishes on chart 1's support (|w| >= 1/1.0)
     inner = radial_bump(0.1 + 0.1j, 0.3)
     assert not np.any(grid.rho * inner.laplacian(1, grid.z))
     grid.pair(inner)
-    assert points == [0, support]
+    assert points == [support]
     # a bump on both charts reads chart 1's whole support, chart 0 from the memo
     bump = radial_bump(0.5 - 0.3j, 0.6)
     grid.pair(bump)
-    assert points == [0, support, support]
+    assert points == [support, support]
     grid.pair(bump)
     grid.pair(sphere_re())
     grid.pair(constant_one())
-    assert points == [0, support, support]
+    assert points == [support, support]
 
 
 def test_equidistribution_report_computes_each_support_cell_once(monkeypatch):
@@ -516,7 +553,7 @@ def test_equidistribution_report_computes_each_support_cell_once(monkeypatch):
 
     monkeypatch.setattr(green, "green_values", recording)
     equidistribution_report(Constant(PSQ), 2, depths=(2,), resolution=64)
-    support = np.count_nonzero(PairingGrid(None, 64).rho)
+    support = np.count_nonzero(PairingGrid(_psq_seq(), 64).rho)
     # chart 0 embeds z as (1, z) and chart 1 as (z, 1); no center is 1
     assert len(columns) == len(set(columns)) == 2 * support
 
@@ -558,7 +595,7 @@ def _reference_lift(seq, position):
 def _reference_green_values(seq, pts, tol=1e-9, depth=None):
     """The step loop over the whole batch at once, normalizing by division."""
     norms = np.linalg.norm(pts, axis=0)
-    steps = _plan_depth(seq, tol, depth)
+    steps = len(_plan(seq, tol, depth)[0])
     acc = np.log(norms)
     v = pts / norms
     prod = 1
@@ -610,7 +647,6 @@ def test_blocked_kernel_matches_unblocked_reference(name):
         lift = seq.lift_at(1)
         ref = _reference_evaluate(*_reference_lift(seq, 1), pts)
         assert np.array_equal(lift.evaluate(pts), ref)
-        assert np.array_equal(lift.evaluate(pts[:, 0]), ref[:, 0])
 
 
 # (3 x0^2 + x1 x2 : 2 x1^2 - x2^2 : 5 x2^2 + x0 x1): a P^2 map whose terms
@@ -638,7 +674,6 @@ def test_lift_view_matches_the_forms_bit_for_bit(cmap, scale):
         pts = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
         ref = _reference_evaluate(cmap, complex(scale), pts)
         assert np.array_equal(lift.evaluate(pts), ref)
-        assert np.array_equal(lift.evaluate(pts[:, 0]), ref[:, 0])
 
 
 def test_lift_of_a_coefficient_past_the_float_range_is_an_input_error():
@@ -652,12 +687,7 @@ def test_lift_of_a_coefficient_past_the_float_range_is_an_input_error():
 
 
 def test_lift_whose_range_leaves_the_float_range_is_refused_before_any_step():
-    # 2 d c_bar is about 922 for the coefficient 10^200, past 1022 log 2
-    forms = [
-        HomogeneousForm.from_terms(2, 2, {(2, 0): 10**200, (0, 2): 1}),
-        HomogeneousForm.from_terms(2, 2, {(0, 2): 1}),
-    ]
-    seq = LiftSequence(Constant(validate(forms, "big")))
+    seq = _big_coefficient_seq()
     with pytest.raises(ValueError, match="lift at step 1: its certified range"):
         green_values(seq, np.array([[1.0], [1.0]], dtype=complex))
 
