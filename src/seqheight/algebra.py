@@ -20,15 +20,17 @@ Each degree M takes one linear solve: a single fraction-free (Bareiss)
 elimination over the integers carries the right-hand sides of all N+1
 targets x_j^M at once, so no rational blowup occurs mid-solve, and the
 back-substitution runs in integers as well (Cramer's rule makes
-det * x integral), forming each exact fraction only at the end.
+det * x integral), so the denominator e comes from one gcd and no
+fraction is formed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -384,11 +386,12 @@ def _binary_coeff_vector(form: HomogeneousForm) -> list[int]:
 
 def solve_integer_linear(
     rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
-) -> list[list[Fraction]] | None:
+) -> tuple[list[list[int]], int] | None:
     """Solve A x = b exactly over Q for integer A and every column b in rhs.
 
     rhs is a list of right-hand-side columns, each with one entry per row
-    of A.  Returns one solution per column (free variables set to 0), or
+    of A.  Returns (nums, det): the solution of column t, with free
+    variables set to 0, is nums[t][i] / det for every unknown i.  Returns
     None when any column is inconsistent.
 
     One fraction-free (Bareiss) elimination runs over [A | b_0 ... b_T].
@@ -396,11 +399,11 @@ def solve_integer_linear(
     would be alone.  The last pivot det is the determinant of the pivot
     minor, so det * x is integral by Cramer's rule, and back-substitution
     stays in integers: row[c] * num_c = det * row[t] - sum_j row[j] * num_j
-    divides exactly, and x = num / det is the only Fraction formed.
+    divides exactly.  No Fraction is formed.
     """
     m = len(rows)
     if m == 0:
-        return [[] for _ in rhs]
+        return [[] for _ in rhs], 1
     ncols = len(rows[0])
     aug = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     # A row with a 0 in the pivot column would only be scaled by lead / prev.
@@ -453,8 +456,8 @@ def solve_integer_linear(
         num = [0] * ncols
         for row, c, later in steps:
             num[c] = (det * row[t] - sum(v * num[j] for j, v in later)) // row[c]
-        out.append([Fraction(v, det) for v in num])
-    return out
+        out.append(num)
+    return out, det
 
 
 @dataclass(frozen=True)
@@ -501,13 +504,27 @@ class NullstellensatzCertificate:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _macaulay_layout(n: int, d: int, m: int):
+    """Weights w_i = (m+1)^i, the degree m - d cofactor monomials and their
+    codes sum_i e_i w_i, and the row of each degree-m monomial by its code:
+    adding codes adds exponent vectors.  Callers only read the cached dict.
+    """
+    weights = tuple((m + 1) ** i for i in range(n))
+    cof_monos = tuple(monomials(n, m - d))
+    cof_codes = tuple(sum(map(mul, e, weights)) for e in cof_monos)
+    rows = {sum(map(mul, e, weights)): i for i, e in enumerate(monomials(n, m))}
+    return weights, cof_monos, cof_codes, rows
+
+
 def find_certificate(
     forms: Sequence[HomogeneousForm], target_degree: int
 ) -> NullstellensatzCertificate:
     """Search for a certificate with x_j^M at the given M = target_degree.
 
-    Raises CertificateNotFound(M) when the cofactor system has no solution at
-    this degree.
+    The solution num / det of the cofactor system (free variables 0) is
+    scaled by the least e that makes it integral, |det| / gcd(det, num).
+    Raises CertificateNotFound(M) when the system has no solution.
     """
     n = forms[0].num_vars
     d = forms[0].degree
@@ -517,60 +534,72 @@ def find_certificate(
         raise DimensionMismatch("forms must share variables and degree")
     if target_degree < d:
         raise ValueError("certificate degree below form degree")
-    cof_monos = monomials(n, target_degree - d)
-    tgt_monos = monomials(n, target_degree)
-    row_index = {mono: i for i, mono in enumerate(tgt_monos)}
-    ncols = n * len(cof_monos)
-    matrix = [[0] * ncols for _ in tgt_monos]
-    for k, f in enumerate(forms):
-        for ci, mono in enumerate(cof_monos):
-            col = k * len(cof_monos) + ci
-            for exps, coeff in f.terms:
-                key = tuple(map(add, exps, mono))
-                matrix[row_index[key]][col] += coeff
+    weights, cof_monos, cof_codes, row_index = _macaulay_layout(n, d, target_degree)
+    size = len(cof_monos)
+    matrix = [[0] * (n * size) for _ in row_index]
+    col = 0
+    for f in forms:
+        terms = [(sum(map(mul, e, weights)), c) for e, c in f.terms]
+        for code in cof_codes:
+            for fcode, coeff in terms:
+                matrix[row_index[fcode + code]][col] = coeff
+            col += 1
 
     targets = []
-    for j in range(n):
-        rhs = [0] * len(tgt_monos)
-        rhs[row_index[tuple(target_degree if i == j else 0 for i in range(n))]] = 1
+    for w in weights:
+        rhs = [0] * len(row_index)
+        rhs[row_index[target_degree * w]] = 1
         targets.append(rhs)
-    per_j = solve_integer_linear(matrix, targets)
-    if per_j is None:
+    solved = solve_integer_linear(matrix, targets)
+    if solved is None:
         raise CertificateNotFound(target_degree)
-
-    e = math.lcm(*[f.denominator for sol in per_j for f in sol] or [1])
+    nums, det = solved
+    g = math.gcd(det, *[v for num in nums for v in num])
+    if det < 0:
+        g = -g
     cofactors = []
-    for sol in per_j:
+    for num in nums:
         row = []
-        for k in range(n):
-            terms = {}
-            for ci, mono in enumerate(cof_monos):
-                val = sol[k * len(cof_monos) + ci]
-                if val:
-                    terms[mono] = val.numerator * (e // val.denominator)
-            row.append(HomogeneousForm.from_terms(n, target_degree - d, terms))
+        for k in range(0, n * size, size):
+            # cof_monos descend, so the reversed terms are sorted
+            terms = tuple((e, v // g) for e, v in zip(cof_monos, num[k : k + size]) if v)
+            row.append(HomogeneousForm(n, target_degree - d, terms[::-1]))
         cofactors.append(tuple(row))
-    cert = NullstellensatzCertificate(target_degree, e, tuple(cofactors))
+    cert = NullstellensatzCertificate(target_degree, det // g, tuple(cofactors))
     if not cert.verify(forms):
         raise RuntimeError("internal: certificate failed verification")
     return cert
 
 
 def certify(forms: Sequence[HomogeneousForm]) -> NullstellensatzCertificate:
-    """Find a certificate by ascending degree search.
+    """Find the certificate of least degree, probing the cap - 1 first.
 
     The cap (N+1)(d-1)+1 is complete: forms with no common zero admit a
-    certificate by then, so exhausting the search certifies a common zero
-    and raises Degenerate.
+    certificate by then, so a failure at the cap certifies a common zero
+    and raises Degenerate.  Success is upward closed (x_j times a degree-M
+    identity is one of degree M + 1): a failure at cap - 1 leaves only the
+    cap, and a success leaves d .. cap - 2 to try in ascending order, with
+    the cap - 1 certificate as the fallback.
     """
     n = forms[0].num_vars
     d = forms[0].degree
     cap = n * (d - 1) + 1
-    for m in range(d, cap + 1):
+    degrees = range(d, cap + 1)
+    fallback = None
+    if len(degrees) > 1:
+        try:
+            fallback = find_certificate(forms, cap - 1)
+        except CertificateNotFound:
+            degrees = degrees[-1:]
+        else:
+            degrees = degrees[:-2]
+    for m in degrees:
         try:
             return find_certificate(forms, m)
         except CertificateNotFound:
             continue
+    if fallback is not None:
+        return fallback
     raise Degenerate(
         f"no certificate up to degree {cap}; the forms share a projective zero"
     )

@@ -91,7 +91,20 @@ def _parse_point(text: str) -> RationalProjectivePoint:
 
 
 def _parse_complex_point(text: str) -> list[complex]:
-    return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
+    """Coordinates of a point of C^(N+1): one with '/' is an exact fraction
+    rounded to a float, any other one is parsed by complex()."""
+    out = []
+    for i, part in enumerate(text.split(",")):
+        part = part.strip().replace(" ", "")
+        try:
+            out.append(complex(Fraction(part)) if "/" in part else complex(part))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in point coordinate x{i}") from None
+        except OverflowError:
+            raise ValueError(f"point coordinate x{i} is beyond the float range") from None
+        except ValueError:
+            raise ValueError(f"cannot parse point coordinate x{i}: {part!r}") from None
+    return out
 
 
 def _parse_target(text: str):

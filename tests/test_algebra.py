@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqheight import algebra
 from seqheight.algebra import (
     HomogeneousForm,
     RationalProjectivePoint,
@@ -24,6 +25,7 @@ from seqheight.errors import (
     Degenerate,
     MapsToZero,
 )
+from seqheight.morphisms import perturbed_power_map, power_map
 
 
 def test_normalize_examples():
@@ -113,6 +115,18 @@ def test_evaluate_forms_maps_to_zero():
         evaluate_forms(forms, normalize([0, 1]))
 
 
+def _solutions(mat, rhs):
+    """solve_integer_linear's (numerators, denominator) as Fraction lists,
+    after checking that every numerator and the denominator are ints."""
+    solved = solve_integer_linear(mat, rhs)
+    if solved is None:
+        return None
+    nums, det = solved
+    assert isinstance(det, int) and det != 0
+    assert all(isinstance(v, int) for num in nums for v in num)
+    return [[Fraction(v, det) for v in num] for num in nums]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_integer_linear_solve_matches_sympy(seed):
     # integer matrix and rhs (the solver's contract); solvable by planting
@@ -123,7 +137,7 @@ def test_integer_linear_solve_matches_sympy(seed):
     mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
     planted = [rng.randint(-5, 5) for _ in range(cols)]
     rhs = [sum(mat[i][j] * planted[j] for j in range(cols)) for i in range(rows)]
-    sols = solve_integer_linear(mat, [rhs])
+    sols = _solutions(mat, [rhs])
     assert sols is not None
     (got,) = sols
     sy = sympy.Matrix(mat)
@@ -133,7 +147,7 @@ def test_integer_linear_solve_matches_sympy(seed):
 
 
 def test_integer_linear_solve_fractional_solution():
-    got = solve_integer_linear([[2, 0], [0, 3]], [[1, 1]])
+    got = _solutions([[2, 0], [0, 3]], [[1, 1]])
     assert got == [[Fraction(1, 2), Fraction(1, 3)]]
 
 
@@ -206,7 +220,7 @@ def _random_system(rng, rows, cols, rank, columns):
 
 
 def _assert_matches_reference(mat, rhs):
-    got = solve_integer_linear(mat, rhs)
+    got = _solutions(mat, rhs)
     want = [_reference_solve(mat, b) for b in rhs]
     if any(w is None for w in want):
         assert got is None
@@ -214,7 +228,6 @@ def _assert_matches_reference(mat, rhs):
     assert got is not None and len(got) == len(rhs)
     for sol, ref in zip(got, want):
         assert sol == ref
-        assert all(isinstance(v, Fraction) for v in sol)
 
 
 @pytest.mark.parametrize(
@@ -265,8 +278,8 @@ def test_an_inconsistent_column_among_consistent_ones_gives_none():
 
 
 def test_multi_column_solve_of_no_rows_and_no_columns():
-    assert solve_integer_linear([], [[], []]) == [[], []]
-    assert solve_integer_linear([[1, 2], [3, 4]], []) == []
+    assert solve_integer_linear([], [[], []]) == ([[], []], 1)
+    assert solve_integer_linear([[1, 2], [3, 4]], [])[0] == []
 
 
 def _reference_certificate(forms, target_degree):
@@ -496,3 +509,133 @@ def test_certificate_existence_matches_resultant(a, b):
     else:
         cert = certify(forms)
         assert cert.verify(forms)
+
+
+def _reference_certify(forms):
+    """certify as it was before the cap - 1 probe: ascending degree search."""
+    n = forms[0].num_vars
+    d = forms[0].degree
+    cap = n * (d - 1) + 1
+    for m in range(d, cap + 1):
+        try:
+            return find_certificate(forms, m)
+        except CertificateNotFound:
+            continue
+    raise Degenerate(
+        f"no certificate up to degree {cap}; the forms share a projective zero"
+    )
+
+
+def _dense_forms(rng, n, d):
+    """n random forms of degree d in n variables with every monomial present
+    (coefficients in [-3, 3], not 0): generic, so the least certificate
+    degree is the Macaulay cap."""
+    return [
+        HomogeneousForm.from_terms(
+            n, d, {mono: rng.choice((-3, -2, -1, 1, 2, 3)) for mono in monomials(n, d)}
+        )
+        for _ in range(n)
+    ]
+
+
+def _low_degree_maps():
+    """Maps whose least certificate degree lies below the Macaulay cap."""
+    # x_j^3 is a combination of F_0..F_j: certified at degree 3, with
+    # denominator 2
+    triangular = [
+        HomogeneousForm.from_terms(3, 3, {(3, 0, 0): 1}),
+        HomogeneousForm.from_terms(3, 3, {(0, 3, 0): 2, (3, 0, 0): -1}),
+        HomogeneousForm.from_terms(3, 3, {(0, 0, 3): -1, (3, 0, 0): 1, (0, 3, 0): 3}),
+    ]
+    return {
+        "sq": power_map(1, 2).forms,
+        "psq": perturbed_power_map(1, 2).forms,
+        "power_map(2, 2)": power_map(2, 2).forms,
+        "perturbed_power_map(2, 3)": perturbed_power_map(2, 3).forms,
+        "triangular P2 cubic": triangular,
+        "e42": [
+            HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+            HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+        ],
+    }
+
+
+def _differential_cases():
+    rng = random.Random("certify-differential")
+    for d in (2, 3, 4):
+        for i in range(6):
+            yield f"P1 deg {d} #{i}", _census_style_forms(rng, 2, d)
+            yield f"P1 dense deg {d} #{i}", _dense_forms(rng, 2, d)
+    for d, count in ((2, 3), (3, 2), (4, 1)):
+        for i in range(count):
+            yield f"P2 dense deg {d} #{i}", _dense_forms(rng, 3, d)
+            yield f"P2 census-style deg {d} #{i}", _census_style_forms(rng, 3, d)
+    yield from _low_degree_maps().items()
+
+
+def _outcome(search, forms):
+    """(exponent, denominator, cofactors) of search(forms), or the
+    Degenerate message."""
+    try:
+        cert = search(forms)
+    except Degenerate as exc:
+        return str(exc)
+    assert cert.verify(forms)
+    return cert.exponent, cert.denominator, cert.cofactors
+
+
+def test_certify_matches_the_ascending_search():
+    seen = set()
+    for what, forms in _differential_cases():
+        want = _outcome(_reference_certify, forms)
+        assert _outcome(certify, forms) == want, what
+        n, d = forms[0].num_vars, forms[0].degree
+        if not isinstance(want, str):
+            seen.add((n, want[0] == n * (d - 1) + 1))
+    # both branches of the search, in both dimensions
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+    assert certify(_low_degree_maps()["e42"]).denominator == 42
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        [
+            HomogeneousForm.monomial(2, (2, 0)),
+            HomogeneousForm.from_terms(2, 2, {(1, 1): 1}),
+        ],
+        [
+            HomogeneousForm.from_terms(2, 3, {(3, 0): 1, (2, 1): -1}),
+            HomogeneousForm.from_terms(2, 3, {(1, 2): 2, (0, 3): -2}),
+        ],
+        [
+            HomogeneousForm.monomial(3, (2, 0, 0)),
+            HomogeneousForm.monomial(3, (0, 2, 0)),
+            HomogeneousForm.from_terms(3, 2, {(1, 1, 0): 1}),
+        ],
+    ],
+    ids=["P1-deg2", "P1-deg3-shared-root", "P2-deg2"],
+)
+def test_certify_raises_degenerate_as_the_ascending_search(forms):
+    with pytest.raises(Degenerate) as want:
+        _reference_certify(forms)
+    with pytest.raises(Degenerate) as got:
+        certify(forms)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_a_generic_map_takes_two_eliminations(monkeypatch, n, d):
+    calls = []
+    real = algebra.find_certificate
+
+    def counting(forms, m):
+        calls.append(m)
+        return real(forms, m)
+
+    monkeypatch.setattr(algebra, "find_certificate", counting)
+    forms = _dense_forms(random.Random(f"generic:{n}:{d}"), n, d)
+    cap = n * (d - 1) + 1
+    cert = certify(forms)
+    assert cert.exponent == cap
+    assert calls == [cap - 1, cap]

@@ -626,6 +626,42 @@ def test_green_point_mode(capsys, sq_config):
     assert doc["radius"] <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "fraction, decimal", [("1/2,1", "0.5,1"), ("1, -3/4", "1,-0.75"), ("2/3,1", "0.6666666666666666,1")]
+)
+def test_green_point_accepts_fractions(capsys, psq_config, fraction, decimal):
+    # the README's "--point 2/3,1" exited 1 with "complex() arg is a
+    # malformed string"
+    argv = ["green", "--config", psq_config, "--point"]
+    code, doc = _run_json(capsys, argv + [fraction])
+    assert code == 0
+    code, ref = _run_json(capsys, argv + [decimal])
+    assert code == 0
+    assert (doc["value"], doc["radius"], doc["depth"]) == (
+        ref["value"],
+        ref["radius"],
+        ref["depth"],
+    )
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("1/0,1", "zero denominator in point coordinate x0"),
+        ("1,2/0", "zero denominator in point coordinate x1"),
+        (f"{10**400}/1,1", "point coordinate x0 is beyond the float range"),
+        ("1,-1/" + "0" * 3, "zero denominator in point coordinate x1"),
+        ("1,abc", "cannot parse point coordinate x1: 'abc'"),
+        ("1/2j,1", "cannot parse point coordinate x0: '1/2j'"),
+    ],
+)
+def test_green_point_errors_name_the_coordinate(capsys, psq_config, point, message):
+    assert main(["green", "--config", psq_config, "--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_green_grid_csv(capsys, tmp_path, sq_config):
     out = tmp_path / "grid.csv"
     code, doc = _run_json(

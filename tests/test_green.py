@@ -447,7 +447,8 @@ def test_grid_computes_only_the_green_values_a_report_reads(monkeypatch):
 
 class _FullSupportGrid(PairingGrid):
     """The grid whose pair() computes u on both charts' whole support
-    before it looks at phi: a verbatim copy of the full-support pair."""
+    before it looks at phi: a verbatim copy of the full-support pair, less
+    its branch for a grid without a sequence, which no grid can be."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -456,8 +457,6 @@ class _FullSupportGrid(PairingGrid):
     def _greens(self, cells: np.ndarray, charts) -> list:
         """Green values at the given cells of each chart, from one
         green_values call on the stacked embeddings."""
-        if self.seq is None:
-            return [np.zeros(cells.size) for _ in charts]
         # chart 0 embeds z as (1, z), chart 1 embeds w as (w, 1)
         emb = np.ones((2, len(charts) * cells.size), dtype=np.complex128)
         for k, chart in enumerate(charts):
