@@ -143,6 +143,8 @@ class HomogeneousForm:
     def __post_init__(self) -> None:
         if self.num_vars < 1 or self.degree < 0:
             raise DimensionMismatch("need num_vars >= 1 and degree >= 0")
+        # prev < exps at every term: sorted, no duplicates (() sorts first)
+        prev = ()
         for exps, coeff in self.terms:
             if len(exps) != self.num_vars:
                 raise DimensionMismatch("exponent vector length != num_vars")
@@ -150,9 +152,9 @@ class HomogeneousForm:
                 raise DimensionMismatch("exponents must sum to the degree")
             if not isinstance(coeff, int) or coeff == 0:
                 raise ValueError("coefficients must be nonzero ints")
-        keys = [e for e, _ in self.terms]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise ValueError("terms must be sorted and deduplicated; use from_terms()")
+            if not prev < exps:
+                raise ValueError("terms must be sorted and deduplicated; use from_terms()")
+            prev = exps
 
     @classmethod
     def from_terms(
@@ -193,23 +195,6 @@ class HomogeneousForm:
                     term = term * v**e
             total = total + term
         return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = [f"x{i}" for i in range(self.num_vars)]
-        parts = []
-        for exps, coeff in self.terms:
-            mono = "*".join(
-                (names[i] if e == 1 else f"{names[i]}^{e}")
-                for i, e in enumerate(exps)
-                if e
-            )
-            if mono:
-                parts.append(f"{coeff}*{mono}" if abs(coeff) != 1 else ("-" + mono if coeff == -1 else mono))
-            else:
-                parts.append(str(coeff))
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def evaluate_forms(

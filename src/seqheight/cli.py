@@ -27,7 +27,6 @@ a non-conforming height estimate).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -36,12 +35,7 @@ from fractions import Fraction
 from . import __version__
 from .algebra import RationalProjectivePoint, normalize
 from .averaging import verify_averaging
-from .equidist import (
-    cloud_rows,
-    equidistribution_report,
-    preimage_cloud,
-    roundtrip_residual,
-)
+from .equidist import equidistribution_report, preimage_cloud, roundtrip_residual
 from .errors import (
     BudgetExceeded,
     EnumerationTooLarge,
@@ -158,15 +152,31 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _write_csv(path: str, header: list[str], rows) -> int:
-    count = 0
+def _write_csv(path: str, header: str, lines: list[str]) -> int:
+    """Write the header and the comma-separated lines with CRLF line ends
+    and a final CRLF: the bytes csv.writer writes for the same rows when
+    each float is formatted by repr.  Returns the number of rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-            count += 1
-    return count
+        fh.write("\r\n".join([header, *lines, ""]))
+    return len(lines)
+
+
+def _grid_lines(grid: PairingGrid, chart: int) -> list[str]:
+    """x, y, green, psi lines of one chart over the full square, row by
+    row; each grid coordinate's repr is formatted once."""
+    values = grid.green(chart)
+    n = grid.resolution
+    coords = list(map(repr, grid.centers.tolist()))
+    green = list(map(repr, values.tolist()))
+    psi = list(map(repr, (grid.log1p_r2 - values).tolist()))
+    lines = []
+    for row, y in enumerate(coords):
+        lo = row * n
+        lines += [
+            f"{x},{y},{g},{p}"
+            for x, g, p in zip(coords, green[lo : lo + n], psi[lo : lo + n])
+        ]
+    return lines
 
 
 def _cmd_validate(args) -> int:
@@ -298,7 +308,7 @@ def _cmd_green(args) -> int:
     seq = LiftSequence(spec)
     if args.grid:
         grid = PairingGrid(seq, args.grid, green_tol=args.tol)
-        count = grid.write_csv(args.chart, args.out)
+        count = _write_csv(args.out, "x,y,green,psi", _grid_lines(grid, args.chart))
         _print_json(
             {
                 "chart": args.chart,
@@ -352,12 +362,12 @@ def _cmd_preimages(args) -> int:
         "roundtrip": residual,
     }
     if args.out:
+        lines = [
+            f"{p.z.real!r},{p.z.imag!r},{int(p.at_infinity)},{p.multiplicity}"
+            for p in cloud.points
+        ]
         payload["out"] = args.out
-        payload["rows"] = _write_csv(
-            args.out,
-            ["re", "im", "at_infinity", "multiplicity"],
-            cloud_rows(cloud),
-        )
+        payload["rows"] = _write_csv(args.out, "re,im,at_infinity,multiplicity", lines)
     else:
         payload["points"] = [
             {

@@ -598,9 +598,3 @@ def equidistribution_report(
         max_roundtrip=max_rt,
         passed=all(trends.values()),
     )
-
-
-def cloud_rows(cloud: PreimageCloud):
-    """(re, im, at_infinity, multiplicity) tuples for CSV export."""
-    for p in cloud.points:
-        yield (p.z.real, p.z.imag, int(p.at_infinity), p.multiplicity)

@@ -39,10 +39,11 @@ time, so its temporaries stay in cache.  Each step rounds as np.linalg.norm
 and division by the norm round, and a column's value does not depend on
 the batch or block it is in.  PairingGrid runs on one thread and calls
 green_values only for the cells a report reads: one chart's full square for
-the CSV export, for a pairing the support of each chart where
-laplacian(phi) != 0 somewhere on it (one chart at a time, kept for later
-pairings), none for the mass.  It checks the lifts' float range and the
-tolerance when it is built, with the plan green_values makes (_plan).
+green(chart), which the CLI writes as a CSV grid, for a pairing the support
+of each chart where laplacian(phi) != 0 somewhere on it (one chart at a
+time, kept for later pairings), none for the mass.  It returns numbers and
+writes no file.  It checks the lifts' float range and the tolerance when it
+is built, with the plan green_values makes (_plan).
 """
 
 from __future__ import annotations
@@ -494,7 +495,9 @@ def radial_bump(center: complex, radius: float) -> ChartFunction:
         raise ValueError(f"bump radius needs 0 < r**4 < inf in floats, got {radius:g}")
 
     def chart0_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = np.abs(z - z0) ** 2
+        # A far center makes t infinite, which reads as outside the support.
+        with np.errstate(over="ignore"):
+            t = np.abs(z - z0) ** 2
         inside = t < rho2 * (1.0 - 1e-12)
         tt = np.where(inside, t, 0.0)
         denom = rho2 - tt
@@ -539,10 +542,10 @@ class PairingGrid:
     between them.  The lifts' float range and green_tol are checked when
     the grid is built, before any array, so a grid that exists can compute
     every Green value it reads.  Green values are computed only where a
-    report reads them: green(chart) over one chart's full square for the
-    CSV export, pair() on the support of each chart where laplacian(phi)
-    != 0 at some support cell, kept for later pairings, and mass() none at
-    all.
+    report reads them: green(chart) over one chart's full square, which
+    with centers and log1p_r2 is what the CLI's CSV grid export reads,
+    pair() on the support of each chart where laplacian(phi) != 0 at some
+    support cell, kept for later pairings, and mass() none at all.
     """
 
     def __init__(
@@ -623,30 +626,6 @@ class PairingGrid:
         contributes sum(rho * fs) h^2, which equals pair(constant_one())
         bit for bit."""
         return 2.0 * (float(np.sum(self.rho * self.fs)) * self.cell**2)
-
-    def write_csv(self, chart: int, path: str) -> int:
-        """Write the x, y, green, psi rows of one chart over the full square
-        grid to a CSV file; returns the number of rows.
-
-        The bytes are those csv.writer writes for the same floats: repr of
-        each value, comma-separated, CRLF line ends, a header line first.
-        """
-        values = self.green(chart)
-        n = self.resolution
-        coords = list(map(repr, self.centers.tolist()))
-        green = list(map(repr, values.tolist()))
-        psi = list(map(repr, (self.log1p_r2 - values).tolist()))
-        lines = ["x,y,green,psi"]
-        for row, y in enumerate(coords):
-            lo = row * n
-            lines += [
-                f"{x},{y},{g},{p}"
-                for x, g, p in zip(coords, green[lo : lo + n], psi[lo : lo + n])
-            ]
-        lines.append("")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("\r\n".join(lines))
-        return len(green)
 
 
 @dataclass(frozen=True)

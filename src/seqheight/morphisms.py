@@ -207,10 +207,6 @@ class CheckedMap:
             _canonical_values(values, g)
         )
 
-    def __str__(self) -> str:
-        label = self.name or "map"
-        return f"{label}: ({', '.join(str(f) for f in self.forms)})"
-
 
 def amplification_bound(forms: Sequence[HomogeneousForm]) -> int:
     """Integer A with H(f(x)) <= A * H(x)^d: the largest coefficient l1 norm."""

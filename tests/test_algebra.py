@@ -23,6 +23,7 @@ from seqheight.errors import (
     AllZero,
     CertificateNotFound,
     Degenerate,
+    DimensionMismatch,
     MapsToZero,
 )
 from seqheight.morphisms import perturbed_power_map, power_map
@@ -90,6 +91,24 @@ def test_form_evaluate_matches_sympy():
     expr = 3 * x0**2 - 2 * x0 * x1 + 7 * x2**2
     for pt in [(1, 2, 3), (-4, 0, 5), (2, -7, 1)]:
         assert f.evaluate(pt) == int(expr.subs(dict(zip((x0, x1, x2), pt))))
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ((((2, 0), 1), ((1, 1), 2)), ValueError, "terms must be sorted"),
+        ((((0, 2), 1), ((1, 1), 3), ((1, 1), 3)), ValueError, "terms must be sorted"),
+        ((((1, 1, 0), 1),), DimensionMismatch, "exponent vector length"),
+        ((((3, -1), 1),), DimensionMismatch, "exponents must sum"),
+        ((((0, 2), 1), ((2, 1), 1)), DimensionMismatch, "exponents must sum"),
+        ((((0, 2), 0),), ValueError, "coefficients must be nonzero ints"),
+        ((((0, 2), 1.0),), ValueError, "coefficients must be nonzero ints"),
+    ],
+    ids=["unsorted", "duplicate", "length", "negative", "degree", "zero", "float"],
+)
+def test_form_rejects_malformed_terms(terms, error, message):
+    with pytest.raises(error, match=message):
+        HomogeneousForm(2, 2, terms)
 
 
 def test_form_arithmetic():

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from seqheight import averaging
 from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.averaging import (
+    MAX_SAMPLES,
     AveragingReport,
     eigensystem_height_exact,
     eigensystem_height_mc,
@@ -313,6 +315,21 @@ def test_inputs_are_checked_before_any_map_is_applied(monkeypatch, kwargs, error
     with pytest.raises(error):
         verify_averaging(**args)
     assert applied == []
+
+
+def test_samples_above_the_cap_are_refused_before_any_word_is_drawn(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew words")
+
+    monkeypatch.setattr(averaging, "sample_words", no_draw)
+    x = normalize([2, 3])
+    message = rf"^{MAX_SAMPLES + 1} samples exceed the cap {MAX_SAMPLES}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        verify_averaging(x, [SQ, PSQ], 8, MAX_SAMPLES + 1, 1)
+    with pytest.raises(BudgetExceeded, match=message):
+        eigensystem_height_mc(x, [SQ, PSQ], MAX_SAMPLES + 1, 8, 1)
+    # the cap itself passes the input checks
+    averaging._check_inputs([SQ, PSQ], 8, DEFAULT_BUDGET_BITS, MAX_SAMPLES)
 
 
 def test_word_budget_admits_exactly_its_trie_node_count():

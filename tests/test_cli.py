@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from seqheight import cli, green
+from seqheight import averaging, cli, green
 from seqheight.cli import main
+from seqheight.equidist import preimage_cloud
 from seqheight.green import LiftSequence, PairingGrid
 
 SQ_FORMS = [[[[2, 0], 1]], [[[0, 2], 1]]]
@@ -397,6 +398,20 @@ def test_average_past_the_float_exponent_range(capsys, sq_config):
     assert doc["passed"] is True
 
 
+def test_average_samples_above_the_cap_are_a_contract_error(
+    capsys, monkeypatch, mixed_config
+):
+    def no_draw(*args):
+        raise AssertionError("drew words")
+
+    monkeypatch.setattr(averaging, "sample_words", no_draw)
+    argv = ["average", "--config", mixed_config, "--point", "1,1", "--depth", "3"]
+    assert main(argv + ["--samples", "1000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "contract violation: 1000001 samples exceed the cap 1000000\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -608,6 +623,18 @@ def test_pair_huge_bump_warns_of_no_overflow(capsys, sq_config):
         code, doc = _run_json(capsys, argv)
     assert code == 0
     assert doc["mass"] == doc["value"] == 0.9998055701592795
+
+
+@pytest.mark.parametrize("center", ["1e160,0", "1e308,0", "0,1e200"])
+def test_pair_far_bump_is_zero_without_a_warning(capsys, sq_config, center):
+    # |z - z0|**2 overflowed to inf with a numpy RuntimeWarning on stderr
+    argv = ["pair", "--config", sq_config, "--phi", f"bump:{center},1", "--grid", "16"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["value"] == 0.0
 
 
 def test_orbit_stops_at_max_steps_before_the_budget(capsys, psq_config):
@@ -840,6 +867,53 @@ def test_preimages_json_and_csv(capsys, tmp_path, mixed_config):
         rows = list(csv.reader(fh))
     assert rows[0] == ["re", "im", "at_infinity", "multiplicity"]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize(
+    "config, target, depth",
+    [
+        ("sq_config", "0", "1"),
+        ("sq_config", "inf", "2"),
+        ("mixed_config", "17,16", "3"),
+        ("mixed_config", "0.5-3j", "4"),
+    ],
+    ids=["double-root", "infinity", "rational", "complex"],
+)
+def test_preimages_csv_bytes_match_csv_writer(
+    capsys, request, tmp_path, config, target, depth
+):
+    path = request.getfixturevalue(config)
+    out = tmp_path / "cloud.csv"
+    argv = ["preimages", "--config", path, "--target", target, "--depth", depth]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    _, _, spec = cli._load_config(path)
+    cloud = preimage_cloud(spec, cli._parse_target(target), int(depth))
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["re", "im", "at_infinity", "multiplicity"])
+    writer.writerows(
+        (p.z.real, p.z.imag, int(p.at_infinity), p.multiplicity) for p in cloud.points
+    )
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_cloud_rows_export(capsys, tmp_path, psq_config):
+    # depth 1 lands entirely at infinity; depth 2 pulls that back to +-i
+    out = tmp_path / "cloud.csv"
+    argv = ["preimages", "--config", psq_config, "--target", "1", "--out", str(out)]
+    code, doc = _run_json(capsys, argv + ["--depth", "1"])
+    assert (code, doc["rows"]) == (0, 1)
+    with open(out, newline="") as fh:
+        shallow = list(csv.reader(fh))
+    assert shallow == [["re", "im", "at_infinity", "multiplicity"], ["0.0", "0.0", "1", "2"]]
+    code, doc = _run_json(capsys, argv + ["--depth", "2"])
+    assert (code, doc["rows"]) == (0, 2)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert all(len(r) == 4 for r in rows)
+    assert sum(int(r[3]) for r in rows) == 4
+    assert not any(int(r[2]) for r in rows)
 
 
 def test_preimages_budget_is_a_contract_error(capsys, sq_config):

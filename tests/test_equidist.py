@@ -11,7 +11,6 @@ from seqheight.equidist import (
     _certify,
     _squarefree_split,
     chordal_distance,
-    cloud_rows,
     empirical_pairing,
     equidistribution_report,
     preimage_cloud,
@@ -150,16 +149,6 @@ def test_report_trends_decrease():
     heights = [r for r in rep.rows if r.phi == "height"]
     assert heights[-1].delta < heights[0].delta
     assert all(r.delta < 0.5 for r in rep.rows)
-
-
-def test_cloud_rows_export():
-    # depth 1 lands entirely at infinity; depth 2 pulls that back to +-i
-    shallow = list(cloud_rows(preimage_cloud(Constant(PSQ), 1, 1)))
-    assert shallow == [(0.0, 0.0, True, 2)]
-    rows = list(cloud_rows(preimage_cloud(Constant(PSQ), 1, 2)))
-    assert all(len(r) == 4 for r in rows)
-    assert sum(r[3] for r in rows) == 4
-    assert not any(r[2] for r in rows)
 
 
 def test_cloud_point_embedding():

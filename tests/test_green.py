@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import warnings
 
@@ -283,17 +281,15 @@ def test_pairing_independent_of_transition_width():
         assert a.pair(phi) == pytest.approx(b.pair(phi), abs=tol)
 
 
-def test_grid_rows_shape(tmp_path):
+def test_grid_rows_shape():
     seq = _psq_seq()
     grid = PairingGrid(seq, resolution=8)
-    path = tmp_path / "grid.csv"
-    assert grid.write_csv(0, str(path)) == 64
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "green", "psi"]
-    assert len(rows) == 65
-    for row in rows[1:]:
-        x, y, g, u = (float(v) for v in row)
+    values = grid.green(0)
+    assert values.shape == (64,)
+    # the cells in row-major order over the square, as the CLI's CSV rows
+    xx, yy = np.meshgrid(grid.centers, grid.centers, indexing="xy")
+    psi = grid.log1p_r2 - values
+    for x, y, g, u in zip(xx.ravel(), yy.ravel(), values, psi):
         # chart 0 embeds z = x + iy as (1, z)
         assert g == green_function(seq, [1.0, complex(x, y)]).value
         assert u == pytest.approx(math.log1p(x**2 + y**2) - g, abs=1e-12)
@@ -377,14 +373,6 @@ class _EagerGrid:
             total += float(np.sum(integrand)) * self.cell**2
         return total
 
-    def csv_bytes(self, chart):
-        xx, yy = np.meshgrid(self.centers, self.centers, indexing="xy")
-        out = io.StringIO(newline="")
-        writer = csv.writer(out)
-        writer.writerow(["x", "y", "green", "psi"])
-        writer.writerows(zip(xx.ravel(), yy.ravel(), self.greens[chart], self.us[chart]))
-        return out.getvalue().encode("utf-8")
-
 
 def _grid_sequences():
     word = LiftSequence(PeriodicWord((SQ, PSQ), (0, 1)))
@@ -398,7 +386,7 @@ def _grid_sequences():
 
 @pytest.mark.parametrize("resolution", [1, 7, 16, 64])
 @pytest.mark.parametrize("name", ["sq", "psq", "sq,psq", "scaled"])
-def test_on_demand_grid_matches_eager_reference(tmp_path, name, resolution):
+def test_on_demand_grid_matches_eager_reference(name, resolution):
     seq = _grid_sequences()[name]
     grid = PairingGrid(seq, resolution)
     ref = _EagerGrid(seq, resolution)
@@ -414,10 +402,12 @@ def test_on_demand_grid_matches_eager_reference(tmp_path, name, resolution):
     for phi in phis:
         assert grid.pair(phi).hex() == ref.pair(phi).hex(), phi.name
     assert grid.mass().hex() == ref.pair(constant_one()).hex()
+    # what the CLI's CSV grid export reads, bit for bit
+    assert grid.centers.tobytes() == ref.centers.tobytes()
     for chart in (0, 1):
-        path = tmp_path / f"chart{chart}.csv"
-        assert grid.write_csv(chart, str(path)) == resolution**2
-        assert path.read_bytes() == ref.csv_bytes(chart)
+        values = grid.green(chart)
+        assert values.tobytes() == ref.greens[chart].tobytes()
+        assert (grid.log1p_r2 - values).tobytes() == ref.us[chart].tobytes()
 
 
 def test_grid_computes_only_the_green_values_a_report_reads(monkeypatch):
