@@ -179,6 +179,21 @@ def _grid_lines(grid: PairingGrid, chart: int) -> list[str]:
     return lines
 
 
+def _sequence_echo(cfg: dict, spec) -> dict:
+    """The sequence block of the validate report, from the configured type
+    and the spec's fields; a constant over several maps is the periodic
+    word it runs."""
+    kind = (cfg.get("sequence") or {}).get("type", "constant")
+    if kind == "random":
+        return {"type": "random", "seed": spec.seed, "offset": spec.offset}
+    if kind == "explicit":
+        prefix, tail = list(spec.prefix), list(spec.word)
+        return {"type": "explicit", "prefix": prefix, "tail": tail}
+    if kind == "constant" and len(spec.generators) == 1:
+        return {"type": "constant", "word": [0]}
+    return {"type": "periodic", "word": list(spec.word)}
+
+
 def _cmd_validate(args) -> int:
     cfg, maps, spec = _load_config(args.config)
     report = []
@@ -194,9 +209,8 @@ def _cmd_validate(args) -> int:
                 "certificate_denominator": m.certificate.denominator,
             }
         )
-    _print_json(
-        {"maps": report, "sequence": spec.describe(), "c_bound": spec.c_bound}
-    )
+    sequence = _sequence_echo(cfg, spec)
+    _print_json({"maps": report, "sequence": sequence, "c_bound": spec.c_bound})
     return 0
 
 

@@ -10,9 +10,11 @@ map F = (F0 : F1) of degree d are the roots of the binary form
 counted with multiplicity (d of them on P^1; a drop in the dehomogenized
 degree is multiplicity at infinity).  One pullback step solves the forms of
 all its targets together: rows of equal degree are stacked, their roots are
-the eigenvalues of companion matrices built as np.roots builds them, and a
-vectorised Newton polish brings every root to a scaled residual below 1e-10;
-a form whose roots it cannot bring there raises RootFindingFailed.  Within
+the eigenvalues of companion matrices built as np.roots builds them, and
+each must reach a scaled residual below 1e-10.  The eigenvalues almost
+always do; a vectorised Newton polish steps the rare root that does not
+(maps with coefficients spread over 10^12 need it), and a form whose roots
+it cannot bring there raises RootFindingFailed.  Within
 one form, nearby roots are clustered into a single point with a
 multiplicity, at tolerance 1e-5 * (1 + |t|).  The first pullback of a
 rational target is exact instead: B has rational coefficients, and its

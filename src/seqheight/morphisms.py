@@ -13,10 +13,11 @@ A CheckedMap bundles integer forms with two certificates:
     |h(f(x))/d - h(x)| of the logarithmic height.
 
 Sequences f_1, f_2, ... drawn from a finite generating set are described by a
-SequenceSpec: constant, periodic, explicit prefix with periodic tail, or an
-i.i.d. degree-weighted random word.  Every variant supports O(1) shift()
-(dropping f_1) and position lookup; deterministic variants also expose a
-recurring "phase" so orbit code can detect cycles of (point, phase) states.
+SequenceSpec: a PeriodicWord (a finite prefix, then a word repeated forever;
+Constant is the one-map case) or an i.i.d. degree-weighted RandomWord.  Both
+support O(1) shift() (dropping f_1) and position lookup; a PeriodicWord also
+exposes a recurring "phase" so orbit code can detect cycles of (point,
+phase) states.
 
 Random words use a counter-based splitmix64 stream: the symbol at position i
 is a pure function of (seed, i), so shifting is an offset bump and replay is
@@ -280,8 +281,9 @@ def perturbed_power_map(dim: int, exponent: int, name: str | None = None) -> Che
 class SequenceSpec:
     """A bounded sequence of morphisms drawn from a finite generating set.
 
-    Subclasses implement index_at/shift/phase_at.  Positions are 0-based: the
-    map applied first is generator_at(0).  The generators are CheckedMaps:
+    Subclasses implement index_at/shift, and phase_at where positions
+    recur.  Positions are 0-based: the map applied first is
+    generator_at(0).  The generators are CheckedMaps:
     the exact side (heights, orbits, averaging) applies them, and
     green.LiftSequence lifts each one with its certified distortion bound.
     """
@@ -322,9 +324,6 @@ class SequenceSpec:
     def word_prefix(self, length: int) -> tuple[int, ...]:
         return tuple(self.index_at(i) for i in range(length))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
     def _check_generators(self) -> None:
         if not self.generators:
             raise DimensionMismatch("no generators")
@@ -334,100 +333,44 @@ class SequenceSpec:
 
 
 @dataclass(frozen=True)
-class Constant(SequenceSpec):
-    """Iteration of a single morphism."""
-
-    map: CheckedMap
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", (self.map,))
-        self._check_generators()
-
-    def index_at(self, position: int) -> int:
-        return 0
-
-    def shift(self) -> "Constant":
-        return self
-
-    def phase_at(self, position: int) -> int:
-        return 0
-
-    def describe(self) -> dict:
-        return {"type": "constant", "word": [0]}
-
-
-@dataclass(frozen=True)
 class PeriodicWord(SequenceSpec):
-    """Cyclic repetition of a finite word of generator indices."""
+    """A finite prefix of generator indices, then a word repeated forever.
+
+    shift() drops the first prefix symbol, or rotates the word once the
+    prefix is empty.  The phase at a position is its offset from the end
+    of the prefix: negative inside the prefix, and taken mod len(word)
+    after it.
+    """
 
     generators: tuple[CheckedMap, ...]
     word: tuple[int, ...]
+    prefix: tuple[int, ...] = ()
 
     def __post_init__(self):
         self._check_generators()
         if not self.word:
             raise ValueError("empty word")
-        if any(not 0 <= w < len(self.generators) for w in self.word):
+        if any(not 0 <= w < len(self.generators) for w in (*self.prefix, *self.word)):
             raise ValueError("word index out of range")
 
     def index_at(self, position: int) -> int:
-        return self.word[position % len(self.word)]
+        k = position - len(self.prefix)
+        return self.prefix[position] if k < 0 else self.word[k % len(self.word)]
 
     def shift(self) -> "PeriodicWord":
+        if self.prefix:
+            return PeriodicWord(self.generators, self.word, self.prefix[1:])
         w = self.word
         return PeriodicWord(self.generators, w[1:] + w[:1])
 
     def phase_at(self, position: int) -> int:
-        return position % len(self.word)
-
-    def describe(self) -> dict:
-        return {"type": "periodic", "word": list(self.word)}
+        k = position - len(self.prefix)
+        return k if k < 0 else k % len(self.word)
 
 
-@dataclass(frozen=True)
-class ExplicitWord(SequenceSpec):
-    """A finite prefix followed by a periodic tail.
-
-    The default tail repeats the last prefix symbol; an explicit tail may be
-    given.  This keeps the sequence total and the phase recurring.
-    """
-
-    generators: tuple[CheckedMap, ...]
-    prefix: tuple[int, ...]
-    tail: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        self._check_generators()
-        if not self.prefix and not self.tail:
-            raise ValueError("need a prefix or a tail")
-        tail = self.tail or (self.prefix[-1],)
-        object.__setattr__(self, "tail", tuple(tail))
-        for w in (*self.prefix, *self.tail):
-            if not 0 <= w < len(self.generators):
-                raise ValueError("word index out of range")
-
-    def index_at(self, position: int) -> int:
-        if position < len(self.prefix):
-            return self.prefix[position]
-        return self.tail[(position - len(self.prefix)) % len(self.tail)]
-
-    def shift(self) -> "ExplicitWord":
-        if self.prefix:
-            return ExplicitWord(self.generators, self.prefix[1:], self.tail)
-        t = self.tail
-        return ExplicitWord(self.generators, (), t[1:] + t[:1])
-
-    def phase_at(self, position: int) -> Hashable:
-        if position < len(self.prefix):
-            return ("head", position)
-        return ("tail", (position - len(self.prefix)) % len(self.tail))
-
-    def describe(self) -> dict:
-        return {
-            "type": "explicit",
-            "prefix": list(self.prefix),
-            "tail": list(self.tail),
-        }
+def Constant(cmap: CheckedMap) -> PeriodicWord:
+    """Iteration of a single morphism: the word (0,) over (cmap,)."""
+    return PeriodicWord((cmap,), (0,))
 
 
 @dataclass(frozen=True)
@@ -453,25 +396,12 @@ class RandomWord(SequenceSpec):
     def shift(self) -> "RandomWord":
         return RandomWord(self.generators, self.seed, self.offset + 1)
 
-    def phase_at(self, position: int) -> None:
-        return None
-
-    def describe(self) -> dict:
-        return {"type": "random", "seed": self.seed, "offset": self.offset}
-
 
 def sample_word(
     generators: Sequence[CheckedMap], length: int, seed: int
 ) -> tuple[int, ...]:
-    """An i.i.d. degree-weighted word of generator indices.
-
-    Deterministic in (generators' degrees, length, seed); the same stream
-    primitive RandomWord uses, so CLI runs replay bit-identically.
-    """
-    degrees = [g.degree for g in generators]
-    return tuple(
-        _weighted_index(stream_value(seed, i), degrees) for i in range(length)
-    )
+    """The first length symbols of RandomWord(generators, seed)."""
+    return RandomWord(tuple(generators), seed).word_prefix(length)
 
 
 def sample_words(
@@ -524,10 +454,23 @@ def _config_int(value, what: str) -> int:
     return value
 
 
-def _form_from_config(entry: Sequence, num_vars: int, degree: int) -> HomogeneousForm:
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _config_shape(value, kind: type, what: str):
+    """value, when it is a JSON object, list or string (kind dict, list or
+    str); any other value would fail later with a TypeError or an
+    AttributeError instead of a message that names the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_SHAPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _form_from_config(entry, num_vars: int, degree: int) -> HomogeneousForm:
     terms: dict[tuple[int, ...], int] = {}
-    for exps, coeff in entry:
-        if len(exps) != num_vars:
+    for term in _config_shape(entry, list, "a form"):
+        exps, coeff = _config_shape(term, list, "a form term")
+        if len(_config_shape(exps, list, "an exponent vector")) != num_vars:
             raise DimensionMismatch("exponent vector length != dim + 1")
         key = tuple(_config_int(e, "exponent") for e in exps)
         terms[key] = terms.get(key, 0) + _config_int(coeff, "coefficient")
@@ -539,23 +482,28 @@ def maps_from_config(cfg: dict) -> list[CheckedMap]:
 
     Expected shape: {"dim": N, "maps": [{"name": str, "degree": d,
     "forms": [[[e0..eN], coeff], ...] per component}, ...]}, with at least
-    one map, distinct names and every number a JSON integer.
+    one map, distinct names and every number a JSON integer.  A value of
+    the wrong JSON type is a ValueError that names the field.
     """
+    _config_shape(cfg, dict, "the config")
     dim = _config_int(cfg["dim"], "dim")
     n = dim + 1
-    if not cfg["maps"]:
+    maps = _config_shape(cfg["maps"], list, "maps")
+    if not maps:
         raise ValueError("the config has no maps")
     seen = set()
-    for m in cfg["maps"]:
-        name = m.get("name")
+    for m in maps:
+        name = _config_shape(m, dict, "a map").get("name")
+        if name is not None:
+            _config_shape(name, str, "a map name")
         if name in seen:
             raise ValueError(f"duplicate map name {name!r}")
         if name:
             seen.add(name)
     out = []
-    for m in cfg["maps"]:
+    for m in maps:
         degree = _config_int(m["degree"], "degree")
-        comps = m["forms"]
+        comps = _config_shape(m["forms"], list, "forms")
         if len(comps) != n:
             raise DimensionMismatch(
                 f"map {m.get('name')!r}: P^{dim} needs {n} components"
@@ -565,10 +513,10 @@ def maps_from_config(cfg: dict) -> list[CheckedMap]:
     return out
 
 
-def _resolve_word(entries: Sequence, maps: Sequence[CheckedMap]) -> tuple[int, ...]:
+def _resolve_word(entries, maps: Sequence[CheckedMap], what: str) -> tuple[int, ...]:
     by_name = {m.name: i for i, m in enumerate(maps) if m.name}
     word = []
-    for w in entries:
+    for w in _config_shape(entries, list, what):
         if isinstance(w, str):
             if w not in by_name:
                 raise ValueError(f"unknown map name {w!r} in word")
@@ -582,22 +530,26 @@ def _resolve_word(entries: Sequence, maps: Sequence[CheckedMap]) -> tuple[int, .
 
 
 def sequence_from_config(cfg: dict, maps: Sequence[CheckedMap]) -> SequenceSpec:
-    """Build the sequence spec of a config dictionary over validated maps."""
-    seq = cfg.get("sequence") or {"type": "constant", "map": 0}
+    """Build the sequence spec of a config dictionary over validated maps.
+
+    Every deterministic type is a PeriodicWord: constant is the one-symbol
+    word of "map", periodic repeats "word", and explicit runs "prefix" and
+    then repeats "tail", by default the last prefix symbol.
+    """
+    seq = cfg.get("sequence")
+    seq = {} if seq is None else _config_shape(seq, dict, "sequence")
     kind = seq.get("type", "constant")
     gens = tuple(maps)
     if kind == "constant":
-        sel = seq.get("map", 0)
-        idx = _resolve_word([sel], maps)[0]
-        return Constant(gens[idx]) if len(gens) == 1 else PeriodicWord(gens, (idx,))
+        return PeriodicWord(gens, _resolve_word([seq.get("map", 0)], maps, "map"))
     if kind == "periodic":
-        return PeriodicWord(gens, _resolve_word(seq["word"], maps))
+        return PeriodicWord(gens, _resolve_word(seq["word"], maps, "word"))
     if kind == "explicit":
-        return ExplicitWord(
-            gens,
-            _resolve_word(seq.get("prefix", []), maps),
-            _resolve_word(seq.get("tail", []), maps),
-        )
+        prefix = _resolve_word(seq.get("prefix", []), maps, "prefix")
+        tail = _resolve_word(seq.get("tail", []), maps, "tail") or prefix[-1:]
+        if not tail:
+            raise ValueError("need a prefix or a tail")
+        return PeriodicWord(gens, tail, prefix)
     if kind == "random":
         return RandomWord(gens, _config_int(seq.get("seed", 0), "random seed"))
     raise ValueError(f"unknown sequence type {kind!r}")

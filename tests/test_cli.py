@@ -112,24 +112,57 @@ def _sq_psq_config(tmp_path, sequence):
 
 
 @pytest.mark.parametrize(
-    "sequence, described",
+    "sequence, described, num_maps",
     [
         (
             {"type": "explicit", "prefix": ["psq", 0], "tail": [1]},
             {"type": "explicit", "prefix": [1, 0], "tail": [1]},
+            2,
         ),
         (
             {"type": "periodic", "word": [1, "sq", 1]},
             {"type": "periodic", "word": [1, 0, 1]},
+            2,
         ),
-        ({"type": "random", "seed": 5}, {"type": "random", "seed": 5, "offset": 0}),
+        (
+            {"type": "random", "seed": 5},
+            {"type": "random", "seed": 5, "offset": 0},
+            2,
+        ),
+        ({"type": "constant", "map": "sq"}, {"type": "constant", "word": [0]}, 1),
+        ({"type": "constant", "map": "psq"}, {"type": "periodic", "word": [1]}, 2),
+        ({"type": "periodic", "word": [0]}, {"type": "periodic", "word": [0]}, 1),
+        (
+            {"type": "explicit", "prefix": ["psq", "sq"]},
+            {"type": "explicit", "prefix": [1, 0], "tail": [0]},
+            2,
+        ),
+        (
+            {"type": "explicit", "prefix": [], "tail": ["psq", 0]},
+            {"type": "explicit", "prefix": [], "tail": [1, 0]},
+            2,
+        ),
     ],
-    ids=["explicit", "integer-entries", "random"],
+    ids=[
+        "explicit",
+        "integer-entries",
+        "random",
+        "one-map-constant",
+        "two-map-constant-by-name",
+        "one-map-periodic",
+        "explicit-prefix-only",
+        "explicit-empty-prefix",
+    ],
 )
 def test_validate_describes_the_configured_sequence(
-    capsys, tmp_path, sequence, described
+    capsys, tmp_path, sequence, described, num_maps
 ):
-    cfg = _sq_psq_config(tmp_path, sequence)
+    # num_maps 1 runs on sq alone; a constant over it reads as constant
+    maps = [
+        {"name": "sq", "degree": 2, "forms": SQ_FORMS},
+        {"name": "psq", "degree": 2, "forms": PSQ_FORMS},
+    ][:num_maps]
+    cfg = _write_config(tmp_path, "seq.json", maps, sequence)
     code, doc = _run_json(capsys, ["validate", "--config", cfg])
     assert code == 0
     assert doc["sequence"] == described

@@ -157,3 +157,64 @@ def test_preimages_need_only_finite_coefficients(capsys):
             capsys, [*argv, "--config", str(CONFIGS / f"{config}.json")]
         )
         assert code == 0 and json.loads(out)["total"] == 4
+
+
+def _malformed(**changes):
+    cfg = json.loads(json.dumps(RANDOM_SQ_PSQ))
+    cfg.update(changes)
+    return cfg
+
+
+SQ_MAP = RANDOM_SQ_PSQ["maps"][0]
+MALFORMED_CONFIGS = {
+    "maps-object": (_malformed(maps={"sq": SQ_MAP}), "maps must be a list, got dict"),
+    "map-integer": (_malformed(maps=[SQ_MAP, 3]), "a map must be an object, got int"),
+    "top-level-list": ([RANDOM_SQ_PSQ], "the config must be an object, got list"),
+    "forms-integer": (
+        _malformed(maps=[dict(SQ_MAP, forms=2)]),
+        "forms must be a list, got int",
+    ),
+    "form-integer": (
+        _malformed(maps=[dict(SQ_MAP, forms=[[[[2, 0], 1]], 7])]),
+        "a form must be a list, got int",
+    ),
+    "sequence-list": (
+        _malformed(sequence=[{"type": "constant"}]),
+        "sequence must be an object, got list",
+    ),
+    "sequence-false": (
+        _malformed(sequence=False),
+        "sequence must be an object, got bool",
+    ),
+    "word-integer": (
+        _malformed(sequence={"type": "periodic", "word": 1}),
+        "word must be a list, got int",
+    ),
+    "name-list": (
+        _malformed(maps=[dict(SQ_MAP, name=["sq"])]),
+        "a map name must be a string, got list",
+    ),
+    "term-integer": (
+        _malformed(maps=[dict(SQ_MAP, forms=[[5], [[[0, 2], 1]]])]),
+        "a form term must be a list, got int",
+    ),
+    "exponents-integer": (
+        _malformed(maps=[dict(SQ_MAP, forms=[[[2, 1]], [[[0, 2], 1]]])]),
+        "an exponent vector must be a list, got int",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "canheight"])
+@pytest.mark.parametrize("shape", list(MALFORMED_CONFIGS))
+def test_a_config_of_the_wrong_shape_is_one_input_error(
+    capsys, tmp_path, shape, command
+):
+    # each shape used to end in a TypeError or AttributeError traceback
+    cfg, message = MALFORMED_CONFIGS[shape]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    argv = SUBCOMMANDS[command]
+    code, out, err = _assert_contract(capsys, [*argv, "--config", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"input error: {message}\n"

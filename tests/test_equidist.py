@@ -22,7 +22,6 @@ from seqheight.green import ComplexLiftMap, constant_one, sphere_height
 from seqheight.heights import canonical_height
 from seqheight.morphisms import (
     Constant,
-    ExplicitWord,
     PeriodicWord,
     perturbed_power_map,
     power_map,
@@ -243,7 +242,7 @@ DIFF_SPECS = {
     "sq": Constant(SQ),
     "psq": Constant(PSQ),
     "sq,psq": PeriodicWord((SQ, PSQ), (0, 1)),
-    "explicit": ExplicitWord((SQ, PSQ), (1, 1, 0), (0, 1, 1)),
+    "explicit": PeriodicWord((SQ, PSQ), (0, 1, 1), prefix=(1, 1, 0)),
 }
 DIFF_TARGETS = {
     "3/7": (1, Fraction(3, 7)),

@@ -8,7 +8,10 @@ power-exact, tolerance, engine hand-off and bit budget.
 """
 
 import math
+import random
 import re
+from dataclasses import dataclass
+from typing import Hashable
 
 import pytest
 
@@ -34,11 +37,12 @@ from seqheight.heights import (
 from seqheight.morphisms import (
     CheckedMap,
     Constant,
-    ExplicitWord,
     PeriodicWord,
     RandomWord,
+    SequenceSpec,
     perturbed_power_map,
     power_map,
+    sequence_from_config,
     validate,
 )
 from seqheight.orbits import (
@@ -63,7 +67,7 @@ SPECS = {
     "psq": Constant(PSQ),
     "sq-psq": PeriodicWord((SQ, PSQ), (0, 1)),
     "random": RandomWord((SQ, PSQ), seed=5),
-    "explicit": ExplicitWord((SQ, PSQ, E42), (2, 0, 1, 0), (1, 2)),
+    "explicit": PeriodicWord((SQ, PSQ, E42), (1, 2), prefix=(2, 0, 1, 0)),
     "e42": Constant(E42),
 }
 POINTS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (9, 10), (12, 11), (-7, 50)]
@@ -360,3 +364,72 @@ def test_consumers_stop_where_forming_the_image_stops(monkeypatch, run):
     monkeypatch.setattr(heights, "_apply_within_budget", _form_then_check)
     monkeypatch.setattr(averaging, "_apply_within_budget", _form_then_check)
     assert refused == [_outcome(run, *case) for case in cases]
+
+
+@dataclass(frozen=True)
+class _ReferenceExplicitWord(SequenceSpec):
+    """The former ExplicitWord, verbatim but for its name and describe():
+    a finite prefix followed by a periodic tail.
+
+    The default tail repeats the last prefix symbol; an explicit tail may be
+    given.  This keeps the sequence total and the phase recurring.
+    """
+
+    generators: tuple[CheckedMap, ...]
+    prefix: tuple[int, ...]
+    tail: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        self._check_generators()
+        if not self.prefix and not self.tail:
+            raise ValueError("need a prefix or a tail")
+        tail = self.tail or (self.prefix[-1],)
+        object.__setattr__(self, "tail", tuple(tail))
+        for w in (*self.prefix, *self.tail):
+            if not 0 <= w < len(self.generators):
+                raise ValueError("word index out of range")
+
+    def index_at(self, position: int) -> int:
+        if position < len(self.prefix):
+            return self.prefix[position]
+        return self.tail[(position - len(self.prefix)) % len(self.tail)]
+
+    def shift(self) -> "_ReferenceExplicitWord":
+        if self.prefix:
+            return _ReferenceExplicitWord(self.generators, self.prefix[1:], self.tail)
+        t = self.tail
+        return _ReferenceExplicitWord(self.generators, (), t[1:] + t[:1])
+
+    def phase_at(self, position: int) -> Hashable:
+        if position < len(self.prefix):
+            return ("head", position)
+        return ("tail", (position - len(self.prefix)) % len(self.tail))
+
+
+def test_explicit_words_match_the_former_explicit_word():
+    """A config's explicit word, now a PeriodicWord with a prefix, reads the
+    same maps, splits positions into the same phases and gives the same
+    canonical heights and forward orbits as the former class, after 0-5
+    shifts, on random prefixes and tails (an empty tail is the default)."""
+    rng = random.Random(21)
+    gens = (SQ, PSQ, E42)
+    points = [normalize(list(raw)) for raw in [(1, 0), (0, 1), (1, -1), (2, 3)]]
+    for _ in range(60):
+        prefix = [rng.randrange(3) for _ in range(rng.randint(0, 6))]
+        tail = [rng.randrange(3) for _ in range(rng.randint(0 if prefix else 1, 3))]
+        cfg = {"sequence": {"type": "explicit", "prefix": prefix, "tail": tail}}
+        spec = sequence_from_config(cfg, gens)
+        ref = _ReferenceExplicitWord(gens, tuple(prefix), tuple(tail))
+        for _ in range(rng.randint(0, 5)):
+            spec, ref = spec.shift(), ref.shift()
+        positions = range(3 * (len(prefix) + len(tail)) + 2)
+        assert [spec.index_at(i) for i in positions] == [
+            ref.index_at(i) for i in positions
+        ]
+        for i in positions:
+            for j in positions:
+                same = spec.phase_at(i) == spec.phase_at(j)
+                assert same == (ref.phase_at(i) == ref.phase_at(j))
+        for x in points:
+            assert canonical_height(x, spec, 1e-6) == canonical_height(x, ref, 1e-6)
+            assert forward_orbit(x, spec, 64) == forward_orbit(x, ref, 64)

@@ -35,7 +35,6 @@ from seqheight.morphisms import (
     CheckedMap,
     Constant,
     DistortionCertificate,
-    ExplicitWord,
     PeriodicWord,
     RandomWord,
     perturbed_power_map,
@@ -741,7 +740,7 @@ def test_lift_sequence_reads_the_spec_word(kind):
     specs = {
         "constant": Constant(PSQ),
         "periodic": PeriodicWord((SQ, PSQ, E42), (2, 0, 1, 1)),
-        "explicit": ExplicitWord((SQ, PSQ, E42), (1, 1, 2, 0, 2), (0, 2, 1)),
+        "explicit": PeriodicWord((SQ, PSQ, E42), (0, 2, 1), prefix=(1, 1, 2, 0, 2)),
         "random": RandomWord((SQ, PSQ, E42), seed=5),
         "shifted": RandomWord((SQ, PSQ, E42), seed=5).shift(),
     }

@@ -20,7 +20,6 @@ from seqheight.errors import (
 )
 from seqheight.morphisms import (
     Constant,
-    ExplicitWord,
     PeriodicWord,
     RandomWord,
     _scale64,
@@ -162,7 +161,7 @@ def test_constant_word_semantics():
     g = perturbed_power_map(1, 2)
     spec = Constant(g)
     assert spec.index_at(0) == spec.index_at(999) == 0
-    assert spec.shift() is spec
+    assert spec.shift() == spec
     assert spec.phase_at(123) == 0
     assert spec.c_bound == g.distortion.c_bound
 
@@ -179,7 +178,7 @@ def test_periodic_word_shift_rotates():
 
 def test_explicit_word_prefix_then_tail():
     a, b = power_map(1, 2, "a"), perturbed_power_map(1, 2, "b")
-    spec = ExplicitWord((a, b), prefix=(1, 0), tail=(0, 1))
+    spec = PeriodicWord((a, b), (0, 1), prefix=(1, 0))
     assert [spec.index_at(i) for i in range(7)] == [1, 0, 0, 1, 0, 1, 0]
     shifted = spec.shift()
     assert [shifted.index_at(i) for i in range(6)] == [0, 0, 1, 0, 1, 0]
@@ -191,7 +190,9 @@ def test_explicit_word_prefix_then_tail():
 
 def test_explicit_word_default_tail_repeats_last():
     a, b = power_map(1, 2, "a"), perturbed_power_map(1, 2, "b")
-    spec = ExplicitWord((a, b), prefix=(1, 0))
+    cfg = {"sequence": {"type": "explicit", "prefix": [1, 0]}}
+    spec = sequence_from_config(cfg, (a, b))
+    assert spec == PeriodicWord((a, b), (0,), prefix=(1, 0))
     assert [spec.index_at(i) for i in range(5)] == [1, 0, 0, 0, 0]
 
 
@@ -222,14 +223,18 @@ def test_sample_word_matches_random_word_spec():
     assert sample_word(gens, 20, 11) == tuple(spec.index_at(i) for i in range(20))
 
 
-# sample_words only reads .degree; the last set puts the degree total at
-# 2^32 - 1, the edge of the exact 32-bit split of (u * total) >> 64.
+# The draws read only .degree (the RandomWord behind sample_word also checks
+# that num_vars agree); the last set puts the degree total at 2^32 - 1, the
+# edge of the exact 32-bit split of (u * total) >> 64.
 WORD_GENERATORS = {
     "2,2": (power_map(1, 2), power_map(1, 2)),
     "2,3": (power_map(1, 2), power_map(1, 3)),
     "3,2,5": (power_map(1, 3), power_map(1, 2), power_map(1, 5)),
     "single": (power_map(1, 3),),
-    "2^31,2^31-1": (SimpleNamespace(degree=2**31), SimpleNamespace(degree=2**31 - 1)),
+    "2^31,2^31-1": (
+        SimpleNamespace(degree=2**31, num_vars=2),
+        SimpleNamespace(degree=2**31 - 1, num_vars=2),
+    ),
 }
 
 
