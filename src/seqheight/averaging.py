@@ -36,6 +36,7 @@ from .heights import (
     DEFAULT_BUDGET_BITS,
     _apply_within_budget,
     _check_budget,
+    _check_point,
     _divide,
     multiplicative_height,
 )
@@ -48,6 +49,7 @@ MAX_SAMPLES = 10**6
 
 
 def _check_inputs(
+    x: RationalProjectivePoint,
     generators: Sequence[CheckedMap],
     depth: int,
     budget_bits: int,
@@ -55,6 +57,7 @@ def _check_inputs(
 ) -> None:
     if not generators:
         raise ValueError("no generators")
+    _check_point(x, generators)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if samples is not None and samples < 2:
@@ -141,7 +144,7 @@ def eigensystem_height_exact(
 
     The word budget bounds the nodes of the word trie the walk visits.
     """
-    _check_inputs(generators, depth, budget_bits)
+    _check_inputs(x, generators, depth, budget_bits)
     k = len(generators)
     _check_word_budget(k, depth, word_budget)
     tree = itertools.product(range(k), repeat=depth)
@@ -212,7 +215,7 @@ def eigensystem_height_mc(
     The walk visits only the distinct sampled words, each once, so no word
     budget applies: the depth may be one whose full tree is too large.
     """
-    _check_inputs(generators, depth, budget_bits, samples)
+    _check_inputs(x, generators, depth, budget_bits, samples)
     words = sample_words(generators, depth, seed, samples)
     distinct = sorted(set(words))
     leaves = _word_leaves(x, generators, distinct, budget_bits)
@@ -257,7 +260,7 @@ def verify_averaging(
     where truncation_radius = 2c/2^depth absorbs the depth-i truncation
     error on both sides.
     """
-    _check_inputs(generators, depth, budget_bits, samples)
+    _check_inputs(x, generators, depth, budget_bits, samples)
     k = len(generators)
     _check_word_budget(k, depth, word_budget)
     words = sample_words(generators, depth, seed, samples)

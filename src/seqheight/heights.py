@@ -19,6 +19,12 @@ radius reported with every estimate.  Two consequences used throughout:
   * the canonical height vanishes exactly on points that are preperiodic
     for the word (detected here by (point, phase) recurrence).
 
+So a point with h > 2c is not preperiodic.  census_threshold gives that
+test as one integer cutoff, T = floor(e^{2c}) computed exactly, and H > T
+is the escape test of the whole exact layer: the census enumerates
+{H <= T}, orbits.forward_orbit stops above it, and canonical_height waits
+for it before the engine takes over a word with phases.
+
 Heights are carried as (integer H, integer normalizer) pairs; ExactLogHeight
 defers the floating log so exact comparisons stay available.
 
@@ -53,7 +59,7 @@ from itertools import count, islice
 from typing import Iterator, Sequence
 
 from .algebra import RationalProjectivePoint
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DimensionMismatch
 from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_BUDGET_BITS = 1 << 20
@@ -100,7 +106,6 @@ class HeightEstimate:
     value: float
     radius: float
     depth: int
-    c_used: float
     multiplicative: int | None = None
     normalizer: int = 1
     conforming: bool = True
@@ -120,6 +125,14 @@ def _check_budget(budget_bits: int) -> None:
     first step's overrun would read as a contract violation."""
     if budget_bits < 1:
         raise ValueError(f"budget_bits must be >= 1, got {budget_bits}")
+
+
+def _check_point(x: RationalProjectivePoint, maps: Sequence[CheckedMap]) -> None:
+    """Refuse a point of another space than the maps' before any step, as
+    CheckedMap.apply would at the first: a path that applies no map must
+    not accept it either."""
+    if len(x.coords) != maps[0].num_vars:
+        raise DimensionMismatch("form/point variable counts differ")
 
 
 def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> int:
@@ -184,21 +197,35 @@ def height_sequence(
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     _check_budget(budget_bits)
+    _check_point(x, spec.generators)
     orbit = islice(exact_orbit(x, spec, budget_bits), depth + 1)
     return [ExactLogHeight(multiplicative_height(p), n) for _, p, n in orbit]
 
 
-def escape_carrier(generators: Sequence[CheckedMap]) -> tuple[int, int]:
-    """(B, d) of the generator with the largest c, so that 2c = (2/d) log B
-    and h(y) > 2c is the exact test H(y)^d > B^2."""
+def _floor_root(value: int, k: int) -> int:
+    """floor(value ** (1/k)) for nonnegative integers, exactly, at any size:
+    Newton's iteration on integers from 2^ceil(bits/k), above the root; by
+    AM-GM the iterates stay at or above the floor and fall to it."""
+    if value < 0:
+        raise ValueError("negative radicand")
+    if value < 2 or k == 1:
+        return value
+    r = 1 << -(-value.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + value // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def census_threshold(generators: Sequence[CheckedMap]) -> int:
+    """T = floor(e^{2c}) for the generating set, exactly, the one escape
+    cutoff of the exact layer: with B = max(A, attenuation) and d of the
+    generator with the largest c, 2c = (2/d) log B and T = floor((B^2)^(1/d)),
+    so for an integer H the test H > T is exactly h > 2c."""
     best = max(generators, key=lambda g: g.distortion.c_bound)
     b = max(best.distortion.amplification, best.distortion.attenuation)
-    return b, best.degree
-
-
-def _exceeds_2c(h_mult: int, carrier: tuple[int, int]) -> bool:
-    b, d = carrier
-    return h_mult**d > b * b
+    return _floor_root(b * b, best.degree)
 
 
 _LN2 = math.log(2.0)
@@ -322,22 +349,16 @@ def _engine_precision(
     return None
 
 
-@dataclass(frozen=True)
-class _EnginePlan:
-    """The maps up to the engine's depth, its tail normalizer, and the
-    coordinate width at which the exact orbit hands over."""
-
-    maps: tuple[CheckedMap, ...]
-    normalizer: int
-    switch_bits: int
-
-
-def _engine_plan(spec: SequenceSpec, c: float, tol: float) -> _EnginePlan | None:
-    """Depth N with tail 2c / (d_1...d_N) <= tol/2, the other half of tol
-    going to rounding.  The exact orbit hands over once its coordinates
-    are wider than the precision an engine started at position 0 would
-    need, which bounds the precision from any later start: up to there an
-    exact step costs no more than a fixed-point one."""
+def _engine_plan(
+    spec: SequenceSpec, c: float, tol: float
+) -> tuple[tuple[CheckedMap, ...], int, int] | None:
+    """(f_1...f_N, d_1...d_N, switch_bits) for the depth N with tail
+    2c / (d_1...d_N) <= tol/2, the other half of tol going to rounding;
+    None when no engine reaches it.  The exact orbit hands over once its
+    coordinates are wider than switch_bits, the precision an engine
+    started at position 0 would need, which bounds the precision from any
+    later start: up to there an exact step costs no more than a
+    fixed-point one."""
     maps: list[CheckedMap] = []
     normalizer = 1
     while 4.0 * c > tol * normalizer:
@@ -348,35 +369,7 @@ def _engine_plan(spec: SequenceSpec, c: float, tol: float) -> _EnginePlan | None
     switch_bits = _engine_precision(maps, 1, tol / 4)
     if switch_bits is None:
         return None
-    return _EnginePlan(tuple(maps), normalizer, switch_bits)
-
-
-def _engine_estimate(
-    p: RationalProjectivePoint,
-    start: int,
-    normalizer: int,
-    c: float,
-    tol: float,
-    plan: _EnginePlan,
-    budget_bits: int,
-) -> HeightEstimate | None:
-    """The engine's estimate from the exact point p at position start, or
-    None when its precision would not fit the bit budget."""
-    maps = plan.maps[start:]
-    precision = _engine_precision(maps, normalizer, tol / 4)
-    if precision is None or _engine_bits(maps, precision) > budget_bits:
-        return None
-    value, rounding = bounded_truncation(p, maps, precision, normalizer)
-    radius = 2.0 * c / plan.normalizer + rounding
-    return HeightEstimate(
-        value=value,
-        radius=radius,
-        depth=len(plan.maps),
-        c_used=c,
-        multiplicative=multiplicative_height(p),
-        normalizer=normalizer,
-        conforming=radius <= tol,
-    )
+    return tuple(maps), normalizer, switch_bits
 
 
 def canonical_height(
@@ -392,17 +385,21 @@ def canonical_height(
     is already canonical (radius 0), and a repeated (point, phase) state
     proves preperiodicity, hence an exact zero.  Once the coordinates are
     wider than the fixed-point precision the tolerance needs, and for a
-    word with phases once h > 2c certifies that no cycle can follow, the
-    bounded-size engine finishes the job.  If the bit budget is hit
-    first, the partial truncation is returned flagged non-conforming.
+    word with phases once H is above census_threshold (h > 2c, so no cycle
+    can follow), the bounded-size engine runs from the current point to
+    the plan's depth, if its precision fits the bit budget.  If the bit
+    budget stops the exact orbit first, the partial truncation is returned
+    flagged non-conforming.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_budget(budget_bits)
+    _check_point(x, spec.generators)
     c = spec.c_bound
     phased = spec.phase_at(0) is not None
     seen: dict[tuple, int] | None = {} if phased else None
-    carrier = escape_carrier(spec.generators) if phased else None
+    # without phases no cycle is waited for: every H >= 1 is above 0
+    cutoff = census_threshold(spec.generators) if phased else 0
     plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
     orbit = exact_orbit(x, spec, budget_bits)
     depth, p, normalizer = next(orbit)
@@ -415,7 +412,6 @@ def canonical_height(
                     value=0.0,
                     radius=0.0,
                     depth=depth,
-                    c_used=c,
                     multiplicative=None,
                     normalizer=normalizer,
                 )
@@ -423,14 +419,21 @@ def canonical_height(
         h = multiplicative_height(p)
         if not _divide(2.0 * c, normalizer) > tol:
             break
-        if (
-            plan is not None
-            and h.bit_length() > plan.switch_bits
-            and (carrier is None or _exceeds_2c(h, carrier))
-        ):
-            est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
-            if est is not None:
-                return est
+        if plan is not None and h.bit_length() > plan[2] and h > cutoff:
+            maps, tail, _ = plan
+            rest = maps[depth:]
+            precision = _engine_precision(rest, normalizer, tol / 4)
+            if precision is not None and _engine_bits(rest, precision) <= budget_bits:
+                value, rounding = bounded_truncation(p, rest, precision, normalizer)
+                radius = 2.0 * c / tail + rounding
+                return HeightEstimate(
+                    value=value,
+                    radius=radius,
+                    depth=len(maps),
+                    multiplicative=h,
+                    normalizer=normalizer,
+                    conforming=radius <= tol,
+                )
         try:
             depth, p, normalizer = next(orbit)
         except BudgetExceeded:
@@ -441,7 +444,6 @@ def canonical_height(
         value=ExactLogHeight(h, normalizer).value,
         radius=_divide(2.0 * c, normalizer),
         depth=depth,
-        c_used=c,
         multiplicative=h,
         normalizer=normalizer,
         conforming=conforming,

@@ -9,11 +9,12 @@ infinite walk, i.e. when it survives repeated deletion of out-degree-zero
 vertices.  Both directions are elementary: an infinite walk in a finite
 graph reaches a cycle, and a preperiodic orbit is itself such a walk.
 
-Escape is certified exactly: the first orbit point with h > 2c (an integer
-power comparison, no floats) proves the start was not preperiodic for the
-word being followed.  heights.escape_carrier is the one source of that 2c
-test, for the escape check here, the census cutoff floor(e^{2c}) and the
-engine hand-off in canonical_height.
+Escape is certified exactly: the first orbit point with H above the
+integer T = floor(e^{2c}) (so h > 2c; an integer comparison, no floats)
+proves the start was not preperiodic for the word being followed.
+heights.census_threshold computes T, the one escape cutoff of the exact
+layer: the census enumerates {H <= T}, forward_orbit stops above it, and
+canonical_height waits for it before its engine hand-off.
 
 unbounded_demo builds the classical bad family: degree-2 maps f_i of P^1,
 each with a persistent fixed point at (1:0), rigged so that the point
@@ -36,8 +37,8 @@ from .errors import BudgetExceeded, EnumerationTooLarge, NoRecurringPhase
 from .heights import (
     DEFAULT_BUDGET_BITS,
     _check_budget,
-    _exceeds_2c,
-    escape_carrier,
+    _check_point,
+    census_threshold,
     exact_orbit,
     multiplicative_height,
 )
@@ -59,8 +60,9 @@ class FiniteOrbit:
 
 @dataclass(frozen=True)
 class HeightEscape:
-    """Certified non-preperiodicity: the orbit point at `step` has naive
-    height exceeding 2*c(spec), verified by exact integer comparison."""
+    """Certified non-preperiodicity: the orbit point at `step` has
+    multiplicative height above census_threshold, so naive height above
+    2*c(spec), verified by exact integer comparison."""
 
     step: int
     height: float
@@ -94,11 +96,12 @@ def forward_orbit(
     _check_budget(budget_bits)
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
-    carrier = escape_carrier(spec.generators)
+    _check_point(x, spec.generators)
+    cutoff = census_threshold(spec.generators)
     seen: dict[tuple, int] = {}
     points: list[RationalProjectivePoint] = []
     for step, p, _ in islice(exact_orbit(x, spec, budget_bits), max_steps):
-        if _exceeds_2c(multiplicative_height(p), carrier):
+        if multiplicative_height(p) > cutoff:
             return HeightEscape(
                 step=step,
                 height=math.log(multiplicative_height(p)),
@@ -111,22 +114,6 @@ def forward_orbit(
         seen[key] = step
         points.append(p)
     return BudgetHit(step=max_steps)
-
-
-def _floor_root(value: int, k: int) -> int:
-    """floor(value ** (1/k)) for nonnegative integers, exactly, at any size:
-    Newton's iteration on integers from 2^ceil(bits/k), above the root; by
-    AM-GM the iterates stay at or above the floor and fall to it."""
-    if value < 0:
-        raise ValueError("negative radicand")
-    if value < 2 or k == 1:
-        return value
-    r = 1 << -(-value.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + value // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
 
 
 def bounded_height_points(
@@ -190,12 +177,6 @@ def preperiodic_census(
             if out_deg[q] == 0:
                 stack.append(q)
     return frozenset(in_t - dead)
-
-
-def census_threshold(generators: Sequence[CheckedMap]) -> int:
-    """floor(e^{2c}) for the generating set: the height cutoff of T."""
-    b, d = escape_carrier(generators)
-    return _floor_root(b * b, d)
 
 
 @dataclass(frozen=True)

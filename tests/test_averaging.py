@@ -329,7 +329,7 @@ def test_samples_above_the_cap_are_refused_before_any_word_is_drawn(monkeypatch)
     with pytest.raises(BudgetExceeded, match=message):
         eigensystem_height_mc(x, [SQ, PSQ], MAX_SAMPLES + 1, 8, 1)
     # the cap itself passes the input checks
-    averaging._check_inputs([SQ, PSQ], 8, DEFAULT_BUDGET_BITS, MAX_SAMPLES)
+    averaging._check_inputs(x, [SQ, PSQ], 8, DEFAULT_BUDGET_BITS, MAX_SAMPLES)
 
 
 def test_word_budget_admits_exactly_its_trie_node_count():

@@ -72,6 +72,25 @@ def test_validate_reports_certificates(capsys, sq_config):
     assert doc["c_bound"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canheight", "--point", "2,3,5"],
+        ["orbit", "--point", "2,3,5"],
+        ["height", "--point", "2,3,5", "--depth", "0"],
+        ["average", "--point", "2,3,5", "--depth", "0", "--samples", "10"],
+    ],
+    ids=["canheight", "orbit", "height-depth-0", "average-depth-0"],
+)
+def test_a_point_of_another_space_is_refused_before_any_step(capsys, sq_config, argv):
+    # none of these applies a map to the point: sq has c = 0, (2:3:5) is
+    # above the cutoff 1 at step 0, and depth 0 walks no step
+    assert main([*argv, "--config", sq_config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: form/point variable counts differ\n"
+
+
 def test_validate_rejects_degenerate_map(capsys, tmp_path):
     cfg = _write_config(
         tmp_path,

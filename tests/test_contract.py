@@ -16,14 +16,19 @@ accepts and floats cannot carry:
 
 Each subcommand runs on each of them in process, with warnings as errors,
 as do the two tolerances of 1e-320 whose degree products leave the float
-range.
+range.  A property test runs the exact-orbit commands on random points of
+one to four coordinates, fractions and 10^+-400 among them.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqheight.cli import main
 
@@ -67,6 +72,11 @@ def _assert_contract(capsys, argv):
         warnings.simplefilter("error")
         code = main(argv)
     out, err = capsys.readouterr()
+    _assert_streams(code, out, err)
+    return code, out, err
+
+
+def _assert_streams(code, out, err):
     assert code in (0, 1, 2)
     if out:
         # a report: exit 0, or exit 2 for a non-conforming height estimate
@@ -76,7 +86,6 @@ def _assert_contract(capsys, argv):
         assert code in (1, 2)
         assert err.endswith("\n") and "\n" not in err[:-1], err
         assert err.startswith(("input error: ", "contract violation: "))
-    return code, out, err
 
 
 @pytest.mark.parametrize(
@@ -218,3 +227,90 @@ def test_a_config_of_the_wrong_shape_is_one_input_error(
     code, out, err = _assert_contract(capsys, [*argv, "--config", str(path)])
     assert code == 1 and out == ""
     assert err == f"input error: {message}\n"
+
+
+# sq alone (c = 0), the periodic word sq psq, and a P^2 cubic
+PROPERTY_CONFIGS = {
+    "sq": {
+        "dim": 1,
+        "maps": [SQ_MAP],
+        "sequence": {"type": "constant", "map": "sq"},
+    },
+    "sq-psq": dict(RANDOM_SQ_PSQ, sequence={"type": "periodic", "word": ["sq", "psq"]}),
+    "cubic-p2": {
+        "dim": 2,
+        "maps": [
+            {
+                "name": "cubic",
+                "degree": 3,
+                "forms": [
+                    [[[3, 0, 0], 1], [[0, 3, 0], 1]],
+                    [[[0, 3, 0], 1], [[0, 0, 3], 1]],
+                    [[[0, 0, 3], 1]],
+                ],
+            }
+        ],
+        "sequence": {"type": "constant", "map": "cubic"},
+    },
+}
+TEN_400 = "1" + "0" * 400
+COORDINATES = st.one_of(
+    st.integers(-40, 40).map(str),
+    st.sampled_from(["3/7", "-5/2", TEN_400, "-" + TEN_400, "1/" + TEN_400]),
+)
+BUDGET_BITS = st.sampled_from([[], ["--budget-bits", "1"], ["--budget-bits", "64"]])
+COMMAND_ARGS = {
+    "height": st.integers(0, 4).map(lambda n: ["--depth", str(n)]),
+    "canheight": st.sampled_from([[], ["--tol", "1e-2"]]),
+    "orbit": st.integers(0, 30).map(lambda n: ["--max-steps", str(n)]),
+    "average": st.tuples(st.integers(0, 3), st.integers(2, 20)).map(
+        lambda t: ["--depth", str(t[0]), "--samples", str(t[1])]
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def property_configs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    paths = {}
+    for name, cfg in PROPERTY_CONFIGS.items():
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg))
+    return paths
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    config=st.sampled_from(list(PROPERTY_CONFIGS)),
+    command=st.sampled_from(list(COMMAND_ARGS)),
+    budget=BUDGET_BITS,
+    data=st.data(),
+)
+def test_exact_orbit_commands_keep_the_contract_on_any_point(
+    property_configs, config, command, budget, data
+):
+    # about half of the points have the config's dim + 1 coordinates
+    dim = PROPERTY_CONFIGS[config]["dim"]
+    size = data.draw(st.sampled_from([dim + 1] * 3 + [1, 2, 3, 4]))
+    coords = data.draw(st.lists(COORDINATES, min_size=size, max_size=size))
+    args = data.draw(COMMAND_ARGS[command])
+    argv = [command, f"--point={','.join(coords)}", *args, *budget]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([*argv, "--config", str(property_configs[config])])
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    _assert_streams(code, out, err)
+    if code == 2 and out:
+        # the two reports of a contract stop: a non-conforming estimate
+        # and an orbit that took all of its steps
+        report = json.loads(out)
+        assert report.get("conforming") is False or report.get("kind") == "budget"
+    if size != dim + 1:
+        assert code == 1 and out == ""
+        if any(c != "0" for c in coords):
+            assert err == "input error: form/point variable counts differ\n"

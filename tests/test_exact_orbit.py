@@ -25,9 +25,10 @@ from seqheight.heights import (
     HeightEstimate,
     _apply_within_budget,
     _check_bits,
-    _engine_estimate,
+    _engine_bits,
     _engine_plan,
-    _exceeds_2c,
+    _engine_precision,
+    bounded_truncation,
     canonical_height,
     exact_orbit,
     height_sequence,
@@ -104,6 +105,54 @@ def _reference_carrier(spec):
     return max(best.distortion.amplification, best.distortion.attenuation), best.degree
 
 
+# The escape test and the engine hand-off as heights had them before
+# census_threshold became the one cutoff and the hand-off moved into
+# canonical_height's loop: verbatim, but for the HeightEstimate field
+# c_used that was dropped since.
+
+
+def _exceeds_2c(h_mult: int, carrier: tuple[int, int]) -> bool:
+    b, d = carrier
+    return h_mult**d > b * b
+
+
+@dataclass(frozen=True)
+class _EnginePlan:
+    """The maps up to the engine's depth, its tail normalizer, and the
+    coordinate width at which the exact orbit hands over."""
+
+    maps: tuple[CheckedMap, ...]
+    normalizer: int
+    switch_bits: int
+
+
+def _engine_estimate(
+    p,
+    start: int,
+    normalizer: int,
+    c: float,
+    tol: float,
+    plan: _EnginePlan,
+    budget_bits: int,
+) -> HeightEstimate | None:
+    """The engine's estimate from the exact point p at position start, or
+    None when its precision would not fit the bit budget."""
+    maps = plan.maps[start:]
+    precision = _engine_precision(maps, normalizer, tol / 4)
+    if precision is None or _engine_bits(maps, precision) > budget_bits:
+        return None
+    value, rounding = bounded_truncation(p, maps, precision, normalizer)
+    radius = 2.0 * c / plan.normalizer + rounding
+    return HeightEstimate(
+        value=value,
+        radius=radius,
+        depth=len(plan.maps),
+        multiplicative=multiplicative_height(p),
+        normalizer=normalizer,
+        conforming=radius <= tol,
+    )
+
+
 def _reference_canonical_height(x, spec, tol, budget_bits):
     c = spec.c_bound
     p = x
@@ -115,6 +164,8 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
         seen = {(p, spec.phase_at(0)): 0}
         carrier = _reference_carrier(spec)
     plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
+    if plan is not None:
+        plan = _EnginePlan(*plan)
     while 2.0 * c / normalizer > tol:
         h = multiplicative_height(p)
         if (
@@ -134,7 +185,6 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
                 value=ExactLogHeight(h, normalizer).value,
                 radius=2.0 * c / normalizer,
                 depth=depth,
-                c_used=c,
                 multiplicative=h,
                 normalizer=normalizer,
                 conforming=False,
@@ -149,7 +199,6 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
                     value=0.0,
                     radius=0.0,
                     depth=depth,
-                    c_used=c,
                     multiplicative=None,
                     normalizer=normalizer,
                 )
@@ -159,7 +208,6 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
         value=h.value,
         radius=2.0 * c / normalizer,
         depth=depth,
-        c_used=c,
         multiplicative=h.multiplicative,
         normalizer=h.normalizer,
     )

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqheight.algebra import HomogeneousForm, normalize
-from seqheight.errors import BudgetExceeded
+from seqheight.averaging import eigensystem_height_mc, verify_averaging
+from seqheight.errors import BudgetExceeded, DimensionMismatch
 from seqheight.green import LiftSequence, green_function
 from seqheight.heights import (
     ExactLogHeight,
@@ -26,6 +27,7 @@ from seqheight.morphisms import (
     power_map,
     validate,
 )
+from seqheight.orbits import forward_orbit
 
 SQ = power_map(1, 2, "sq")
 CUBE = power_map(1, 3, "cube")
@@ -125,6 +127,27 @@ def test_budget_flagging():
     est = canonical_height(normalize([3, 7]), Constant(PSQ), 1e-9, budget_bits=64)
     assert not est.conforming
     assert est.radius > 0
+
+
+def test_canonical_height_refuses_a_point_of_another_space():
+    # c = 0 returns the naive height without applying a map
+    with pytest.raises(DimensionMismatch, match="^form/point variable counts differ$"):
+        canonical_height(normalize([2, 3, 5]), Constant(SQ), 1e-8)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda x: height_sequence(x, Constant(SQ), 0),
+        lambda x: forward_orbit(x, Constant(SQ)),
+        lambda x: verify_averaging(x, [SQ], 0, 10, 1),
+        lambda x: eigensystem_height_mc(x, [SQ, PSQ], 10, 0, 1),
+    ],
+    ids=["height_sequence", "forward_orbit", "verify_averaging", "mc"],
+)
+def test_no_exact_orbit_accepts_a_point_of_another_space(run):
+    with pytest.raises(DimensionMismatch, match="^form/point variable counts differ$"):
+        run(normalize([2, 3, 5]))
 
 
 def test_height_sequence_budget_raises():

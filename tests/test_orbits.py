@@ -1,11 +1,19 @@
 import gc
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqheight.algebra import HomogeneousForm, RationalProjectivePoint, normalize
-from seqheight.errors import EnumerationTooLarge
+from seqheight.algebra import (
+    HomogeneousForm,
+    RationalProjectivePoint,
+    monomials,
+    normalize,
+)
+from seqheight.errors import Degenerate, EnumerationTooLarge
 from seqheight.heights import canonical_height, multiplicative_height
 from seqheight.morphisms import (
     CheckedMap,
@@ -176,6 +184,47 @@ def test_census_points_have_finite_orbits():
 def test_census_threshold_values():
     assert census_threshold([SQ]) == 1
     assert census_threshold([PSQ]) == 2
+
+
+def _random_generator(rng, n, d, scale):
+    """A validated map of P^(n-1): each form has the pure power of its own
+    variable and two random monomials, coefficients up to scale."""
+    mons = monomials(n, d)
+    while True:
+        forms = []
+        for j in range(n):
+            terms = {tuple(d if i == j else 0 for i in range(n)): rng.randint(1, scale)}
+            for m in rng.sample(mons, 2):
+                terms[m] = terms.get(m, 0) + rng.randint(-scale, scale)
+            terms = {m: a for m, a in terms.items() if a}
+            forms.append(HomogeneousForm.from_terms(n, d, terms))
+        try:
+            return validate(forms)
+        except Degenerate:
+            continue
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from([2, 3]),
+    count=st.integers(1, 3),
+    scale=st.sampled_from([1, 3, 10**3, 10**12, 10**40]),
+)
+def test_census_threshold_is_the_exact_2c_test(seed, n, count, scale):
+    # the (B, d) carrier the cutoff replaced: B = max(A, attenuation) of the
+    # generator with the largest c, and h > 2c is H^d > B^2
+    rng = random.Random(seed)
+    degrees = [2, 3, 4] if n == 2 else [2, 3]
+    gens = [
+        _random_generator(rng, n, rng.choice(degrees), scale) for _ in range(count)
+    ]
+    best = max(gens, key=lambda g: g.distortion.c_bound)
+    b = max(best.distortion.amplification, best.distortion.attenuation)
+    d = best.degree
+    cutoff = census_threshold(gens)
+    for h in {1, 2, *range(max(1, cutoff - 3), cutoff + 4)}:
+        assert (h > cutoff) == (h**d > b * b)
 
 
 def test_census_enumeration_guard():
