@@ -35,6 +35,7 @@ from .errors import BudgetExceeded
 from .heights import (
     DEFAULT_BUDGET_BITS,
     _apply_within_budget,
+    _check_bits,
     _check_budget,
     _check_point,
     _divide,
@@ -91,11 +92,12 @@ def _word_leaves(
 
     Each word reuses the orbit prefix it shares with the one before, so
     every node of the word trie is applied once, in the preorder of a
-    recursion over the tree (the first step over budget_bits is the one that
+    recursion over the tree (a start point over budget_bits is refused
+    before any step, and then the first step over it is the one that
     recursion refuses), and only the current path of points is kept.
     """
     path = [x]
-    widths = [multiplicative_height(x).bit_length()]
+    widths = [_check_bits(x, budget_bits, 0)]
     prev: tuple[int, ...] = ()
     leaves = []
     for word in words:
@@ -268,7 +270,7 @@ def verify_averaging(
     leaves = _word_leaves(x, generators, tree, budget_bits)
     exact = _tree_average(leaves, k, depth, sum(g.degree for g in generators))
     mc = _sampled_average(words, dict(zip(tree, leaves)), generators, samples, depth, seed)
-    c = max(g.distortion.c_bound for g in generators)
+    c = max(g.c_bound for g in generators)
     # 2c / 2^depth, by exponent so that no depth overflows a float
     radius = math.ldexp(2.0 * c, -depth)
     disc = abs(exact - mc.mean)

@@ -202,9 +202,9 @@ def _cmd_validate(args) -> int:
             {
                 "name": m.name,
                 "degree": m.degree,
-                "kappa_plus": m.distortion.kappa_plus,
-                "kappa_minus": m.distortion.kappa_minus,
-                "c_bound": m.distortion.c_bound,
+                "kappa_plus": m.kappa_plus,
+                "kappa_minus": m.kappa_minus,
+                "c_bound": m.c_bound,
                 "certificate_degree": m.certificate.exponent,
                 "certificate_denominator": m.certificate.denominator,
             }

@@ -156,11 +156,13 @@ def _horner(coeffs_low_first: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _residual_ok(coeffs_low: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """|p(t)| <= RESIDUAL_SCALE * sum|c| * max(1, |t|)^deg per root; the
+    bound of a root past about 10^(308/deg) is inf, without a warning."""
     p, _ = _horner(coeffs_low, roots)
     scale = np.sum(np.abs(coeffs_low), axis=-1, keepdims=True)
-    bound = RESIDUAL_SCALE * scale * np.maximum(1.0, np.abs(roots)) ** (
-        coeffs_low.shape[-1] - 1
-    )
+    with np.errstate(over="ignore"):
+        power = np.maximum(1.0, np.abs(roots)) ** (coeffs_low.shape[-1] - 1)
+    bound = RESIDUAL_SCALE * scale * power
     return np.abs(p) <= bound
 
 
@@ -280,9 +282,12 @@ def _pullback(cmap: CheckedMap, a0: np.ndarray, a1: np.ndarray):
         [[_complex(c) for c in _binary_coeff_vector(f)] for f in cmap.forms],
         dtype=np.complex128,
     )
-    coeffs = a1[:, None] * table[0] - a0[:, None] * table[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = a1[:, None] * table[0] - a0[:, None] * table[1]
     mags = np.hypot(coeffs.real, coeffs.imag)
     top = mags.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("a pullback coefficient is beyond the floating-point range")
     if not top.all():
         raise RootFindingFailed("target pullback form vanishes identically")
     keep = mags > 1e-13 * top

@@ -120,12 +120,12 @@ class ComplexLiftMap:
             tuple(_complex(c) for c, _, _ in terms) for terms in cmap.terms
         )
         n, d = self.num_vars, self.degree
-        dist = cmap.distortion
+        c_inf, e = cmap.cofactor_l1, cmap.certificate.denominator
         try:
-            log_ratio = math.log(dist.cofactor_l1 / dist.denominator)
+            log_ratio = math.log(c_inf / e)
         except OverflowError:  # C_inf / e past the float range
-            log_ratio = math.log(dist.cofactor_l1) - math.log(dist.denominator)
-        up = (math.log(dist.amplification) + 0.5 * math.log(n)) / d
+            log_ratio = math.log(c_inf) - math.log(e)
+        up = (math.log(cmap.amplification) + 0.5 * math.log(n)) / d
         self.c_bar = max(up, log_ratio / d + 0.5 * math.log(n))
 
     def rescaled(self, scale: complex) -> "ComplexLiftMap":

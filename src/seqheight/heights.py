@@ -161,7 +161,7 @@ def _apply_within_budget(
     budget_bits bits, and the step is refused before its products are
     formed: the same step the check of the formed image would refuse.
     """
-    floor = g.degree * (bits - 1) - g.distortion.attenuation.bit_length()
+    floor = g.degree * (bits - 1) - g.attenuation.bit_length()
     if floor >= budget_bits:
         raise BudgetExceeded(
             f"orbit coordinate reaches at least {floor + 1} bits (> {budget_bits}) "
@@ -177,9 +177,10 @@ def exact_orbit(
     """Yield (step, x_step, d_1...d_step) along the exact orbit, from step 0.
 
     Each point is computed only when the next item is asked for; a point
-    wider than budget_bits raises BudgetExceeded there.
+    wider than budget_bits, the start point included, raises BudgetExceeded
+    there.
     """
-    p, bits, normalizer = x, multiplicative_height(x).bit_length(), 1
+    p, bits, normalizer = x, _check_bits(x, budget_bits, 0), 1
     for step in count():
         yield step, p, normalizer
         g = spec.generator_at(step)
@@ -223,8 +224,8 @@ def census_threshold(generators: Sequence[CheckedMap]) -> int:
     cutoff of the exact layer: with B = max(A, attenuation) and d of the
     generator with the largest c, 2c = (2/d) log B and T = floor((B^2)^(1/d)),
     so for an integer H the test H > T is exactly h > 2c."""
-    best = max(generators, key=lambda g: g.distortion.c_bound)
-    b = max(best.distortion.amplification, best.distortion.attenuation)
+    best = max(generators, key=lambda g: g.c_bound)
+    b = max(best.amplification, best.attenuation)
     return _floor_root(b * b, best.degree)
 
 
@@ -242,9 +243,8 @@ def _direction_gain(g: CheckedMap) -> float:
     """A * C_inf / e: one step of g turns a direction error delta into at
     most this times (1 + delta)^d - 1.  The exact ratio, rounded once, and
     inf past the float range, where no precision can serve the engine."""
-    dist = g.distortion
     try:
-        return dist.amplification * dist.cofactor_l1 / dist.denominator
+        return g.amplification * g.cofactor_l1 / g.certificate.denominator
     except OverflowError:
         return math.inf
 
@@ -323,7 +323,7 @@ def _engine_bits(maps: Sequence[CheckedMap], precision: int) -> int:
     modulus = math.prod(g.certificate.denominator for g in maps)
     width = max(precision + 2, modulus.bit_length())
     return max(
-        (g.degree * width + g.distortion.amplification.bit_length() for g in maps),
+        (g.degree * width + g.amplification.bit_length() for g in maps),
         default=width,
     )
 
@@ -487,9 +487,13 @@ def functional_equation_residual(
     The identity is exact for the limits, so the residual is bounded by
     (1 + d_1) * tol.  When both sides are exact truncations the comparison
     is made on the integer payloads and an exact zero is returned as 0.0.
+    The step to f_1(x) keeps the bit budget, as the exact orbit does.
     """
+    _check_budget(budget_bits)
     g1 = spec.generator_at(0)
-    lhs = canonical_height(g1.apply(x), spec.shift(), tol, budget_bits)
+    bits = _check_bits(x, budget_bits, 0)
+    fx, _ = _apply_within_budget(g1, x, bits, budget_bits, 1)
+    lhs = canonical_height(fx, spec.shift(), tol, budget_bits)
     rhs = canonical_height(x, spec, tol, budget_bits)
     exact = _exact_residual_zero(lhs, rhs, g1.degree)
     if exact:

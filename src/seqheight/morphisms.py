@@ -1,16 +1,15 @@
 """Validated morphisms of P^N and bounded sequences of them.
 
-A CheckedMap bundles integer forms with two certificates:
+A CheckedMap is a record of integer forms and their Nullstellensatz
+certificate (no common zero, so the map is total).  Its distortion
+constants follow from those two alone: the integer carriers A and B with
 
-  * a Nullstellensatz certificate (no common zero, so the map is total), and
-  * a distortion certificate with integer carriers A and B such that
+    H(f(x)) <= A * H(x)^d        (triangle inequality; A = max_j sum|coeff|)
+    H(x)^d  <= B * H(f(x))       (from the certificate; B = C_inf * e)
 
-        H(f(x)) <= A * H(x)^d        (triangle inequality; A = max_j sum|coeff|)
-        H(x)^d  <= B * H(f(x))       (from the certificate; B = C_inf * e)
-
-    on canonical points.  kappa_plus = log A, kappa_minus = log B, and
-    c_bound = max(kappa_plus, kappa_minus) / d bounds the one-step defect
-    |h(f(x))/d - h(x)| of the logarithmic height.
+on canonical points, kappa_plus = log A, kappa_minus = log B, and c_bound =
+max(kappa_plus, kappa_minus) / d, which bounds the one-step defect
+|h(f(x))/d - h(x)| of the logarithmic height.
 
 Sequences f_1, f_2, ... drawn from a finite generating set are described by a
 SequenceSpec: a PeriodicWord (a finite prefix, then a word repeated forever;
@@ -104,41 +103,43 @@ def _weighted_index(u64: int, weights: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class DistortionCertificate:
-    """Two-sided height distortion bounds for one morphism.
-
-    amplification and attenuation are the exact integer carriers; the float
-    fields are their logarithms (natural log) and the normalized bound.
-    """
-
-    kappa_plus: float
-    kappa_minus: float
-    c_bound: float
-    amplification: int
-    attenuation: int
-    cofactor_l1: int
-    denominator: int
-
-
-@dataclass(frozen=True)
 class CheckedMap:
     """A validated morphism of P^N given by integer forms of degree d >= 2.
 
-    __post_init__ builds the one term table that every evaluation walks:
-    values() and apply(), the engine of heights.bounded_truncation and the
-    complex view green.ComplexLiftMap.  powers lists the map's distinct
-    (variable, exponent >= 1) powers; terms holds, per form, a (coefficient,
-    first slot, other slots) triple per term, the slots indexing powers in
-    variable order.
+    The forms and their Nullstellensatz certificate are the whole record.
+    __post_init__ derives the rest from them: the degree d; the carriers
+    of the module docstring, amplification A, cofactor_l1 C_inf and
+    attenuation B = C_inf * e (e the certificate's denominator), with
+    kappa_plus, kappa_minus and c_bound; and the one term table that every
+    evaluation walks: values() and apply(), the engine of
+    heights.bounded_truncation and the complex view green.ComplexLiftMap.
+    powers lists the map's distinct (variable, exponent >= 1) powers;
+    terms holds, per form, a (coefficient, first slot, other slots) triple
+    per term, the slots indexing powers in variable order.
     """
 
     forms: tuple[HomogeneousForm, ...]
-    degree: int
     certificate: NullstellensatzCertificate
-    distortion: DistortionCertificate
     name: str | None = None
 
     def __post_init__(self):
+        d = self.forms[0].degree
+        amp = max(f.coefficient_l1() for f in self.forms)
+        c_inf = self.certificate.cofactor_l1()
+        att = c_inf * self.certificate.denominator
+        kp, km = math.log(amp), math.log(att)
+        # object.__setattr__, not self.__dict__: a materialized instance dict
+        # makes every later attribute read of the hot loops slower
+        for key, value in (
+            ("degree", d),
+            ("amplification", amp),
+            ("cofactor_l1", c_inf),
+            ("attenuation", att),
+            ("kappa_plus", kp),
+            ("kappa_minus", km),
+            ("c_bound", max(kp, km) / d),
+        ):
+            object.__setattr__(self, key, value)
         slots: dict[tuple[int, int], int] = {}
         terms = []
         for f in self.forms:
@@ -209,16 +210,13 @@ class CheckedMap:
         )
 
 
-def amplification_bound(forms: Sequence[HomogeneousForm]) -> int:
-    """Integer A with H(f(x)) <= A * H(x)^d: the largest coefficient l1 norm."""
-    return max(f.coefficient_l1() for f in forms)
-
-
 def validate(
     forms: Sequence[HomogeneousForm],
     name: str | None = None,
 ) -> CheckedMap:
-    """Check that the forms define a morphism and compute its certificates.
+    """Check that the forms define a morphism and certify it; the
+    CheckedMap derives its degree and distortion constants from the forms
+    and the certificate.
 
     Raises DegreeTooSmall below degree 2; certify raises DimensionMismatch
     on shape errors and Degenerate when the forms share a projective zero.
@@ -228,22 +226,7 @@ def validate(
     d = forms[0].degree
     if d < 2:
         raise DegreeTooSmall(f"degree {d} < 2: heights would not contract")
-    cert = certify(forms)
-    amp = amplification_bound(forms)
-    c_inf = cert.cofactor_l1()
-    att = c_inf * cert.denominator
-    kp = math.log(amp)
-    km = math.log(att)
-    dist = DistortionCertificate(
-        kappa_plus=kp,
-        kappa_minus=km,
-        c_bound=max(kp, km) / d,
-        amplification=amp,
-        attenuation=att,
-        cofactor_l1=c_inf,
-        denominator=cert.denominator,
-    )
-    return CheckedMap(tuple(forms), d, cert, dist, name)
+    return CheckedMap(tuple(forms), certify(forms), name)
 
 
 def power_map(dim: int, exponent: int, name: str | None = None) -> CheckedMap:
@@ -301,7 +284,7 @@ class SequenceSpec:
     @property
     def c_bound(self) -> float:
         """Uniform distortion bound max_j c_bound(g_j); finite by construction."""
-        return max(g.distortion.c_bound for g in self.generators)
+        return max(g.c_bound for g in self.generators)
 
     def index_at(self, position: int) -> int:
         raise NotImplementedError

@@ -42,7 +42,7 @@ from .heights import (
     exact_orbit,
     multiplicative_height,
 )
-from .morphisms import CheckedMap, SequenceSpec, amplification_bound
+from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_CENSUS_CAP = 10**6
 
@@ -249,7 +249,7 @@ def unbounded_demo(
             UnboundedDemoRow(
                 index=i,
                 perturbation=ks[i - 1],
-                kappa_plus=math.log(amplification_bound(_demo_form_pair(ks[i - 1]))),
+                kappa_plus=math.log(max(f.coefficient_l1() for f in pair)),
                 naive_height=math.log(i) if i > 1 else 0.0,
                 truncated_height=0.0,
                 steps_to_fixed_point=steps,

@@ -17,6 +17,7 @@ from seqheight.errors import BudgetExceeded
 from seqheight.heights import (
     DEFAULT_BUDGET_BITS,
     _apply_within_budget,
+    _check_bits,
     multiplicative_height,
 )
 from seqheight.morphisms import (
@@ -120,7 +121,7 @@ def test_verify_averaging_passes():
     assert rep.passed
     assert rep.discrepancy <= rep.tolerance
     assert rep.truncation_radius == pytest.approx(
-        2 * PSQ.distortion.c_bound / 2**6
+        2 * PSQ.c_bound / 2**6
     )
 
 
@@ -213,13 +214,14 @@ def _memo_exact(x, generators, depth, budget_bits=DEFAULT_BUDGET_BITS):
         memo[key] = val
         return val
 
-    return rec(x, multiplicative_height(x).bit_length(), depth)
+    # the start point keeps the budget too, before any step
+    return rec(x, _check_bits(x, budget_bits, 0), depth)
 
 
 def _reference_report(x, generators, depth, samples, seed, budget_bits=DEFAULT_BUDGET_BITS):
     exact = _memo_exact(x, generators, depth, budget_bits)
     mean, stderr = _mc_per_sample(x, generators, samples, depth, seed)
-    radius = 2.0 * max(g.distortion.c_bound for g in generators) / 2**depth
+    radius = 2.0 * max(g.c_bound for g in generators) / 2**depth
     disc = abs(exact - mean)
     tol = 3.0 * stderr + 2.0 * radius
     return AveragingReport(

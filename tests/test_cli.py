@@ -91,6 +91,29 @@ def test_a_point_of_another_space_is_refused_before_any_step(capsys, sq_config, 
     assert captured.err == "input error: form/point variable counts differ\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["height", "--depth", "0"],
+        ["orbit", "--max-steps", "1"],
+        ["average", "--depth", "0", "--samples", "2"],
+        ["canheight"],
+    ],
+    ids=["height-depth-0", "orbit", "average-depth-0", "canheight"],
+)
+def test_a_start_point_over_the_bit_budget_is_refused(capsys, mixed_config, argv):
+    # 10^400 has 1329 bits: the budget caps the start point as it caps
+    # every later orbit point, also where no step is taken
+    point = f"{10**400},1"
+    code = main([*argv, "--config", mixed_config, "--point", point, "--budget-bits", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "contract violation: orbit coordinate reached 1329 bits (> 1) at step 0\n"
+    )
+
+
 def test_validate_rejects_degenerate_map(capsys, tmp_path):
     cfg = _write_config(
         tmp_path,

@@ -17,7 +17,9 @@ accepts and floats cannot carry:
 Each subcommand runs on each of them in process, with warnings as errors,
 as do the two tolerances of 1e-320 whose degree products leave the float
 range.  A property test runs the exact-orbit commands on random points of
-one to four coordinates, fractions and 10^+-400 among them.
+one to four coordinates, fractions and 10^+-400 among them; another runs
+validate, canheight, preimages, green and census on generated configs,
+non-morphisms and malformed numbers among them.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqheight.algebra import monomials
 from seqheight.cli import main
 
 CONFIGS = pathlib.Path(__file__).parent / "configs"
@@ -166,6 +169,32 @@ def test_preimages_need_only_finite_coefficients(capsys):
             capsys, [*argv, "--config", str(CONFIGS / f"{config}.json")]
         )
         assert code == 0 and json.loads(out)["total"] == 4
+
+
+@pytest.mark.parametrize(
+    "forms, code, err",
+    [
+        # a root near 10^155, whose residual bound overflows to inf
+        ([[[[2, 0], 1]], [[[0, 2], 1], [[1, 1], 10**155]]], 0, ""),
+        # a pullback coefficient past the float range
+        (
+            [[[[2, 0], 10**206]], [[[0, 2], 1]]],
+            1,
+            "input error: a pullback coefficient is beyond the floating-point range\n",
+        ),
+    ],
+    ids=["residual-bound", "pullback-coefficient"],
+)
+def test_preimages_keep_the_contract_past_the_float_range(
+    capsys, tmp_path, forms, code, err
+):
+    # each printed numpy warnings on stderr; found by the generated configs
+    cfg = {"dim": 1, "maps": [{"name": "f", "degree": 2, "forms": forms}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["preimages", "--target", "2", "--depth", "2", "--config", str(path)]
+    got, _, stderr = _assert_contract(capsys, argv)
+    assert (got, stderr) == (code, err)
 
 
 def _malformed(**changes):
@@ -314,3 +343,120 @@ def test_exact_orbit_commands_keep_the_contract_on_any_point(
         assert code == 1 and out == ""
         if any(c != "0" for c in coords):
             assert err == "input error: form/point variable counts differ\n"
+
+
+# Configs slice: generated configs of P^1 (coefficients up to 10^400) and
+# P^2 (up to 10^3) at degrees 2-4, over every sequence type, with
+# non-morphisms and malformed numbers among them.
+MALFORMED_NUMBERS = st.sampled_from([1.0, 2.5, True, False, "1", "x"])
+P1_COEFFICIENTS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(0, 400).map(lambda k: 10**k),
+    st.integers(0, 400).map(lambda k: -(10**k) + 1),
+)
+P2_COEFFICIENTS = st.integers(-(10**3), 10**3)
+
+
+@st.composite
+def _generated_config(draw, dim, degree, coefficients):
+    """(config, flaw): one or two maps of degree `degree` on P^dim over a
+    sequence of any type; flaw is "non-morphism", "malformed" or None."""
+    n = dim + 1
+    exponents = monomials(n, degree)
+    flaw = draw(st.sampled_from([None, None, "non-morphism", "malformed"]))
+    maps = []
+    for k in range(draw(st.integers(1, 2))):
+        forms = []
+        for j in range(n):
+            # x_j^d with a nonzero coefficient, and up to two other terms; a
+            # non-morphism has no x_0^d term, so (1:0:...:0) is a common zero
+            pure = [degree if i == j else 0 for i in range(n)]
+            lead = draw(coefficients.filter(bool))
+            terms = [] if flaw == "non-morphism" and j == 0 else [[pure, lead]]
+            for exps in draw(st.lists(st.sampled_from(exponents), max_size=2)):
+                if flaw != "non-morphism" or exps[0] != degree:
+                    terms.append([list(exps), draw(coefficients)])
+            forms.append(terms or [[[0] * dim + [degree], 1]])
+        maps.append({"name": f"f{k}", "degree": degree, "forms": forms})
+    names = [m["name"] for m in maps]
+    entry = st.one_of(st.sampled_from(names), st.integers(0, len(maps) - 1))
+    kind = draw(st.sampled_from(["constant", "periodic", "explicit", "random"]))
+    word = draw(st.lists(entry, min_size=1, max_size=3))
+    if kind == "constant":
+        sequence = {"type": kind, "map": word[0]}
+    elif kind == "periodic":
+        sequence = {"type": kind, "word": word}
+    elif kind == "explicit":
+        tail = draw(st.lists(entry, max_size=2))
+        sequence = {"type": kind, "prefix": word, "tail": tail}
+    else:
+        sequence = {"type": kind, "seed": draw(st.integers(0, 2**40))}
+    cfg = {"dim": dim, "maps": maps, "sequence": sequence}
+    if flaw == "malformed":
+        bad = draw(MALFORMED_NUMBERS)
+        m = draw(st.sampled_from(maps))
+        term = draw(st.sampled_from(draw(st.sampled_from(m["forms"]))))
+        fields = ["dim", "degree", "exponent", "coefficient", "word"]
+        field = draw(st.sampled_from(fields))
+        if field == "dim":
+            cfg["dim"] = bad
+        elif field == "degree":
+            m["degree"] = bad
+        elif field == "exponent":
+            term[0][draw(st.integers(0, dim))] = bad
+        elif field == "coefficient":
+            term[1] = bad
+        elif kind == "constant":
+            sequence["map"] = bad
+        elif kind == "random":
+            sequence["seed"] = bad
+        else:
+            sequence["word" if kind == "periodic" else "prefix"][0] = bad
+    return cfg, flaw
+
+
+# census runs only on P^1 quadratics with coefficients in {-1, 0, 1}, whose
+# enumeration stays small
+P1_TINY = _generated_config(1, 2, st.integers(-1, 1))
+P1 = st.one_of(
+    st.integers(2, 4).flatmap(lambda d: _generated_config(1, d, P1_COEFFICIENTS)),
+    P1_TINY,
+)
+P2 = st.integers(2, 4).flatmap(lambda d: _generated_config(2, d, P2_COEFFICIENTS))
+GENERATED = {
+    "validate": (st.one_of(P1, P2), []),
+    "canheight": (st.one_of(P1, P2), ["--budget-bits", "4096"]),
+    "preimages": (P1, ["--target", "2", "--depth", "2"]),
+    "green": (P1, ["--point", "1,1"]),
+    "census": (P1_TINY, []),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=st.sampled_from(list(GENERATED)), data=st.data())
+def test_every_command_keeps_the_contract_on_generated_configs(
+    tmp_path_factory, command, data
+):
+    configs, args = GENERATED[command]
+    cfg, flaw = data.draw(configs)
+    if command == "canheight":
+        # a point of the config's dimension: P^1 or P^2
+        dim = len(cfg["maps"][0]["forms"]) - 1
+        args = [f"--point={','.join(['1'] + ['2'] * dim)}", *args]
+    path = tmp_path_factory.mktemp("generated") / "config.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([command, *args, "--config", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    _assert_streams(code, out, err)
+    if code == 2 and out:
+        # the one exit-2 report these commands can give
+        assert command == "canheight" and json.loads(out)["conforming"] is False
+    if flaw is not None:
+        assert code == 1 and out == ""

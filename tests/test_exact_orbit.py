@@ -4,7 +4,9 @@ height_sequence, canonical_height and forward_orbit each walked the exact
 orbit in their own loop before they shared heights.exact_orbit.  Those
 loops are kept below as references, and the consumers must return what
 they return (or raise what they raise) on every stop rule: exact zero,
-power-exact, tolerance, engine hand-off and bit budget.
+power-exact, tolerance, engine hand-off and bit budget.  The references
+check the start point against the bit budget first, as the stepper does
+since a start point wider than the budget is refused before any step.
 """
 
 import math
@@ -88,6 +90,7 @@ SETTINGS = [
 
 
 def _reference_height_sequence(x, spec, depth, budget_bits):
+    _check_bits(x, budget_bits, 0)
     out = [naive_height(x)]
     p = x
     normalizer = 1
@@ -101,8 +104,8 @@ def _reference_height_sequence(x, spec, depth, budget_bits):
 
 
 def _reference_carrier(spec):
-    best = max(spec.generators, key=lambda g: g.distortion.c_bound)
-    return max(best.distortion.amplification, best.distortion.attenuation), best.degree
+    best = max(spec.generators, key=lambda g: g.c_bound)
+    return max(best.amplification, best.attenuation), best.degree
 
 
 # The escape test and the engine hand-off as heights had them before
@@ -154,6 +157,7 @@ def _engine_estimate(
 
 
 def _reference_canonical_height(x, spec, tol, budget_bits):
+    _check_bits(x, budget_bits, 0)
     c = spec.c_bound
     p = x
     normalizer = 1
@@ -216,6 +220,9 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
 def _reference_forward_orbit(x, spec, max_steps, budget_bits):
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
+    if max_steps:
+        # max_steps = 0 examines no point, not even the start point
+        _check_bits(x, budget_bits, 0)
     carrier = _reference_carrier(spec)
     seen = {}
     points = []

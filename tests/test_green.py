@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from seqheight.heights import canonical_height
 from seqheight.morphisms import (
     CheckedMap,
     Constant,
-    DistortionCertificate,
     PeriodicWord,
     RandomWord,
     perturbed_power_map,
@@ -77,11 +77,12 @@ def _psq_seq():
 def _unvalidated_sequence(*forms):
     """The constant lift sequence of a binary quadratic CheckedMap built
     without validate.  The maps the degenerate-step tests need are not
-    morphisms, so they have no certificate; the distortion fields give
-    c_bar = (log 2 + log(2)/2) / 2."""
-    dist = DistortionCertificate(0.0, 0.0, 0.0, 2, 1, 1, 1)
+    morphisms, so they have no certificate; a stub with e = 1 and C_inf = 1
+    stands in, and c_bar follows from the forms' A as
+    max((log A + log(2)/2) / 2, log(2)/2)."""
+    stub = SimpleNamespace(denominator=1, cofactor_l1=lambda: 1)
     forms = [HomogeneousForm.from_terms(2, 2, f) for f in forms]
-    return LiftSequence(Constant(CheckedMap(tuple(forms), 2, None, dist, "raw")))
+    return LiftSequence(Constant(CheckedMap(tuple(forms), stub, "raw")))
 
 
 def test_certified_c_bar_values():

@@ -150,6 +150,32 @@ def test_no_exact_orbit_accepts_a_point_of_another_space(run):
         run(normalize([2, 3, 5]))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda x: height_sequence(x, Constant(PSQ), 0, budget_bits=64),
+        lambda x: canonical_height(x, PeriodicWord((SQ, PSQ), (0, 1)), 1e-8, 64),
+        lambda x: forward_orbit(x, Constant(PSQ), max_steps=1, budget_bits=64),
+        lambda x: verify_averaging(x, [SQ, PSQ], 0, 2, 1, budget_bits=64),
+        lambda x: eigensystem_height_mc(x, [SQ, PSQ], 2, 0, 1, budget_bits=64),
+        lambda x: functional_equation_residual(x, Constant(SQ), 1e-8, 64),
+    ],
+    ids=[
+        "height_sequence",
+        "canonical_height",
+        "forward_orbit",
+        "verify_averaging",
+        "mc",
+        "functional_equation_residual",
+    ],
+)
+def test_no_exact_orbit_starts_from_a_point_over_the_bit_budget(run):
+    # (2^64 : 1) has 65 bits: refused before any step, at any depth
+    message = r"^orbit coordinate reached 65 bits \(> 64\) at step 0$"
+    with pytest.raises(BudgetExceeded, match=message):
+        run(normalize([2**64, 1]))
+
+
 def test_height_sequence_budget_raises():
     with pytest.raises(BudgetExceeded):
         height_sequence(normalize([3, 7]), Constant(PSQ), 12, budget_bits=64)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from seqheight.errors import (
     NoRecurringPhase,
 )
 from seqheight.morphisms import (
+    CheckedMap,
     Constant,
     PeriodicWord,
     RandomWord,
@@ -37,18 +39,18 @@ from seqheight.morphisms import (
 def test_power_map_has_zero_distortion():
     for m in (2, 3, 5):
         g = power_map(1, m)
-        assert g.distortion.kappa_plus == 0.0
-        assert g.distortion.kappa_minus == 0.0
-        assert g.distortion.c_bound == 0.0
+        assert g.kappa_plus == 0.0
+        assert g.kappa_minus == 0.0
+        assert g.c_bound == 0.0
 
 
 def test_perturbed_square_distortion():
     g = perturbed_power_map(1, 2)
-    assert g.distortion.amplification == 2
-    assert g.distortion.attenuation == 2
-    assert g.distortion.kappa_plus == pytest.approx(math.log(2))
-    assert g.distortion.kappa_minus == pytest.approx(math.log(2))
-    assert g.distortion.c_bound == pytest.approx(math.log(2) / 2)
+    assert g.amplification == 2
+    assert g.attenuation == 2
+    assert g.kappa_plus == pytest.approx(math.log(2))
+    assert g.kappa_minus == pytest.approx(math.log(2))
+    assert g.c_bound == pytest.approx(math.log(2) / 2)
 
 
 def test_kappa_plus_from_coefficient_sums():
@@ -57,8 +59,8 @@ def test_kappa_plus_from_coefficient_sums():
         HomogeneousForm.monomial(2, (0, 2)),
     ]
     g = validate(forms)
-    assert g.distortion.amplification == 4
-    assert g.distortion.kappa_plus == pytest.approx(math.log(4))
+    assert g.amplification == 4
+    assert g.kappa_plus == pytest.approx(math.log(4))
 
 
 def test_kappa_minus_carries_certificate_denominator():
@@ -68,8 +70,32 @@ def test_kappa_minus_carries_certificate_denominator():
     ]
     g = validate(forms)
     # e = 2, cofactor l1 max = 3, so attenuation B = 6
-    assert g.distortion.attenuation == 6
-    assert g.distortion.kappa_minus == pytest.approx(math.log(6))
+    assert g.attenuation == 6
+    assert g.kappa_minus == pytest.approx(math.log(6))
+
+
+def test_a_checked_map_is_its_forms_and_certificate():
+    # the e = 42 map: A = 4, and every constant follows from the record
+    forms = [
+        HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+        HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+    ]
+    g = validate(forms, "e42")
+    assert [f.name for f in dataclasses.fields(CheckedMap)] == [
+        "forms",
+        "certificate",
+        "name",
+    ]
+    cert = g.certificate
+    assert cert.denominator == 42
+    assert g.degree == 2
+    assert g.amplification == 4
+    assert g.cofactor_l1 == cert.cofactor_l1()
+    assert g.attenuation == cert.cofactor_l1() * 42
+    assert g.kappa_plus == math.log(4)
+    assert g.kappa_minus == math.log(g.attenuation)
+    assert g.c_bound == max(g.kappa_plus, g.kappa_minus) / 2
+    assert CheckedMap(tuple(forms), cert, "e42") == g
 
 
 def test_validate_rejects_degree_one():
@@ -135,8 +161,8 @@ def test_distortion_inequalities_exact(builder):
     # the certificate's content: A and B really do sandwich the height on
     # canonical integer points, checked as big-integer inequalities
     g = builder()
-    a = g.distortion.amplification
-    b = g.distortion.attenuation
+    a = g.amplification
+    b = g.attenuation
     d = g.degree
     rng = random.Random(17)
     n = g.num_vars
@@ -163,7 +189,7 @@ def test_constant_word_semantics():
     assert spec.index_at(0) == spec.index_at(999) == 0
     assert spec.shift() == spec
     assert spec.phase_at(123) == 0
-    assert spec.c_bound == g.distortion.c_bound
+    assert spec.c_bound == g.c_bound
 
 
 def test_periodic_word_shift_rotates():
@@ -404,7 +430,7 @@ CONFIG = {
 def test_config_round_trip():
     maps = maps_from_config(CONFIG)
     assert [m.name for m in maps] == ["sq", "psq"]
-    assert maps[0].distortion.c_bound == 0.0
+    assert maps[0].c_bound == 0.0
     spec = sequence_from_config(CONFIG, maps)
     assert isinstance(spec, PeriodicWord)
     assert spec.word_prefix(4) == (0, 1, 0, 1)

@@ -129,8 +129,8 @@ def test_bounded_height_points_frees_its_candidates_without_the_cyclic_collector
 def _walk_census_oracle(generators: list[CheckedMap], word_length: int):
     """Independent oracle: x is preperiodic for some word iff an in-T walk
     of length >= |T| exists from x (pigeonhole forces a revisit)."""
-    best = max(generators, key=lambda g: g.distortion.c_bound)
-    bound = max(best.distortion.amplification, best.distortion.attenuation)
+    best = max(generators, key=lambda g: g.c_bound)
+    bound = max(best.amplification, best.attenuation)
     h_max = 1
     while (h_max + 1) ** best.degree <= bound * bound:
         h_max += 1
@@ -219,8 +219,8 @@ def test_census_threshold_is_the_exact_2c_test(seed, n, count, scale):
     gens = [
         _random_generator(rng, n, rng.choice(degrees), scale) for _ in range(count)
     ]
-    best = max(gens, key=lambda g: g.distortion.c_bound)
-    b = max(best.distortion.amplification, best.distortion.attenuation)
+    best = max(gens, key=lambda g: g.c_bound)
+    b = max(best.amplification, best.attenuation)
     d = best.degree
     cutoff = census_threshold(gens)
     for h in {1, 2, *range(max(1, cutoff - 3), cutoff + 4)}:
