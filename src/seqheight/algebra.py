@@ -172,13 +172,6 @@ class HomogeneousForm:
     def monomial(cls, num_vars: int, exps: Sequence[int]) -> "HomogeneousForm":
         return cls.from_terms(num_vars, sum(exps), {tuple(exps): 1})
 
-    def as_dict(self) -> dict[Exponents, int]:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient_l1(self) -> int:
         """Sum of absolute coefficients (the triangle-inequality constant)."""
         return sum(abs(c) for _, c in self.terms)

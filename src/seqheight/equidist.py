@@ -54,6 +54,7 @@ from .green import (
     LiftSequence,
     PairingGrid,
     _complex,
+    _ldexp,
     _scaled_norms,
     _vector_norms,
     radial_bump,
@@ -157,10 +158,11 @@ def _horner(coeffs_low_first: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np
 
 def _residual_ok(coeffs_low: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|p(t)| <= RESIDUAL_SCALE * sum|c| * max(1, |t|)^deg per root; the
-    bound of a root past about 10^(308/deg) is inf, without a warning."""
-    p, _ = _horner(coeffs_low, roots)
+    bound of a root past about 10^(308/deg) is inf, and so may be |p(t)|,
+    without a warning."""
     scale = np.sum(np.abs(coeffs_low), axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, _ = _horner(coeffs_low, roots)
         power = np.maximum(1.0, np.abs(roots)) ** (coeffs_low.shape[-1] - 1)
     bound = RESIDUAL_SCALE * scale * power
     return np.abs(p) <= bound
@@ -480,27 +482,33 @@ def chordal_distance(v: Sequence, w: Sequence) -> float | np.ndarray:
 
 def roundtrip_residual(spec: SequenceSpec, cloud: PreimageCloud, target) -> float:
     """Largest chordal distance between the forward image of a cloud point
-    and the original target; small residuals certify the cloud.  The whole
-    cloud is pushed forward as one (2, n) batch."""
+    and the original target, pushing the cloud forward as one (2, n) batch.
+
+    A forward error, not a certificate: small on well-conditioned maps, it
+    can be large on a correct cloud of an ill-conditioned map, whose image
+    cancels (t^2 + K t at t near -K).  An image that is zero or not finite
+    in floats counts as the chordal bound 1.0.
+    """
     a = _target_pair(target)
     seq = LiftSequence(spec)
     v = np.array([p.embedding() for p in cloud.points], dtype=np.complex128).T
-    v = v / _column_norms(v)
-    for pos in range(cloud.depth):
-        v = seq.lift_at(pos).evaluate(v)
-        v = v / _column_norms(v)
-    return float(np.max(chordal_distance(v, a)))
+    # an image that is zero or not finite turns its column to NaN for good
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = _unit_columns(v)
+        for pos in range(cloud.depth):
+            v = _unit_columns(seq.lift_at(pos).evaluate(v))
+        dist = chordal_distance(v, a)
+    return float(np.max(np.where(np.isnan(dist), 1.0, dist)))
 
 
-def _column_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of v.
-
-    Rounded as np.linalg.norm rounds one vector, so the batch pushes each
-    point forward exactly as a per-point loop does; columns whose sum of
-    squares overflows or underflows are scaled by a power of two first.
-    """
+def _unit_columns(v: np.ndarray) -> np.ndarray:
+    """The columns of v over their norms, rounded as a per-point
+    np.linalg.norm; a far column is scaled by 2^-e first, as in
+    green_values, so its norm is never formed out of range."""
     norms, e = _scaled_norms(v, _vector_norms)
-    return np.ldexp(norms, e)
+    if np.any(e):
+        v = _ldexp(v, -e)
+    return v / norms
 
 
 def empirical_pairing(cloud: PreimageCloud, phi: ChartFunction) -> float:

@@ -448,54 +448,3 @@ def canonical_height(
         normalizer=normalizer,
         conforming=conforming,
     )
-
-
-_EXACT_COMPARE_BIT_CAP = 1 << 24
-
-
-def _exact_residual_zero(
-    lhs: HeightEstimate, rhs: HeightEstimate, d1: int
-) -> bool | None:
-    """Decide log-exactly whether lhs.value == d1 * rhs.value.
-
-    Both estimates must be exact (radius 0).  Returns None when the integer
-    cross-powers would be too large to compare economically.
-    """
-    if lhs.radius != 0.0 or rhs.radius != 0.0:
-        return None
-    if lhs.multiplicative is None and rhs.multiplicative is None:
-        return True
-    hl = lhs.multiplicative if lhs.multiplicative is not None else 1
-    hr = rhs.multiplicative if rhs.multiplicative is not None else 1
-    # lhs = log(hl)/nl, d1*rhs = d1*log(hr)/nr: equal iff hl^nr == hr^(d1*nl)
-    if (
-        lhs.normalizer * hr.bit_length() * d1 > _EXACT_COMPARE_BIT_CAP
-        or rhs.normalizer * hl.bit_length() > _EXACT_COMPARE_BIT_CAP
-    ):
-        return None
-    return hl ** rhs.normalizer == hr ** (d1 * lhs.normalizer)
-
-
-def functional_equation_residual(
-    x: RationalProjectivePoint,
-    spec: SequenceSpec,
-    tol: float,
-    budget_bits: int = DEFAULT_BUDGET_BITS,
-) -> float:
-    """|hhat_shift(f_1(x)) - d_1 * hhat(x)|, both sides at tolerance tol.
-
-    The identity is exact for the limits, so the residual is bounded by
-    (1 + d_1) * tol.  When both sides are exact truncations the comparison
-    is made on the integer payloads and an exact zero is returned as 0.0.
-    The step to f_1(x) keeps the bit budget, as the exact orbit does.
-    """
-    _check_budget(budget_bits)
-    g1 = spec.generator_at(0)
-    bits = _check_bits(x, budget_bits, 0)
-    fx, _ = _apply_within_budget(g1, x, bits, budget_bits, 1)
-    lhs = canonical_height(fx, spec.shift(), tol, budget_bits)
-    rhs = canonical_height(x, spec, tol, budget_bits)
-    exact = _exact_residual_zero(lhs, rhs, g1.degree)
-    if exact:
-        return 0.0
-    return abs(lhs.value - g1.degree * rhs.value)

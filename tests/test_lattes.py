@@ -1,0 +1,143 @@
+"""Lattès maps as oracles from a separate theory.
+
+On an elliptic curve E: y^2 = x^3 + a x + b the map l_m sends x(P) to
+x(mP).  It is an integer morphism of P^1 of degree m^2, built here from the
+division polynomials psi_m with exact integer polynomial arithmetic:
+
+    x(mP) = phi_m(x) / psi_m(x)^2,    phi_m = x psi_m^2 - psi_{m+1} psi_{m-1},
+
+where y^2 is replaced by x^3 + a x + b.  On P^1 the affine coordinate is
+x = x0 / x1, so l_m(x0 : x1) = (phi_m : psi_m^2) homogenised to degree m^2.
+
+Every word over {l_2, l_3} on one curve has the same canonical height:
+the curve's canonical x-height, twice the Néron-Tate height of P.  So the
+canonical heights of one point under different words must agree within
+the sum of their radii.  The curve is E: y^2 = x^3 - 2 with P = (3, 5).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from seqheight.algebra import HomogeneousForm, normalize
+from seqheight.heights import canonical_height
+from seqheight.morphisms import Constant, PeriodicWord, validate
+
+# polynomials in x: integer coefficient lists, low degree first
+
+
+def _add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _scale(c, p):
+    return [c * a for a in p]
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _at(p, x):
+    return sum(c * x**i for i, c in enumerate(p))
+
+
+def division_polynomials(a, b):
+    """psi_0..psi_4 of y^2 = x^3 + a x + b, each as (poly, has_y): psi_n is
+    poly(x), times y when n is even (Silverman, GTM 106, Exercise 3.7)."""
+    psi4 = [-8 * b * b - a**3, -4 * a * b, -5 * a * a, 20 * b, 5 * a, 0, 1]
+    return [
+        ([0], False),
+        ([1], False),
+        ([2], True),
+        ([-a * a, 12 * b, 6 * a, 0, 3], False),
+        (_scale(4, psi4), True),
+    ]
+
+
+def lattes_polynomials(a, b, m):
+    """(phi_m, psi_m^2) as polynomials in x for m = 2, 3, with y^2
+    replaced by the curve."""
+    curve = [b, a, 0, 1]
+    psi = division_polynomials(a, b)
+
+    def times(u, v):
+        (p, i), (q, j) = u, v
+        assert i == j  # both or neither carry y: the product has none
+        return _mul(_mul(p, q), curve) if i else _mul(p, q)
+
+    psi2 = times(psi[m], psi[m])
+    phi = _add(_mul([0, 1], psi2), _scale(-1, times(psi[m + 1], psi[m - 1])))
+    return phi, psi2
+
+
+def lattes_map(a, b, m):
+    """l_m on P^1, with x = x0 / x1: (x1^{m^2} phi_m(x0/x1) : x1^{m^2}
+    psi_m^2(x0/x1))."""
+    d = m * m
+    phi, psi2 = lattes_polynomials(a, b, m)
+    assert len(phi) == d + 1 and len(psi2) <= d
+
+    def form(p):
+        terms = {(k, d - k): c for k, c in enumerate(p)}
+        return HomogeneousForm.from_terms(2, d, terms)
+
+    return validate([form(phi), form(psi2)], f"l{m}")
+
+
+A, B = 0, -2
+L2 = lattes_map(A, B, 2)
+L3 = lattes_map(A, B, 3)
+
+
+def test_group_law_at_three_five():
+    # P = (3, 5) lies on y^2 = x^3 - 2
+    assert 5**2 == 3**3 - 2
+    for m, expect in [(2, Fraction(129, 100)), (3, Fraction(164323, 29241))]:
+        phi, psi2 = lattes_polynomials(A, B, m)
+        assert Fraction(_at(phi, 3), _at(psi2, 3)) == expect
+    assert L2.apply(normalize([3, 1])).coords == (129, 100)
+    assert L3.apply(normalize([3, 1])).coords == (164323, 29241)
+
+
+def test_doubling_matches_the_closed_form():
+    # x(2P) = (x^4 - 2 a x^2 - 8 b x + a^2) / (4 (x^3 + a x + b)), on a
+    # curve with both a and b nonzero
+    a, b = 3, 5
+    phi, psi2 = lattes_polynomials(a, b, 2)
+    assert phi == [a * a, -8 * b, -2 * a, 0, 1]
+    assert psi2 == [4 * b, 4 * a, 0, 4]
+
+
+@pytest.mark.parametrize(
+    "cmap, degree, exponent, denominator",
+    [(L2, 4, 7, 144), (L3, 9, 17, 3981312)],
+    ids=["l2", "l3"],
+)
+def test_validate_certifies_the_lattes_maps(cmap, degree, exponent, denominator):
+    cert = cmap.certificate
+    assert (cmap.degree, cert.exponent, cert.denominator) == (degree, exponent, denominator)
+    assert cert.verify(cmap.forms)
+
+
+def test_canonical_height_does_not_depend_on_the_word():
+    x = normalize([3, 1])
+    words = {
+        "l2": Constant(L2),
+        "l3": Constant(L3),
+        "l2 l3": PeriodicWord((L2, L3), (0, 1)),
+        "l3 l3 l2": PeriodicWord((L2, L3), (1, 1, 0)),
+    }
+    estimates = {name: canonical_height(x, spec, 1e-10) for name, spec in words.items()}
+    for est in estimates.values():
+        assert est.conforming and 0 < est.radius <= 1e-10
+    names = list(estimates)
+    for i, p in enumerate(names):
+        for q in names[i + 1 :]:
+            gap = abs(estimates[p].value - estimates[q].value)
+            assert gap <= estimates[p].radius + estimates[q].radius, (p, q, gap)
