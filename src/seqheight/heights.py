@@ -19,11 +19,14 @@ radius reported with every estimate.  Two consequences used throughout:
   * the canonical height vanishes exactly on points that are preperiodic
     for the word (detected here by (point, phase) recurrence).
 
-So a point with h > 2c is not preperiodic.  census_threshold gives that
-test as one integer cutoff, T = floor(e^{2c}) computed exactly, and H > T
-is the escape test of the whole exact layer: the census enumerates
-{H <= T}, orbits.forward_orbit stops above it, and canonical_height waits
-for it before the engine takes over a word with phases.
+So a point with h > 2c is not preperiodic.  One-sided, attenuation alone
+does more: h(g(y)) >= d_g h(y) - log B_g, so once h(y) > log B_g /
+(d_g - 1) for every generator the heights grow along every word.
+census_threshold gives that test as one integer cutoff, T = max_g
+floor(B_g^(1/(d_g - 1))) computed exactly: the census enumerates {H <= T},
+which holds every point preperiodic for some word, and canonical_height
+waits for H > T before the engine takes over a word with phases.
+orbits.forward_orbit keeps the two-sided escape test h > 2c.
 
 Heights are carried as (integer H, integer normalizer) pairs; ExactLogHeight
 defers the floating log so exact comparisons stay available.
@@ -220,13 +223,16 @@ def _floor_root(value: int, k: int) -> int:
 
 
 def census_threshold(generators: Sequence[CheckedMap]) -> int:
-    """T = floor(e^{2c}) for the generating set, exactly, the one escape
-    cutoff of the exact layer: with B = max(A, attenuation) and d of the
-    generator with the largest c, 2c = (2/d) log B and T = floor((B^2)^(1/d)),
-    so for an integer H the test H > T is exactly h > 2c."""
-    best = max(generators, key=lambda g: g.c_bound)
-    b = max(best.amplification, best.attenuation)
-    return _floor_root(b * b, best.degree)
+    """T = max_g floor(B_g^(1/(d_g - 1))) for the generating set, exactly,
+    with B_g the attenuation of g.
+
+    Every step of every word has h(g(y)) >= d_g h(y) - log B_g, so a point
+    with H(y) > T, that is H^(d_g - 1) > B_g for every g, has h(g(y)) >
+    h(y) > log B_g / (d_g - 1) for every g: its heights grow along any word
+    and no word can bring it back.  Summing the same inequality along a
+    walk bounds h(x) <= max_g log B_g / (d_g - 1) on every point that is
+    preperiodic for some word, so the census enumerates {H <= T}."""
+    return max(_floor_root(g.attenuation, g.degree - 1) for g in generators)
 
 
 _LN2 = math.log(2.0)

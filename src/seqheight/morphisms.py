@@ -5,11 +5,14 @@ certificate (no common zero, so the map is total).  Its distortion
 constants follow from those two alone: the integer carriers A and B with
 
     H(f(x)) <= A * H(x)^d        (triangle inequality; A = max_j sum|coeff|)
-    H(x)^d  <= B * H(f(x))       (from the certificate; B = C_inf * e)
+    H(x)^d  <= B * H(f(x))       (from the certificate; B = C_inf)
 
 on canonical points, kappa_plus = log A, kappa_minus = log B, and c_bound =
 max(kappa_plus, kappa_minus) / d, which bounds the one-step defect
-|h(f(x))/d - h(x)| of the logarithmic height.
+|h(f(x))/d - h(x)| of the logarithmic height.  For B: the certificate
+gives e x_j^M = sum_k G_jk F_k, so e H(x)^d <= C_inf max_k |F_k(x)| with
+C_inf = max_j sum_k ||G_jk||_1, and max_k |F_k(x)| = g H(f(x)) with g the
+gcd of the values, which divides e; the e cancels.
 
 Sequences f_1, f_2, ... drawn from a finite generating set are described by a
 SequenceSpec: a PeriodicWord (a finite prefix, then a word repeated forever;
@@ -109,10 +112,10 @@ class CheckedMap:
     The forms and their Nullstellensatz certificate are the whole record.
     __post_init__ derives the rest from them: the degree d; the carriers
     of the module docstring, amplification A, cofactor_l1 C_inf and
-    attenuation B = C_inf * e (e the certificate's denominator), with
-    kappa_plus, kappa_minus and c_bound; and the one term table that every
-    evaluation walks: values() and apply(), the engine of
-    heights.bounded_truncation and the complex view green.ComplexLiftMap.
+    attenuation B = C_inf, with kappa_plus, kappa_minus and c_bound; and
+    the one term table that every evaluation walks: values() and apply(),
+    the engine of heights.bounded_truncation and the complex view
+    green.ComplexLiftMap.
     powers lists the map's distinct (variable, exponent >= 1) powers;
     terms holds, per form, a (coefficient, first slot, other slots) triple
     per term, the slots indexing powers in variable order.
@@ -126,15 +129,14 @@ class CheckedMap:
         d = self.forms[0].degree
         amp = max(f.coefficient_l1() for f in self.forms)
         c_inf = self.certificate.cofactor_l1()
-        att = c_inf * self.certificate.denominator
-        kp, km = math.log(amp), math.log(att)
+        kp, km = math.log(amp), math.log(c_inf)
         # object.__setattr__, not self.__dict__: a materialized instance dict
         # makes every later attribute read of the hot loops slower
         for key, value in (
             ("degree", d),
             ("amplification", amp),
             ("cofactor_l1", c_inf),
-            ("attenuation", att),
+            ("attenuation", c_inf),
             ("kappa_plus", kp),
             ("kappa_minus", km),
             ("c_bound", max(kp, km) / d),

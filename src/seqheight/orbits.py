@@ -1,20 +1,24 @@
 """Forward orbits, preperiodic point censuses, and a height-growth exhibit.
 
-Preperiodicity for a word is equivalent to canonical height zero, and every
-point of a preperiodic orbit satisfies h(y) <= 2c, so the whole search space
-is the finite set T = {y : H(y) <= floor(e^{2c})}.  Build the directed graph
-on T with an edge y -> g_j(y) whenever the image stays in T; then a point is
+Preperiodicity for a word is equivalent to canonical height zero.  Only
+attenuation enters the converse bound: h(g(y)) >= d_g h(y) - log B_g, and
+summing it along the word bounds every point of a preperiodic orbit by
+h(y) <= max_g log B_g / (d_g - 1).  So the whole search space is the finite
+set {y : H(y) <= T}, with T = max_g floor(B_g^(1/(d_g - 1))) from
+heights.census_threshold.  Build the directed graph on it with an edge
+y -> g_j(y) whenever the image stays in the set; then a point is
 preperiodic for SOME word over the generators exactly when it starts an
 infinite walk, i.e. when it survives repeated deletion of out-degree-zero
 vertices.  Both directions are elementary: an infinite walk in a finite
-graph reaches a cycle, and a preperiodic orbit is itself such a walk.
+graph reaches a cycle, and a preperiodic orbit is itself such a walk.  The
+census runs as one pass over int64 arrays: candidates, images, index
+lookups and the peeling, with RationalProjectivePoints built only for the
+survivors.
 
-Escape is certified exactly: the first orbit point with H above the
-integer T = floor(e^{2c}) (so h > 2c; an integer comparison, no floats)
-proves the start was not preperiodic for the word being followed.
-heights.census_threshold computes T, the one escape cutoff of the exact
-layer: the census enumerates {H <= T}, forward_orbit stops above it, and
-canonical_height waits for it before its engine hand-off.
+Escape is certified exactly: the first orbit point with H above the integer
+floor(e^{2c}) (so h > 2c; an integer comparison, no floats) proves the start
+was not preperiodic for the word being followed.  forward_orbit tests that
+two-sided cutoff, which is at least T.
 
 unbounded_demo builds the classical bad family: degree-2 maps f_i of P^1,
 each with a persistent fixed point at (1:0), rigged so that the point
@@ -29,15 +33,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import HomogeneousForm, RationalProjectivePoint, evaluate_forms
-from .errors import BudgetExceeded, EnumerationTooLarge, NoRecurringPhase
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    EnumerationTooLarge,
+    NoRecurringPhase,
+)
 from .heights import (
     DEFAULT_BUDGET_BITS,
     _check_budget,
     _check_point,
+    _floor_root,
     census_threshold,
     exact_orbit,
     multiplicative_height,
@@ -61,7 +73,7 @@ class FiniteOrbit:
 @dataclass(frozen=True)
 class HeightEscape:
     """Certified non-preperiodicity: the orbit point at `step` has
-    multiplicative height above census_threshold, so naive height above
+    multiplicative height above floor(e^{2c}), so naive height above
     2*c(spec), verified by exact integer comparison."""
 
     step: int
@@ -78,6 +90,16 @@ class BudgetHit:
 
 
 OrbitOutcome = FiniteOrbit | HeightEscape | BudgetHit
+
+
+def _two_sided_cutoff(generators: Sequence[CheckedMap]) -> int:
+    """floor(e^{2c}) for the generating set, exactly: with B = max(A,
+    attenuation) and d of the generator with the largest c, 2c = (2/d) log B,
+    so for an integer H the test H > floor((B^2)^(1/d)) is exactly h > 2c.
+    It is at least census_threshold, as 1/(d - 1) <= 2/d for d >= 2."""
+    best = max(generators, key=lambda g: g.c_bound)
+    b = max(best.amplification, best.attenuation)
+    return _floor_root(b * b, best.degree)
 
 
 def forward_orbit(
@@ -97,7 +119,7 @@ def forward_orbit(
     if spec.phase_at(0) is None:
         raise NoRecurringPhase("forward_orbit needs a deterministic word")
     _check_point(x, spec.generators)
-    cutoff = census_threshold(spec.generators)
+    cutoff = _two_sided_cutoff(spec.generators)
     seen: dict[tuple, int] = {}
     points: list[RationalProjectivePoint] = []
     for step, p, _ in islice(exact_orbit(x, spec, budget_bits), max_steps):
@@ -116,12 +138,20 @@ def forward_orbit(
     return BudgetHit(step=max_steps)
 
 
+def _half_box(n: int, h_max: int) -> int:
+    """The number of tuples of [-h_max, h_max]^n above the origin in
+    lexicographic order: the candidates before the coprimality test."""
+    return ((2 * h_max + 1) ** n - 1) // 2
+
+
 def bounded_height_points(
     dim: int, h_max: int, cap: int = DEFAULT_CENSUS_CAP
-) -> list[RationalProjectivePoint]:
-    """All canonical points of P^dim(Q) with multiplicative height <= h_max."""
+) -> np.ndarray:
+    """All canonical points of P^dim(Q) with multiplicative height <= h_max,
+    as the rows of an (m, dim + 1) int64 array in lexicographic order."""
     n = dim + 1
-    raw_estimate = ((2 * h_max + 1) ** n - 1) // 2
+    base = 2 * h_max + 1
+    raw_estimate = _half_box(n, h_max)
     if raw_estimate > cap:
         # past 10^18 the estimate is given by its nearest power of ten
         shown = (
@@ -130,14 +160,89 @@ def bounded_height_points(
             else f"10^{round(math.log10(raw_estimate))}"
         )
         raise EnumerationTooLarge(f"about {shown} candidate tuples exceeds cap {cap}")
-    # a tuple is canonical when it is coprime and lexicographically above
-    # the origin, i.e. its first nonzero coordinate is positive
-    origin = (0,) * n
-    return [
-        RationalProjectivePoint._from_canonical(c)
-        for c in product(range(-h_max, h_max + 1), repeat=n)
-        if c > origin and math.gcd(*c) == 1
-    ]
+    # the tuples of the box [-h_max, h_max]^n in lexicographic order, read
+    # as base-(2 h_max + 1) numerals; the canonical ones are coprime and
+    # above the origin, the middle numeral raw_estimate, i.e. their first
+    # nonzero coordinate is positive
+    flat = np.arange(raw_estimate + 1, base**n, dtype=np.int64)
+    columns = []
+    for _ in range(n):
+        flat, digit = np.divmod(flat, base)
+        columns.append(digit - h_max)
+    coords = np.stack(columns[::-1], axis=1)
+    return coords[np.gcd.reduce(coords, axis=1) == 1]
+
+
+def _box_offsets(coords: np.ndarray, h_max: int) -> np.ndarray:
+    """For canonical rows of the box [-h_max, h_max]^n, their numerals as
+    bounded_height_points reads them, less the first canonical one: offsets
+    in [0, _half_box(n, h_max)), which index a table of the canonical half."""
+    base = 2 * h_max + 1
+    flat = np.zeros(len(coords), dtype=np.int64)
+    for column in coords.T:
+        flat = flat * base + (column + h_max)
+    return flat - (_half_box(coords.shape[1], h_max) + 1)
+
+
+def _image_rows(
+    g: CheckedMap, points: np.ndarray, h_max: int, index: np.ndarray
+) -> np.ndarray:
+    """For every candidate row x, the row of g(x) among the candidates, or
+    -1 where H(g(x)) > h_max.
+
+    The values walk g's term table over all candidates at once.  Every
+    power, term and partial sum of F_j(x) is at most ||F_j||_1 h_max^d in
+    absolute value, so below 2^62 int64 holds them exactly; above it the
+    same operations run on Python ints (dtype object).
+    """
+    exact = g.amplification * h_max**g.degree < 1 << 62
+    x = points if exact else points.astype(object)
+    powers = [x[:, i] ** k for i, k in g.powers]
+    columns = []
+    for terms in g.terms:
+        total = np.zeros(len(x), dtype=x.dtype)
+        for coeff, first, rest in terms:
+            term = powers[first]
+            for s in rest:
+                term = term * powers[s]
+            total = total + coeff * term
+        columns.append(total)
+    values = np.stack(columns, axis=1)
+    values //= np.gcd.reduce(values, axis=1)[:, None]
+    lead = values[np.arange(len(values)), (values != 0).argmax(axis=1)]
+    values[lead < 0] *= -1
+    inside = np.flatnonzero((np.abs(values) <= h_max).all(axis=1))
+    rows = np.full(len(values), -1, dtype=np.int64)
+    rows[inside] = index[_box_offsets(values[inside].astype(np.int64), h_max)]
+    return rows
+
+
+def _survivors(targets: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the vertices that start an infinite walk, in the graph with
+    an edge i -> targets[j][i] wherever that is not -1.
+
+    Peels the out-degree-zero vertices from a frontier: each round takes
+    the predecessors of the vertices that died in the one before, from
+    CSR predecessor arrays, so each edge is read once.
+    """
+    m = len(targets[0])
+    src = np.concatenate([np.flatnonzero(t >= 0) for t in targets])
+    dst = np.concatenate([t[t >= 0] for t in targets])
+    out_degree = np.bincount(src, minlength=m)
+    preds = src[np.argsort(dst, kind="stable")]
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=m), out=starts[1:])
+    frontier = np.flatnonzero(out_degree == 0)
+    while frontier.size:
+        lo = starts[frontier]
+        counts = starts[frontier + 1] - lo
+        # the frontier's predecessor lists, concatenated: entry i of list k
+        # sits at position i + (entries before list k) of the result
+        gap = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        hit, times = np.unique(preds[np.arange(len(gap)) + gap], return_counts=True)
+        out_degree[hit] -= times
+        frontier = hit[out_degree[hit] == 0]
+    return out_degree > 0
 
 
 def preperiodic_census(
@@ -145,38 +250,25 @@ def preperiodic_census(
 ) -> frozenset[RationalProjectivePoint]:
     """Points preperiodic for at least one word over the generators.
 
-    Exact and exhaustive: enumerates T = {H <= floor(e^{2c})}, builds the
-    in-T transition graph, and keeps the vertices from which an infinite
-    walk exists (survivors of out-degree-zero peeling).
+    Exact and exhaustive: enumerates {H <= census_threshold} as an int64
+    array, maps every candidate through every generator at once, and keeps
+    the vertices of the in-threshold transition graph from which an
+    infinite walk exists (survivors of out-degree-zero peeling).
     """
     if not generators:
         raise ValueError("no generators")
-    points = bounded_height_points(
-        generators[0].dim, census_threshold(generators), cap
+    n = generators[0].num_vars
+    if any(g.num_vars != n for g in generators):
+        raise DimensionMismatch("form/point variable counts differ")
+    h_max = census_threshold(generators)
+    points = bounded_height_points(n - 1, h_max, cap)
+    index = np.full(_half_box(n, h_max), -1, dtype=np.int64)
+    index[_box_offsets(points, h_max)] = np.arange(len(points))
+    targets = [_image_rows(g, points, h_max, index) for g in generators]
+    return frozenset(
+        RationalProjectivePoint._from_canonical(tuple(row))
+        for row in points[_survivors(targets)].tolist()
     )
-    in_t = set(points)
-    succ = {
-        p: [q for q in (g.apply(p) for g in generators) if q in in_t] for p in points
-    }
-    out_deg = {p: len(v) for p, v in succ.items()}
-    pred: dict[RationalProjectivePoint, list[RationalProjectivePoint]] = {
-        p: [] for p in points
-    }
-    for p, images in succ.items():
-        for q in images:
-            pred[q].append(p)
-    stack = [p for p, dcount in out_deg.items() if dcount == 0]
-    dead: set[RationalProjectivePoint] = set()
-    while stack:
-        p = stack.pop()
-        if p in dead:
-            continue
-        dead.add(p)
-        for q in pred[p]:
-            out_deg[q] -= 1
-            if out_deg[q] == 0:
-                stack.append(q)
-    return frozenset(in_t - dead)
 
 
 @dataclass(frozen=True)

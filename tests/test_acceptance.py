@@ -130,7 +130,8 @@ def _walk_oracle(cmap, horizon=12):
     must repeat and an orbit that escapes the candidate set never returns.
     """
     threshold = census_threshold([cmap])
-    candidates = bounded_height_points(cmap.dim, threshold)
+    rows = bounded_height_points(cmap.dim, threshold).tolist()
+    candidates = [normalize(r) for r in rows]
     assert horizon > len(candidates)
     keep = set()
     for x in candidates:
@@ -158,7 +159,7 @@ def test_criterion_04_preperiodic_census():
             assert isinstance(forward_orbit(p, Constant(cmap)), FiniteOrbit)
         outside = [
             x
-            for x in bounded_height_points(1, 4)
+            for x in map(normalize, bounded_height_points(1, 4).tolist())
             if x not in census
         ][:20]
         assert len(outside) == 20

@@ -108,15 +108,21 @@ def _reference_carrier(spec):
     return max(best.amplification, best.attenuation), best.degree
 
 
-# The escape test and the engine hand-off as heights had them before
-# census_threshold became the one cutoff and the hand-off moved into
-# canonical_height's loop: verbatim, but for the HeightEstimate field
-# c_used that was dropped since.
+# The escape test and the engine hand-off as heights had them before the
+# hand-off moved into canonical_height's loop: verbatim, but for the
+# HeightEstimate field c_used that was dropped since, and for the hand-off
+# test, which is now the one-sided census threshold: the engine may take
+# over once H^(d_g - 1) > B_g for every generator, where no word can cycle.
+# forward_orbit still escapes only above 2c.
 
 
 def _exceeds_2c(h_mult: int, carrier: tuple[int, int]) -> bool:
     b, d = carrier
     return h_mult**d > b * b
+
+
+def _cannot_cycle(h_mult: int, spec) -> bool:
+    return all(h_mult ** (g.degree - 1) > g.attenuation for g in spec.generators)
 
 
 @dataclass(frozen=True)
@@ -163,10 +169,8 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
     normalizer = 1
     depth = 0
     seen = None
-    carrier = None
     if spec.phase_at(0) is not None:
         seen = {(p, spec.phase_at(0)): 0}
-        carrier = _reference_carrier(spec)
     plan = _engine_plan(spec, c, tol) if 2.0 * c > tol else None
     if plan is not None:
         plan = _EnginePlan(*plan)
@@ -175,7 +179,7 @@ def _reference_canonical_height(x, spec, tol, budget_bits):
         if (
             plan is not None
             and h.bit_length() > plan.switch_bits
-            and (carrier is None or _exceeds_2c(h, carrier))
+            and (seen is None or _cannot_cycle(h, spec))
         ):
             est = _engine_estimate(p, depth, normalizer, c, tol, plan, budget_bits)
             if est is not None:

@@ -13,15 +13,24 @@ Every word over {l_2, l_3} on one curve has the same canonical height:
 the curve's canonical x-height, twice the Néron-Tate height of P.  So the
 canonical heights of one point under different words must agree within
 the sum of their radii.  The curve is E: y^2 = x^3 - 2 with P = (3, 5).
+
+The points of P^1(Q) preperiodic for some word are infinity and the
+rational x of the torsion points, whichever word is used.  A rational x
+has its point over a quadratic field, where torsion has order at most 18
+(Kamienny; Kenku-Momose); on this curve the list is infinity and the two
+rational roots 0 and 2 of psi_3 = 3x (x^3 - 8).
 """
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from seqheight.algebra import HomogeneousForm, normalize
 from seqheight.heights import canonical_height
-from seqheight.morphisms import Constant, PeriodicWord, validate
+from seqheight.morphisms import Constant, PeriodicWord, maps_from_config, validate
+from seqheight.orbits import census_threshold, preperiodic_census
 
 # polynomials in x: integer coefficient lists, low degree first
 
@@ -93,6 +102,10 @@ def lattes_map(a, b, m):
 A, B = 0, -2
 L2 = lattes_map(A, B, 2)
 L3 = lattes_map(A, B, 3)
+# the generating set {l2, l3} as a config file, for the CLI
+CONFIG = pathlib.Path(__file__).parent / "configs" / "lattes_l2_l3.json"
+# infinity, x = 0 and x = 2, with x = x0 / x1
+TORSION = {(1, 0), (0, 1), (2, 1)}
 
 
 def test_group_law_at_three_five():
@@ -141,3 +154,28 @@ def test_canonical_height_does_not_depend_on_the_word():
         for q in names[i + 1 :]:
             gap = abs(estimates[p].value - estimates[q].value)
             assert gap <= estimates[p].radius + estimates[q].radius, (p, q, gap)
+
+
+def test_config_holds_the_built_maps():
+    maps = maps_from_config(json.loads(CONFIG.read_text()))
+    assert [(m.name, m.forms) for m in maps] == [("l2", L2.forms), ("l3", L3.forms)]
+
+
+def test_torsion_list_is_infinity_and_the_rational_roots_of_psi3():
+    # psi_3 = 3 x^4 - 24 x: a rational root p/q has p | 24 and q | 3
+    psi3, _ = division_polynomials(A, B)[3]
+    assert psi3 == [0, -24, 0, 0, 3]
+    candidates = {Fraction(p, q) for p in range(-24, 25) for q in (1, 3)}
+    assert sorted(x for x in candidates if _at(psi3, x) == 0) == [0, 2]
+    # no rational 2-torsion: a rational root of x^3 - 2 would divide 2
+    assert all(x**3 != 2 for x in (-2, -1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "gens, threshold",
+    [((L2,), 9), ((L3,), 12), ((L2, L3), 12)],
+    ids=["l2", "l3", "l2-l3"],
+)
+def test_census_is_the_torsion_list(gens, threshold):
+    assert census_threshold(gens) == threshold
+    assert {p.coords for p in preperiodic_census(gens)} == TORSION

@@ -69,9 +69,14 @@ def test_kappa_minus_carries_certificate_denominator():
         HomogeneousForm.from_terms(2, 2, {(0, 2): 2}),
     ]
     g = validate(forms)
-    # e = 2, cofactor l1 max = 3, so attenuation B = 6
-    assert g.attenuation == 6
-    assert g.kappa_minus == pytest.approx(math.log(6))
+    # e = 2 and cofactor l1 max = 3.  The certificate gives e H(x)^d <=
+    # C_inf max|F_k(x)|, and max|F_k(x)| = g H(f(x)) with g dividing e, so
+    # the e cancels: B = C_inf = 3, not C_inf * e = 6
+    assert (g.certificate.denominator, g.cofactor_l1) == (2, 3)
+    assert g.attenuation == 3
+    assert g.kappa_minus == pytest.approx(math.log(3))
+    # (1 : 1) -> (2 : 2) = (1 : 1) reaches it: the gcd 2 = e comes out
+    assert g.apply(normalize([1, 1])).coords == (1, 1)
 
 
 def test_a_checked_map_is_its_forms_and_certificate():
@@ -90,11 +95,12 @@ def test_a_checked_map_is_its_forms_and_certificate():
     assert cert.denominator == 42
     assert g.degree == 2
     assert g.amplification == 4
-    assert g.cofactor_l1 == cert.cofactor_l1()
-    assert g.attenuation == cert.cofactor_l1() * 42
+    assert g.cofactor_l1 == cert.cofactor_l1() == 33
+    # B = C_inf: the denominator 42 cancels against the gcd of the values
+    assert g.attenuation == 33
     assert g.kappa_plus == math.log(4)
-    assert g.kappa_minus == math.log(g.attenuation)
-    assert g.c_bound == max(g.kappa_plus, g.kappa_minus) / 2
+    assert g.kappa_minus == math.log(33)
+    assert g.c_bound == math.log(33) / 2
     assert CheckedMap(tuple(forms), cert, "e42") == g
 
 
@@ -155,14 +161,36 @@ def test_validate_rejects_mis_shaped_forms(forms, message):
                 HomogeneousForm.from_terms(2, 3, {(0, 3): 1, (2, 1): 1}),
             ]
         ),
+        # maps with certificate denominator e > 1, where B = C_inf
+        lambda: validate(
+            [
+                HomogeneousForm.from_terms(2, 2, {(2, 0): 2, (1, 1): 1}),
+                HomogeneousForm.from_terms(2, 2, {(0, 2): 3, (1, 1): -1}),
+            ]
+        ),
+        lambda: validate(
+            [
+                HomogeneousForm.from_terms(2, 2, {(2, 0): 1, (0, 2): 1}),
+                HomogeneousForm.from_terms(2, 2, {(0, 2): 2}),
+            ]
+        ),
+        lambda: validate(
+            [
+                HomogeneousForm.from_terms(3, 2, {(2, 0, 0): 2, (0, 1, 1): 1}),
+                HomogeneousForm.from_terms(3, 2, {(0, 2, 0): 3, (1, 0, 1): -1}),
+                HomogeneousForm.from_terms(3, 2, {(0, 0, 2): 1, (1, 1, 0): 2}),
+            ]
+        ),
     ],
 )
 def test_distortion_inequalities_exact(builder):
-    # the certificate's content: A and B really do sandwich the height on
-    # canonical integer points, checked as big-integer inequalities
+    # the certificate's content: A and B = C_inf really do sandwich the
+    # height on canonical integer points, checked as big-integer
+    # inequalities, also where the gcd of the values reaches e > 1
     g = builder()
     a = g.amplification
     b = g.attenuation
+    assert b == g.cofactor_l1
     d = g.degree
     rng = random.Random(17)
     n = g.num_vars

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,10 @@ from seqheight.morphisms import (
     validate,
 )
 from seqheight.orbits import (
+    BudgetHit,
     FiniteOrbit,
     HeightEscape,
+    _two_sided_cutoff,
     bounded_height_points,
     census_threshold,
     forward_orbit,
@@ -40,6 +43,56 @@ PSQ = perturbed_power_map(1, 2, "psq")
 # frozen expectations, cross-checked below by the word-walk oracle
 SQ_CENSUS = {(0, 1), (1, -1), (1, 0), (1, 1)}
 PSQ_CENSUS = {(1, 0)}
+# (2 x0^2 + x0 x1 : 3 x1^2 - x0 x1), certificate denominator e = 42, and its
+# census at T = C_inf = 33
+E42_FORMS = ({(2, 0): 2, (1, 1): 1}, {(0, 2): 3, (1, 1): -1})
+E42_CENSUS = {(0, 1), (1, -2), (1, 0), (2, 3), (3, -2), (3, 1)}
+
+
+def _scaled_e42(k: int) -> CheckedMap:
+    """The e = 42 map with both forms multiplied by k: the same morphism,
+    with A = 4 k and e = 42 k, and the same cofactors, so the same T."""
+    forms = [{m: k * a for m, a in f.items()} for f in E42_FORMS]
+    return validate([HomogeneousForm.from_terms(2, 2, f) for f in forms])
+
+
+def _points(rows: np.ndarray) -> list[RationalProjectivePoint]:
+    return [RationalProjectivePoint(tuple(r)) for r in rows.tolist()]
+
+
+def _reference_census(generators):
+    """The census one RationalProjectivePoint at a time, as the library
+    ran it before the array pass: enumerate {H <= T} as points, apply every
+    generator to every point, and peel the out-degree-zero vertices."""
+    h_max = census_threshold(generators)
+    n = generators[0].num_vars
+    origin = (0,) * n
+    points = [
+        RationalProjectivePoint._from_canonical(c)
+        for c in itertools.product(range(-h_max, h_max + 1), repeat=n)
+        if c > origin and math.gcd(*c) == 1
+    ]
+    in_t = set(points)
+    succ = {
+        p: [q for q in (g.apply(p) for g in generators) if q in in_t] for p in points
+    }
+    out_deg = {p: len(v) for p, v in succ.items()}
+    pred = {p: [] for p in points}
+    for p, images in succ.items():
+        for q in images:
+            pred[q].append(p)
+    stack = [p for p, dcount in out_deg.items() if dcount == 0]
+    dead = set()
+    while stack:
+        p = stack.pop()
+        if p in dead:
+            continue
+        dead.add(p)
+        for q in pred[p]:
+            out_deg[q] -= 1
+            if out_deg[q] == 0:
+                stack.append(q)
+    return frozenset(in_t - dead)
 
 
 def test_fixed_point_orbit():
@@ -74,9 +127,9 @@ def test_cycle_under_mixed_word():
 
 def test_bounded_height_points_small():
     pts = bounded_height_points(1, 2)
-    assert len(pts) == 8
-    assert all(multiplicative_height(p) <= 2 for p in pts)
-    assert RationalProjectivePoint((2, -1)) in set(pts)
+    assert pts.shape == (8, 2) and pts.dtype == np.int64
+    assert all(multiplicative_height(p) <= 2 for p in _points(pts))
+    assert RationalProjectivePoint((2, -1)) in set(_points(pts))
 
 
 def test_bounded_height_points_cap():
@@ -87,7 +140,7 @@ def test_bounded_height_points_cap():
 @pytest.mark.parametrize(
     "dim, h_max, shown",
     [
-        # the e = 42 census: threshold 1386, printed in full
+        # the e = 42 census at its former threshold 1386, printed in full
         (1, 1386, "3844764"),
         (2, 10_000, "4000600030000"),
         # (2 * 10^6 + 1)^3 // 2 is about 4 * 10^18
@@ -104,14 +157,14 @@ def test_cap_message_gives_large_estimates_by_their_power_of_ten(dim, h_max, sho
 
 
 def test_bounded_height_points_is_lexicographic():
-    pts = bounded_height_points(2, 3)
-    assert [p.coords for p in pts] == sorted(p.coords for p in pts)
+    pts = [tuple(r) for r in bounded_height_points(2, 3).tolist()]
+    assert pts == sorted(pts)
     expected = [
         c
         for c in itertools.product(range(-3, 4), repeat=3)
         if any(c) and math.gcd(*c) == 1 and next(v for v in c if v) > 0
     ]
-    assert [p.coords for p in pts] == expected
+    assert pts == expected
 
 
 def test_bounded_height_points_frees_its_candidates_without_the_cyclic_collector():
@@ -128,13 +181,12 @@ def test_bounded_height_points_frees_its_candidates_without_the_cyclic_collector
 
 def _walk_census_oracle(generators: list[CheckedMap], word_length: int):
     """Independent oracle: x is preperiodic for some word iff an in-T walk
-    of length >= |T| exists from x (pigeonhole forces a revisit)."""
-    best = max(generators, key=lambda g: g.c_bound)
-    bound = max(best.amplification, best.attenuation)
+    of length >= |T| exists from x (pigeonhole forces a revisit).  T is the
+    largest H with H^(d_g - 1) <= B_g for some generator g."""
     h_max = 1
-    while (h_max + 1) ** best.degree <= bound * bound:
+    while any((h_max + 1) ** (g.degree - 1) <= g.attenuation for g in generators):
         h_max += 1
-    points = bounded_height_points(1, h_max)
+    points = _points(bounded_height_points(1, h_max))
     in_t = set(points)
 
     def walk_exists(p, remaining, memo):
@@ -212,19 +264,95 @@ def _random_generator(rng, n, d, scale):
     scale=st.sampled_from([1, 3, 10**3, 10**12, 10**40]),
 )
 def test_census_threshold_is_the_exact_2c_test(seed, n, count, scale):
-    # the (B, d) carrier the cutoff replaced: B = max(A, attenuation) of the
-    # generator with the largest c, and h > 2c is H^d > B^2
+    # T is the exact one-sided root: H > T exactly when H^(d_g - 1) > B_g
+    # for every generator g, i.e. h > log B_g / (d_g - 1) for all of them.
+    # forward_orbit still escapes only above 2c: with b = max(A, B) and d of
+    # the generator with the largest c, h > 2c is H^d > b^2.
     rng = random.Random(seed)
     degrees = [2, 3, 4] if n == 2 else [2, 3]
     gens = [
         _random_generator(rng, n, rng.choice(degrees), scale) for _ in range(count)
     ]
+    cutoff = census_threshold(gens)
+    for h in {1, 2, *range(max(1, cutoff - 3), cutoff + 4)}:
+        assert (h > cutoff) == all(h ** (g.degree - 1) > g.attenuation for g in gens)
     best = max(gens, key=lambda g: g.c_bound)
     b = max(best.amplification, best.attenuation)
     d = best.degree
-    cutoff = census_threshold(gens)
-    for h in {1, 2, *range(max(1, cutoff - 3), cutoff + 4)}:
-        assert (h > cutoff) == (h**d > b * b)
+    escape = _two_sided_cutoff(gens)
+    assert escape >= cutoff
+    spec = PeriodicWord(tuple(gens), tuple(range(count)))
+    for h in {1, 2, *range(max(1, escape - 3), escape + 4)}:
+        assert (h > escape) == (h**d > b * b)
+        # one step examines the start point only: it escapes exactly above 2c
+        x = RationalProjectivePoint((1, h) + (0,) * (n - 2))
+        outcome = forward_orbit(x, spec, max_steps=1)
+        assert isinstance(outcome, HeightEscape if h > escape else BudgetHit)
+
+
+def _random_generating_set(rng, n, count, max_candidates):
+    """1-3 random maps of P^(n-1) whose census has at most max_candidates
+    candidates, so that the reference census stays quick."""
+    degrees = [2, 3, 4] if n == 2 else [2, 3]
+    scales = [1, 2, 3] if n == 2 else [1]
+    while True:
+        gens = [
+            _random_generator(rng, n, rng.choice(degrees), rng.choice(scales))
+            for _ in range(count)
+        ]
+        h_max = census_threshold(gens)
+        if ((2 * h_max + 1) ** n - 1) // 2 <= max_candidates:
+            return gens, h_max
+
+
+@pytest.mark.parametrize(
+    "n, max_candidates", [(2, 3000), (3, 1500)], ids=["P1", "P2"]
+)
+def test_census_matches_the_per_point_reference(n, max_candidates):
+    rng = random.Random(f"census-diff:{n}")
+    nonempty = 0
+    for trial in range(24):
+        gens, h_max = _random_generating_set(rng, n, 1 + trial % 3, max_candidates)
+        got = preperiodic_census(gens)
+        assert got == _reference_census(gens), (trial, [g.forms for g in gens])
+        assert all(multiplicative_height(p) <= h_max for p in got)
+        nonempty += bool(got)
+    assert nonempty > 0
+
+
+@pytest.mark.parametrize(
+    "k, fits",
+    [
+        (2**62 // (4 * 33**2), True),
+        (2**62 // (4 * 33**2) + 1, False),
+        (2**62 // 5, False),
+        (10**30, False),
+    ],
+    ids=["just-below-2^62", "just-above-2^62", "wraps-int64", "past-int64"],
+)
+def test_census_on_both_sides_of_the_int64_guard(k, fits):
+    # A T^d < 2^62 runs in int64, otherwise on Python ints.  At k = 2^62 / 5
+    # the coefficients fit int64, but the values 21 k of the census points
+    # (3 : 1) and (2 : 3) would wrap; at 10^30 the coefficients do not fit
+    g = _scaled_e42(k)
+    h_max = census_threshold([g])
+    assert h_max == 33
+    assert (g.amplification * h_max**g.degree < 2**62) == fits
+    got = preperiodic_census([g])
+    assert {p.coords for p in got} == E42_CENSUS
+    assert got == _reference_census([g])
+
+
+def test_e42_census_exits_below_the_cap():
+    e42 = _scaled_e42(1)
+    assert (e42.certificate.denominator, e42.cofactor_l1) == (42, 33)
+    assert census_threshold([e42]) == 33
+    got = preperiodic_census([e42])
+    assert {p.coords for p in got} == E42_CENSUS
+    # every census point starts a finite orbit
+    for p in got:
+        assert isinstance(forward_orbit(p, Constant(e42)), FiniteOrbit)
+    assert preperiodic_census([e42, SQ]) == _reference_census([e42, SQ])
 
 
 def test_census_enumeration_guard():
