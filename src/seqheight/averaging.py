@@ -14,21 +14,22 @@ h(g_w(x)) / prod_a d_{w_a}, which is what the Monte Carlo estimator samples.
 
 Both read the leaves of one walk of the word trie (_word_leaves).
 eigensystem_height_exact walks all k^i words and reduces the leaves level
-by level with the recursion's own sums; eigensystem_height_mc walks only the
-distinct sampled words, so its depth is not bounded by the word budget;
-verify_averaging walks the full tree once and reads each sampled word's
-value from its leaves.  Both averages converge to the eigensystem height at
-the usual 2c/2^i truncation rate, so agreement within stderr plus twice the
-truncation radius is the pass condition verify_averaging reports.
+by level with the recursion's own sums.  Samples are drawn as word ranks:
+eigensystem_height_mc walks only the distinct ones, so its depth is not
+bounded by the word budget; verify_averaging walks the full tree once and
+counts each leaf's draws, in rank order, with np.bincount.  Both averages
+converge to the eigensystem height at the usual 2c/2^i rate, so agreement
+within stderr plus twice the truncation radius is verify_averaging's test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import RationalProjectivePoint
 from .errors import BudgetExceeded
@@ -44,8 +45,8 @@ from .heights import (
 from .morphisms import CheckedMap, sample_words
 
 DEFAULT_WORD_BUDGET = 3**10
-# Most Monte Carlo samples: the draw keeps one word per sample and runs in
-# time linear in the count (10^6 words at depth 8 took 0.8 s and 38 MB).
+# Most Monte Carlo samples: the draw keeps one rank per sample and runs in
+# time linear in the count (10^6 words at depth 8 took 0.3 s and 38-39 MB).
 MAX_SAMPLES = 10**6
 
 
@@ -164,39 +165,23 @@ class MonteCarloAverage:
 
 
 def _sampled_average(
-    words: list[tuple[int, ...]],
-    leaf_of: Mapping[tuple[int, ...], float],
-    generators: Sequence[CheckedMap],
-    samples: int,
-    depth: int,
-    seed: int,
-) -> MonteCarloAverage:
+    values: list[float], counts: list[int], samples: int
+) -> tuple[float, float]:
     """Mean and standard error of h(g_w(x)) / prod(d_w) over the sampled words.
 
-    Each distinct word's value is formed once and enters math.fsum as often
-    as the word was drawn; fsum rounds the exact sum once, so the order of
-    its terms does not change a bit.
+    values holds each distinct drawn word's value, formed once, and each
+    enters math.fsum as often as its word was drawn (counts); fsum rounds
+    the exact sum once, so the order of its terms does not change a bit.
     """
-    counts = Counter(words)
-    values = [
-        _divide(leaf_of[word], math.prod(generators[j].degree for j in word))
-        for word in counts
-    ]
 
     def total(terms: list[float]) -> float:
         return math.fsum(
-            itertools.chain.from_iterable(map(itertools.repeat, terms, counts.values()))
+            itertools.chain.from_iterable(map(itertools.repeat, terms, counts))
         )
 
     mean = total(values) / samples
     var = total([(v - mean) ** 2 for v in values]) / (samples - 1)
-    return MonteCarloAverage(
-        mean=mean,
-        stderr=math.sqrt(var / samples),
-        samples=samples,
-        depth=depth,
-        seed=seed,
-    )
+    return mean, math.sqrt(var / samples)
 
 
 def eigensystem_height_mc(
@@ -218,12 +203,20 @@ def eigensystem_height_mc(
     budget applies: the depth may be one whose full tree is too large.
     """
     _check_inputs(x, generators, depth, budget_bits, samples)
-    words = sample_words(generators, depth, seed, samples)
-    distinct = sorted(set(words))
-    leaves = _word_leaves(x, generators, distinct, budget_bits)
-    return _sampled_average(
-        words, dict(zip(distinct, leaves)), generators, samples, depth, seed
-    )
+    ranks = sample_words(generators, depth, seed, samples)
+    ranks.sort()  # in place, where np.unique would copy all the ranks
+    starts = np.insert(np.flatnonzero(ranks[1:] != ranks[:-1]) + 1, 0, 0)
+    k = len(generators)
+    scales = [k**p for p in reversed(range(depth))]
+    words = [tuple(r // s % k for s in scales) for r in ranks[starts].tolist()]
+    leaves = _word_leaves(x, generators, words, budget_bits)
+    values = [
+        _divide(leaf, math.prod(generators[j].degree for j in word))
+        for word, leaf in zip(words, leaves)
+    ]
+    counts = np.diff(starts, append=samples).tolist()
+    mean, stderr = _sampled_average(values, counts, samples)
+    return MonteCarloAverage(mean, stderr, samples, depth, seed)
 
 
 @dataclass(frozen=True)
@@ -265,20 +258,27 @@ def verify_averaging(
     _check_inputs(x, generators, depth, budget_bits, samples)
     k = len(generators)
     _check_word_budget(k, depth, word_budget)
-    words = sample_words(generators, depth, seed, samples)
-    tree = list(itertools.product(range(k), repeat=depth))
+    ranks = sample_words(generators, depth, seed, samples)
+    tree = itertools.product(range(k), repeat=depth)
     leaves = _word_leaves(x, generators, tree, budget_bits)
     exact = _tree_average(leaves, k, depth, sum(g.degree for g in generators))
-    mc = _sampled_average(words, dict(zip(tree, leaves)), generators, samples, depth, seed)
+    # the degree product of every word, in rank order
+    products = [1]
+    for _ in range(depth):
+        products = [p * g.degree for p in products for g in generators]
+    counts = np.bincount(ranks, minlength=len(leaves))
+    drawn = np.flatnonzero(counts).tolist()
+    values = [_divide(leaves[r], products[r]) for r in drawn]
+    mean, stderr = _sampled_average(values, counts[drawn].tolist(), samples)
     c = max(g.c_bound for g in generators)
     # 2c / 2^depth, by exponent so that no depth overflows a float
     radius = math.ldexp(2.0 * c, -depth)
-    disc = abs(exact - mc.mean)
-    tol = 3.0 * mc.stderr + 2.0 * radius
+    disc = abs(exact - mean)
+    tol = 3.0 * stderr + 2.0 * radius
     return AveragingReport(
         exact_value=exact,
-        mc_value=mc.mean,
-        mc_stderr=mc.stderr,
+        mc_value=mean,
+        mc_stderr=stderr,
         truncation_radius=radius,
         depth=depth,
         samples=samples,

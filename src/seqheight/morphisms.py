@@ -49,8 +49,8 @@ from .errors import DegreeTooSmall, DimensionMismatch
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHILD_KEY = 0xD1B54A32D192ED03
-# Samples per block of sample_words: each uint64 temporary is 8 KiB, and a
-# block's word columns are Python lists of 1024 ints.
+# Samples per block of sample_words: each uint64 temporary is 8 KiB, so
+# only the array of ranks grows with the sample count.
 _WORD_BLOCK = 1024
 
 
@@ -391,21 +391,23 @@ def sample_word(
 
 def sample_words(
     generators: Sequence[CheckedMap], length: int, seed: int, samples: int
-) -> list[tuple[int, ...]]:
-    """The words sample_word draws from child_seed(seed, m), m < samples.
+) -> np.ndarray:
+    """The words sample_word draws from child_seed(seed, m), m < samples, as
+    their lexicographic ranks sum_i w_i k^(length - 1 - i) over k generators.
 
     Runs the same splitmix64 stream on uint64 arrays, one word position of a
     block of samples at a time.  _scale64 is exact while the degree total
-    is below 2^32; larger totals raise ValueError.  Equal words come back
-    as one shared tuple, so the list holds a tuple per distinct word, not
-    per sample.
+    is below 2^32; larger totals raise ValueError.  The ranks are int64
+    while k^length <= 2^63, and Python ints (dtype object) past that.
     """
     degrees = [g.degree for g in generators]
-    total = sum(degrees)
+    k, total = len(degrees), sum(degrees)
     if total >= 1 << 32:
         raise ValueError(f"degree total {total} needs more than 32 bits")
-    if length <= 0 or len(degrees) == 1:
-        return [(0,) * length] * samples
+    # for k >= 2, k^length passes 2^63 by length 64
+    ranks = np.zeros(samples, np.int64 if k ** min(length, 64) <= 1 << 63 else object)
+    if length <= 0 or k == 1:
+        return ranks
     u64 = np.uint64
     tot, sign = u64(total), u64(63)
     # r < 2^32 and every bound is at most 2^32, so r - b wraps past 2^63
@@ -413,22 +415,20 @@ def sample_words(
     bounds = [u64(c) for c in itertools.accumulate(degrees[:-1])]
     steps = [u64(i * _GOLDEN & _MASK64) for i in range(1, length + 1)]
     key = u64(seed & _MASK64)
-    words: list[tuple[int, ...]] = []
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     with np.errstate(over="ignore"):
         for start in range(0, samples, _WORD_BLOCK):
             stop = min(start + _WORD_BLOCK, samples)
             tags = np.arange(start + 1, stop + 1, dtype=np.uint64) * u64(_GOLDEN)
             child = _mix64_array(_mix64_array(tags + key) ^ u64(_CHILD_KEY))
-            columns = []
+            rank = ranks[start:stop]
             for step in steps:
                 r = _scale64(_mix64_array(child + step), tot)
                 index = u64(len(bounds))
                 for b in bounds:
                     index = index - ((r - b) >> sign)
-                columns.append(index.tolist())
-            words.extend(shared.setdefault(w, w) for w in zip(*columns))
-    return words
+                rank *= k
+                rank += index.astype(ranks.dtype)
+    return ranks
 
 
 def _config_int(value, what: str) -> int:

@@ -11,9 +11,9 @@ preperiodic for SOME word over the generators exactly when it starts an
 infinite walk, i.e. when it survives repeated deletion of out-degree-zero
 vertices.  Both directions are elementary: an infinite walk in a finite
 graph reaches a cycle, and a preperiodic orbit is itself such a walk.  The
-census runs as one pass over int64 arrays: candidates, images, index
-lookups and the peeling, with RationalProjectivePoints built only for the
-survivors.
+census runs as one pass over int64 arrays: candidates, images (in blocks
+of candidates), index lookups and the peeling, with RationalProjectivePoints
+built only for the survivors.
 
 Escape is certified exactly: the first orbit point with H above the integer
 floor(e^{2c}) (so h > 2c; an integer comparison, no floats) proves the start
@@ -57,6 +57,9 @@ from .heights import (
 from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_CENSUS_CAP = 10**6
+# Candidate rows per block of _image_rows: a block's powers and partial sums
+# are int64 arrays of 128 KiB, so only the candidates and row tables grow.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -190,30 +193,33 @@ def _image_rows(
     """For every candidate row x, the row of g(x) among the candidates, or
     -1 where H(g(x)) > h_max.
 
-    The values walk g's term table over all candidates at once.  Every
-    power, term and partial sum of F_j(x) is at most ||F_j||_1 h_max^d in
-    absolute value, so below 2^62 int64 holds them exactly; above it the
-    same operations run on Python ints (dtype object).
+    The values walk g's term table over a block of _BLOCK candidates at a
+    time.  Every power, term and partial sum of F_j(x) is at most
+    ||F_j||_1 h_max^d in absolute value, so below 2^62 int64 holds them
+    exactly; above it the same operations run on Python ints (dtype object).
     """
     exact = g.amplification * h_max**g.degree < 1 << 62
-    x = points if exact else points.astype(object)
-    powers = [x[:, i] ** k for i, k in g.powers]
-    columns = []
-    for terms in g.terms:
-        total = np.zeros(len(x), dtype=x.dtype)
-        for coeff, first, rest in terms:
-            term = powers[first]
-            for s in rest:
-                term = term * powers[s]
-            total = total + coeff * term
-        columns.append(total)
-    values = np.stack(columns, axis=1)
-    values //= np.gcd.reduce(values, axis=1)[:, None]
-    lead = values[np.arange(len(values)), (values != 0).argmax(axis=1)]
-    values[lead < 0] *= -1
-    inside = np.flatnonzero((np.abs(values) <= h_max).all(axis=1))
-    rows = np.full(len(values), -1, dtype=np.int64)
-    rows[inside] = index[_box_offsets(values[inside].astype(np.int64), h_max)]
+    rows = np.full(len(points), -1, dtype=np.int64)
+    for start in range(0, len(points), _BLOCK):
+        x = points[start : start + _BLOCK]
+        x = x if exact else x.astype(object)
+        powers = [x[:, i] ** k for i, k in g.powers]
+        columns = []
+        for terms in g.terms:
+            total = np.zeros(len(x), dtype=x.dtype)
+            for coeff, first, rest in terms:
+                term = powers[first]
+                for s in rest:
+                    term = term * powers[s]
+                total = total + coeff * term
+            columns.append(total)
+        values = np.stack(columns, axis=1)
+        values //= np.gcd.reduce(values, axis=1)[:, None]
+        lead = values[np.arange(len(values)), (values != 0).argmax(axis=1)]
+        values[lead < 0] *= -1
+        inside = np.flatnonzero((np.abs(values) <= h_max).all(axis=1))
+        offsets = _box_offsets(values[inside].astype(np.int64), h_max)
+        rows[start + inside] = index[offsets]
     return rows
 
 

@@ -126,16 +126,20 @@ def test_verify_averaging_passes():
 
 
 def _mc_per_sample(x, generators, samples, depth, seed):
-    """The Monte Carlo estimator as a plain per-sample loop."""
-    values = []
+    """The Monte Carlo estimator as a plain per-sample loop; a word drawn
+    again reuses the value its orbit gave the first time."""
+    values, value_of = [], {}
     for m in range(samples):
-        p = x
-        norm = 1
-        for j in sample_word(generators, depth, child_seed(seed, m)):
-            p = generators[j].apply(p)
-            norm *= generators[j].degree
-        h = multiplicative_height(p)
-        values.append((math.log(h) if h > 1 else 0.0) / norm)
+        word = sample_word(generators, depth, child_seed(seed, m))
+        if word not in value_of:
+            p = x
+            norm = 1
+            for j in word:
+                p = generators[j].apply(p)
+                norm *= generators[j].degree
+            h = multiplicative_height(p)
+            value_of[word] = (math.log(h) if h > 1 else 0.0) / norm
+        values.append(value_of[word])
     mean = math.fsum(values) / samples
     var = math.fsum((v - mean) ** 2 for v in values) / (samples - 1)
     return mean, math.sqrt(var / samples)
@@ -252,11 +256,16 @@ def _outcome(run, *args, **kwargs):
     ids=["sq-psq", "psq-cube", "all", "e42-psq"],
 )
 def test_verify_averaging_matches_recursion_and_per_sample_loop(gens, depth):
-    for coords, seed in [([1, 1], 3), ([2, 3], 17), ([-7, 5], 2024)]:
+    # The sample counts straddle the draw's block of 1024 samples.
+    for coords, seed, counts in [
+        ([1, 1], 3, (2, 1025)),
+        ([2, 3], 17, (1023, 3000)),
+        ([-7, 5], 2024, (1024,)),
+    ]:
         x = normalize(coords)
-        samples = 300 if len(gens) == 2 else 120
-        got = verify_averaging(x, gens, depth, samples, seed)
-        assert got == _reference_report(x, gens, depth, samples, seed)
+        for samples in counts:
+            got = verify_averaging(x, gens, depth, samples, seed)
+            assert got == _reference_report(x, gens, depth, samples, seed)
         assert eigensystem_height_exact(x, gens, depth) == got.exact_value
 
 

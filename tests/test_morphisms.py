@@ -292,25 +292,46 @@ WORD_GENERATORS = {
 }
 
 
+def _rank(word, k):
+    """The lexicographic rank of a word over k letters."""
+    rank = 0
+    for j in word:
+        rank = rank * k + j
+    return rank
+
+
 @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 + 1, 2**64 + 7])
 @pytest.mark.parametrize("gens", WORD_GENERATORS.values(), ids=WORD_GENERATORS)
 def test_sample_words_match_per_sample_draws(gens, seed):
     # Sample counts straddle the block of 1024 samples; 3000 samples are
     # drawn at the shorter depths only, to keep the per-sample loop short.
+    # At length 40 the three-map set has 3^40 > 2^63 words: Python-int ranks.
     for length in (0, 1, 8, 40):
         counts = (2, 1023, 1024, 1025) + ((3000,) if length <= 8 else ())
         reference = [
-            sample_word(gens, length, child_seed(seed, m)) for m in range(max(counts))
+            _rank(sample_word(gens, length, child_seed(seed, m)), len(gens))
+            for m in range(max(counts))
         ]
         for samples in counts:
-            assert sample_words(gens, length, seed, samples) == reference[:samples]
+            ranks = sample_words(gens, length, seed, samples)
+            assert ranks.tolist() == reference[:samples]
 
 
-def test_sample_words_returns_tuples_of_ints():
-    gens = WORD_GENERATORS["3,2,5"]
-    words = sample_words(gens, 6, 9, 5)
-    assert all(type(w) is tuple and all(type(j) is int for j in w) for w in words)
-    assert sample_words(gens, 6, 9, 0) == []
+def test_sample_words_ranks_are_int64_up_to_2_to_the_63_words():
+    for name, length, dtype in [
+        ("2,3", 63, np.int64),  # 2^63 words: the largest rank is 2^63 - 1
+        ("2,3", 64, object),
+        ("3,2,5", 39, np.int64),
+        ("3,2,5", 40, object),
+        ("single", 10**4, np.int64),
+    ]:
+        gens = WORD_GENERATORS[name]
+        ranks = sample_words(gens, length, 9, 5)
+        assert ranks.dtype == dtype and ranks.shape == (5,)
+        if dtype is object:
+            assert all(type(r) is int for r in ranks)
+        empty = sample_words(gens, length, 9, 0)
+        assert empty.dtype == dtype and empty.shape == (0,)
 
 
 def test_scale64_is_exact_at_the_edges():

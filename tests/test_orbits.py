@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqheight import orbits
 from seqheight.algebra import (
     HomogeneousForm,
     RationalProjectivePoint,
@@ -341,6 +342,18 @@ def test_census_on_both_sides_of_the_int64_guard(k, fits):
     got = preperiodic_census([g])
     assert {p.coords for p in got} == E42_CENSUS
     assert got == _reference_census([g])
+
+
+@pytest.mark.parametrize("block", [1, 37])
+def test_census_is_the_same_in_blocks_of_any_size(monkeypatch, block):
+    # The tests above fit one block of _image_rows; here blocks of one row
+    # and ragged blocks of 37 rows run both the int64 and the object path.
+    rng = random.Random("census-blocks")
+    sets = [_random_generating_set(rng, 2 + t % 2, 1 + t % 3, 500)[0] for t in range(6)]
+    sets.append([_scaled_e42(10**30)])
+    monkeypatch.setattr(orbits, "_BLOCK", block)
+    for gens in sets:
+        assert preperiodic_census(gens) == _reference_census(gens)
 
 
 def test_e42_census_exits_below_the_cap():
