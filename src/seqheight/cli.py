@@ -222,7 +222,7 @@ def _cmd_height(args) -> int:
         {
             "step": i,
             "value": h.value,
-            "height_bits": h.multiplicative.bit_length(),
+            "height_bits": h.bits,
             "normalizer": h.normalizer,
         }
         for i, h in enumerate(seq)

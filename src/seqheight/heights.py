@@ -29,7 +29,14 @@ waits for H > T before the engine takes over a word with phases.
 orbits.forward_orbit keeps the two-sided escape test h > 2c.
 
 Heights are carried as (integer H, integer normalizer) pairs; ExactLogHeight
-defers the floating log so exact comparisons stay available.
+defers the floating log so exact comparisons stay available.  The reports
+read H only through bits(H) and math.log(H), and CPython's math.log of an
+int reads only its bit length and its significand rounded to 53 bits.  So
+height_sequence forms its last, widest orbit point only as an integer
+bracket from the top 128 bits of the point before it, and keeps it when
+both ends agree in those two (Ziv's strategy: decide a correctly rounded
+result from a short approximation, and redo the work exactly only where
+the rounding is undecided); H itself is formed when it is read.
 
 Exact orbit coordinates double in size each step, so canonical_height runs
 the exact orbit only while it is short, then finishes with a bounded-size
@@ -58,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Sequence
 
 from .algebra import RationalProjectivePoint
@@ -68,16 +75,62 @@ from .morphisms import CheckedMap, SequenceSpec
 DEFAULT_BUDGET_BITS = 1 << 20
 
 
-@dataclass(frozen=True)
 class ExactLogHeight:
-    """A height log(H)/normalizer with its exact integer payload."""
+    """A height log(H)/normalizer with its exact integer payload H.
 
-    multiplicative: int
-    normalizer: int = 1
+    bits is bits(H), and value is math.log(H)/normalizer.  The last height
+    of height_sequence may be built from an integer bracket of H whose ends
+    share bits(H) and math.log(H) (see _leading_image): it then keeps the
+    orbit point before it and that point's map, and forms H on the first
+    read of multiplicative.  Two heights are equal when their H and
+    normalizer are.
+    """
+
+    __slots__ = ("_payload", "_step", "_log", "normalizer", "bits")
+
+    def __init__(self, multiplicative: int, normalizer: int = 1):
+        self._payload, self._step, self._log = multiplicative, None, None
+        self.normalizer = normalizer
+        self.bits = multiplicative.bit_length()
+
+    @classmethod
+    def _bracketed(
+        cls, g: CheckedMap, p: RationalProjectivePoint, lo: int, normalizer: int
+    ) -> "ExactLogHeight":
+        """The height of H(g(p)), given an lo that has its bits and log."""
+        h = cls.__new__(cls)
+        h._payload, h._step, h._log = None, (g, p), math.log(lo)
+        h.normalizer, h.bits = normalizer, lo.bit_length()
+        return h
+
+    @property
+    def multiplicative(self) -> int:
+        if self._payload is None:
+            g, p = self._step
+            self._payload, self._step = multiplicative_height(g.apply(p)), None
+        return self._payload
 
     @property
     def value(self) -> float:
-        return _divide(math.log(self.multiplicative), self.normalizer)
+        log = math.log(self.multiplicative) if self._log is None else self._log
+        return _divide(log, self.normalizer)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactLogHeight):
+            return NotImplemented
+        return (self.multiplicative, self.normalizer) == (
+            other.multiplicative,
+            other.normalizer,
+        )
+
+    def __hash__(self):
+        return hash((self.multiplicative, self.normalizer))
+
+    def __repr__(self):
+        return (
+            f"ExactLogHeight(multiplicative={self.multiplicative!r}, "
+            f"normalizer={self.normalizer!r})"
+        )
 
 
 def _divide(value: float, norm: int) -> float:
@@ -140,12 +193,35 @@ def _check_point(x: RationalProjectivePoint, maps: Sequence[CheckedMap]) -> None
 
 def _check_bits(point: RationalProjectivePoint, budget_bits: int, step: int) -> int:
     """bits(H(point)), or BudgetExceeded when it is above budget_bits."""
-    worst = multiplicative_height(point).bit_length()
-    if worst > budget_bits:
+    return _check_width(multiplicative_height(point).bit_length(), budget_bits, step)
+
+
+def _check_width(bits: int, budget_bits: int, step: int) -> int:
+    """bits, the width of orbit point `step`, or BudgetExceeded when it is
+    above budget_bits."""
+    if bits > budget_bits:
         raise BudgetExceeded(
-            f"orbit coordinate reached {worst} bits (> {budget_bits}) at step {step}"
+            f"orbit coordinate reached {bits} bits (> {budget_bits}) at step {step}"
         )
-    return worst
+    return bits
+
+
+def _check_floor(g: CheckedMap, bits: int, budget_bits: int, step: int) -> None:
+    """Refuse orbit point `step` = g(p), given bits = bits(H(p)), when it
+    is provably wider than budget_bits, before its products are formed.
+
+    The certificate gives H(g(p)) >= H(p)^d / B, with B the attenuation.
+    As H(p) >= 2^(bits - 1) and B < 2^bits(B), once
+    d (bits - 1) >= budget_bits + bits(B) the image has more than
+    budget_bits bits: the same step the check of the formed image would
+    refuse.
+    """
+    floor = g.degree * (bits - 1) - g.attenuation.bit_length()
+    if floor >= budget_bits:
+        raise BudgetExceeded(
+            f"orbit coordinate reaches at least {floor + 1} bits (> {budget_bits}) "
+            f"at step {step}"
+        )
 
 
 def _apply_within_budget(
@@ -156,20 +232,9 @@ def _apply_within_budget(
     step: int,
 ) -> tuple[RationalProjectivePoint, int]:
     """(g(p), bits(H(g(p)))) as orbit point `step`, given bits = bits(H(p));
-    BudgetExceeded when g(p) is wider than budget_bits.
-
-    The certificate gives H(g(p)) >= H(p)^d / B, with B the attenuation.
-    As H(p) >= 2^(bits - 1) and B < 2^bits(B), once
-    d (bits - 1) >= budget_bits + bits(B) the image has more than
-    budget_bits bits, and the step is refused before its products are
-    formed: the same step the check of the formed image would refuse.
-    """
-    floor = g.degree * (bits - 1) - g.attenuation.bit_length()
-    if floor >= budget_bits:
-        raise BudgetExceeded(
-            f"orbit coordinate reaches at least {floor + 1} bits (> {budget_bits}) "
-            f"at step {step}"
-        )
+    BudgetExceeded when g(p) is wider than budget_bits, from _check_floor
+    before any product where it can tell."""
+    _check_floor(g, bits, budget_bits, step)
     q = g.apply(p)
     return q, _check_bits(q, budget_bits, step)
 
@@ -197,13 +262,122 @@ def height_sequence(
     depth: int,
     budget_bits: int = DEFAULT_BUDGET_BITS,
 ) -> list[ExactLogHeight]:
-    """Normalized height truncations h_0 .. h_depth along the exact orbit."""
+    """Normalized height truncations h_0 .. h_depth along the exact orbit.
+
+    The exact orbit runs to step depth - 1.  Step depth, the widest, is
+    formed only as the integer bracket of _leading_image; when both of its
+    ends have the same bits and the same correctly rounded 53-bit
+    significand, so has every integer between them, and H(x_depth) has the
+    bits, the math.log and the budget check of either end.  Otherwise (a
+    cancellation, an H near a power of two or a rounding midpoint, or
+    coordinates of at most _LEADING_BITS bits) the step is formed exactly.
+    Either way every field of every height is exact.
+    """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     _check_budget(budget_bits)
     _check_point(x, spec.generators)
-    orbit = islice(exact_orbit(x, spec, budget_bits), depth + 1)
-    return [ExactLogHeight(multiplicative_height(p), n) for _, p, n in orbit]
+    heights = []
+    for step, p, normalizer in exact_orbit(x, spec, budget_bits):
+        heights.append(ExactLogHeight(multiplicative_height(p), normalizer))
+        if step + 1 >= depth:
+            break
+    if depth > 0:
+        g = spec.generator_at(depth - 1)
+        normalizer *= g.degree
+        _check_floor(g, heights[-1].bits, budget_bits, depth)
+        bracket = _leading_image(g, p, heights[-1].bits)
+        if bracket is not None and _rounded(bracket[0]) == _rounded(bracket[1]):
+            lo = bracket[0]
+            _check_width(lo.bit_length(), budget_bits, depth)
+            heights.append(ExactLogHeight._bracketed(g, p, lo, normalizer))
+        else:
+            q = g.apply(p)
+            _check_bits(q, budget_bits, depth)
+            heights.append(ExactLogHeight(multiplicative_height(q), normalizer))
+    return heights
+
+
+# The bits of the previous orbit point that _leading_image reads.  As
+# H(g(p)) >= H(p)^d / B, the bracket is at most 2 d A B 2^(d - 128) times
+# H(g(p)) wide, with A and B the map's amplification and attenuation: about
+# 2^-120 for sq and psq, far inside the 2^-53 of the rounding it decides.
+_LEADING_BITS = 128
+
+
+def _leading_image(
+    g: CheckedMap, p: RationalProjectivePoint, bits: int
+) -> tuple[int, int] | None:
+    """An integer bracket [lo, hi] of H(g(p)) from the top _LEADING_BITS
+    bits of p's coordinates, given bits = bits(H(p)); None when p has no
+    more bits than that.
+
+    With s = bits - _LEADING_BITS and q_i = x_i >> s, each coordinate is
+    x_i = 2^s (q_i + t_i) with 0 <= t_i < 1.  Expanding a monomial in the
+    t_i bounds |prod (q_i + t_i) - prod q_i| by prod (|q_i| + 1) - prod
+    |q_i|, so F_j(x) lies within 2^(sd) (|F|_j(|q| + 1) - |F|_j(|q|)) of
+    2^(sd) F_j(q), |F|_j being F_j with absolute coefficients.  H(g(p)) is
+    max_j |F_j(x)| / gcd, and the gcd, a divisor of e, comes exactly from
+    x mod e.
+    """
+    s = bits - _LEADING_BITS
+    if s <= 0:
+        return None
+    q = [c >> s for c in p.coords]
+    mags = [abs(c) for c in q]
+    outer = _absolute_values(g, [m + 1 for m in mags])
+    widths = [u - v for u, v in zip(outer, _absolute_values(g, mags))]
+    centres = [abs(c) for c in g.values(q)]
+    low = max(max(c - w, 0) for c, w in zip(centres, widths))
+    high = max(c + w for c, w in zip(centres, widths))
+    e = g.certificate.denominator
+    gcd = _residue_image(g, [c % e for c in p.coords], e)[1] if e > 1 else 1
+    shift = s * g.degree
+    return -(-(low << shift) // gcd), (high << shift) // gcd
+
+
+def _absolute_values(g: CheckedMap, coords: Sequence[int]) -> list[int]:
+    """|F|_j(coords) for each form of g: its term table with the absolute
+    values of the coefficients."""
+    powers = [coords[i] ** k for i, k in g.powers]
+    return [
+        sum(
+            abs(coeff) * math.prod((powers[s] for s in rest), start=powers[first])
+            for coeff, first, rest in terms
+        )
+        for terms in g.terms
+    ]
+
+
+def _rounded(n: int) -> tuple[int, int]:
+    """(bits(n), the top 53 bits of n rounded to nearest, ties to even) for
+    n >= 0, the rounding carrying into a 54th bit at the top of a binade.
+
+    CPython's math.log of an int depends on n only through this pair: it
+    takes log of the correctly rounded double of n, or, past the double
+    range, of the correctly rounded 53-bit significand of n, and adds its
+    binary exponent times log 2.  Two ints with the same pair have the same
+    math.log, and so has every int between them, as both parts are
+    monotone in n.
+    """
+    bits = n.bit_length()
+    shift = bits - 53
+    if shift <= 0:
+        return bits, n
+    top = n >> (shift - 1)
+    # the round bit is top's last bit; any bit below it breaks a tie
+    up = top & 1 and (top & 2 or n & ((1 << (shift - 1)) - 1))
+    return bits, (top >> 1) + bool(up)
+
+
+def _residue_image(
+    g: CheckedMap, residues: Sequence[int], modulus: int
+) -> tuple[list[int], int]:
+    """(F(x) mod modulus, gcd(e, F(x))) from residues = x mod modulus, for
+    a modulus that e divides: the gcd is the one CheckedMap.apply divides
+    out of F(x)."""
+    w = [c % modulus for c in g.values(residues)]
+    return w, math.gcd(g.certificate.denominator, *w)
 
 
 def _floor_root(value: int, k: int) -> int:
@@ -309,10 +483,8 @@ def bounded_truncation(
         if modulus > 1:
             # F(x) mod modulus is exact; dividing by gcd | e keeps x mod the
             # product of the denominators still ahead
-            e = g.certificate.denominator
-            w = [c % modulus for c in g.values(residues)]
-            gcd = math.gcd(e, *w)
-            modulus //= e
+            w, gcd = _residue_image(g, residues, modulus)
+            modulus //= g.certificate.denominator
             residues = [c // gcd % modulus for c in w]
             if gcd > 1:
                 log_gcds.append(math.log(gcd) / normalizer)

@@ -11,8 +11,8 @@ preperiodic for SOME word over the generators exactly when it starts an
 infinite walk, i.e. when it survives repeated deletion of out-degree-zero
 vertices.  Both directions are elementary: an infinite walk in a finite
 graph reaches a cycle, and a preperiodic orbit is itself such a walk.  The
-census runs as one pass over int64 arrays: candidates, images (in blocks
-of candidates), index lookups and the peeling, with RationalProjectivePoints
+census runs as one pass over int64 arrays: candidates and images (each in
+blocks), index lookups and the peeling, with RationalProjectivePoints
 built only for the survivors.
 
 Escape is certified exactly: the first orbit point with H above the integer
@@ -57,8 +57,9 @@ from .heights import (
 from .morphisms import CheckedMap, SequenceSpec
 
 DEFAULT_CENSUS_CAP = 10**6
-# Candidate rows per block of _image_rows: a block's powers and partial sums
-# are int64 arrays of 128 KiB, so only the candidates and row tables grow.
+# Numerals per block of bounded_height_points, and candidate rows per block
+# of _image_rows: a block's digits, powers and partial sums are int64 arrays
+# of 128 KiB, so only the candidates and row tables grow.
 _BLOCK = 1 << 14
 
 
@@ -151,7 +152,11 @@ def bounded_height_points(
     dim: int, h_max: int, cap: int = DEFAULT_CENSUS_CAP
 ) -> np.ndarray:
     """All canonical points of P^dim(Q) with multiplicative height <= h_max,
-    as the rows of an (m, dim + 1) int64 array in lexicographic order."""
+    as the rows of an (m, dim + 1) int64 array in lexicographic order.
+
+    A box of at most _BLOCK numerals is one block; a larger one is read and
+    masked a block at a time, so besides the result only one block's
+    arrays are held."""
     n = dim + 1
     base = 2 * h_max + 1
     raw_estimate = _half_box(n, h_max)
@@ -166,14 +171,22 @@ def bounded_height_points(
     # the tuples of the box [-h_max, h_max]^n in lexicographic order, read
     # as base-(2 h_max + 1) numerals; the canonical ones are coprime and
     # above the origin, the middle numeral raw_estimate, i.e. their first
-    # nonzero coordinate is positive
-    flat = np.arange(raw_estimate + 1, base**n, dtype=np.int64)
-    columns = []
-    for _ in range(n):
-        flat, digit = np.divmod(flat, base)
-        columns.append(digit - h_max)
-    coords = np.stack(columns[::-1], axis=1)
-    return coords[np.gcd.reduce(coords, axis=1) == 1]
+    # nonzero coordinate is positive.  The raw_estimate numerals above it
+    # are read and masked _BLOCK at a time, into one table of that many rows.
+    stop = base**n
+    points = np.empty((raw_estimate, n), dtype=np.int64)
+    kept = 0
+    for start in range(raw_estimate + 1, stop, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, stop), dtype=np.int64)
+        columns = []
+        for _ in range(n):
+            flat, digit = np.divmod(flat, base)
+            columns.append(digit - h_max)
+        coords = np.stack(columns[::-1], axis=1)
+        coords = coords[np.gcd.reduce(coords, axis=1) == 1]
+        points[kept : kept + len(coords)] = coords
+        kept += len(coords)
+    return points[:kept]
 
 
 def _box_offsets(coords: np.ndarray, h_max: int) -> np.ndarray:

@@ -22,8 +22,9 @@ as do the two tolerances of 1e-320 whose degree products leave the float
 range.  A property test runs the exact-orbit commands on random points of
 one to four coordinates, fractions and 10^+-400 among them; another runs
 validate, canheight, preimages, green and census on generated configs,
-non-morphisms and malformed numbers among them; a third runs preimages,
-equidist and pair at the edges of their targets and options.
+non-morphisms and malformed numbers among them, and height, orbit and
+average on the same configs; a third runs preimages, equidist and pair at
+the edges of their targets and options.
 """
 
 import contextlib
@@ -485,6 +486,45 @@ def test_every_command_keeps_the_contract_on_generated_configs(
         assert command == "canheight" and json.loads(out)["conforming"] is False
     if flaw is not None:
         assert code == 1 and out == ""
+
+
+# The exact-orbit commands on generated configs: height, orbit and average
+# on the P^1 and P^2 configs above, at a point of the config's dimension
+# with coordinates up to 50 in absolute value.  A budget of 4096 bits stops
+# the deep orbits of large coefficients; orbit refuses a random word.
+ORBIT_COMMANDS = {
+    "height": ["--depth", "6", "--budget-bits", "4096"],
+    "orbit": ["--max-steps", "30", "--budget-bits", "4096"],
+    "average": ["--depth", "3", "--samples", "50", "--budget-bits", "4096"],
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(list(ORBIT_COMMANDS)),
+    config=st.one_of(P1, P2),
+    data=st.data(),
+)
+def test_exact_orbit_commands_keep_the_contract_on_generated_configs(
+    tmp_path_factory, command, config, data
+):
+    cfg, flaw = config
+    dim = len(cfg["maps"][0]["forms"]) - 1
+    coords = data.draw(st.lists(st.integers(-50, 50), min_size=dim + 1, max_size=dim + 1))
+    path = tmp_path_factory.mktemp("generated") / "config.json"
+    path.write_text(json.dumps(cfg))
+    argv = [command, f"--point={','.join(map(str, coords))}", *ORBIT_COMMANDS[command]]
+    code, out, err = _run([*argv, "--config", str(path)])
+    _assert_streams(code, out, err)
+    if code == 2 and out:
+        # the one exit-2 report these commands can give
+        assert command == "orbit" and json.loads(out)["kind"] == "budget"
+    if flaw is not None:
+        assert code == 1 and out == ""
+    if code == 0 and command == "height":
+        rows = json.loads(out)["truncations"]
+        assert [r["step"] for r in rows] == list(range(7))
+        assert all(0 < r["height_bits"] <= 4096 for r in rows)
 
 
 # Targets and option edges slice: P^1 maps with one coefficient in

@@ -356,6 +356,19 @@ def test_census_is_the_same_in_blocks_of_any_size(monkeypatch, block):
         assert preperiodic_census(gens) == _reference_census(gens)
 
 
+@pytest.mark.parametrize("block", [1, 7, 37, 1 << 14])
+def test_bounded_height_points_are_the_same_in_blocks_of_any_size(monkeypatch, block):
+    # boxes of P^1-P^3 from one numeral to past several blocks of 37; the
+    # array of the default one-block read is the reference
+    boxes = [(1, 0), (1, 1), (1, 5), (2, 1), (2, 4), (3, 2), (1, 40), (2, 9)]
+    whole = {box: bounded_height_points(*box) for box in boxes}
+    monkeypatch.setattr(orbits, "_BLOCK", block)
+    for box, want in whole.items():
+        got = bounded_height_points(*box)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_e42_census_exits_below_the_cap():
     e42 = _scaled_e42(1)
     assert (e42.certificate.denominator, e42.cofactor_l1) == (42, 33)
