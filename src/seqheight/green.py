@@ -52,6 +52,7 @@ from __future__ import annotations
 import cmath
 import copy
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -99,8 +100,8 @@ class ComplexLiftMap:
     """The complex view of one CheckedMap: its lift C^n -> C^n, possibly
     times a scale, with a certified distortion constant c_bar.
 
-    The view walks the map's own term table (CheckedMap.powers and
-    CheckedMap.terms), with each coefficient converted to a complex float
+    The view evaluates through the map's own term walk (CheckedMap.walk),
+    with a table of the map's coefficients converted to complex floats
     once; a coefficient past the float range is an input error.  c_bar
     bounds |log|F(v)|/d| on Euclidean unit vectors.  With n = num_vars, A
     the amplification and C_inf, e the certificate constants, on unit
@@ -118,7 +119,7 @@ class ComplexLiftMap:
         self.num_vars = cmap.num_vars
         # per form, the complex coefficient of each of the map's terms
         self._coefficients = tuple(
-            tuple(_complex(c) for c, _, _ in terms) for terms in cmap.terms
+            tuple(_complex(c) for c in cs) for cs in cmap.coefficients
         )
         n, d = self.num_vars, self.degree
         c_inf, e = cmap.cofactor_l1, cmap.certificate.denominator
@@ -141,29 +142,18 @@ class ComplexLiftMap:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Apply the lift to a batch of column vectors, shape (n, B).
 
-        Each of the map's powers pts[i]**e is computed once per call and
-        shared by every term and component.  A term multiplies its
-        coefficient (skipped when it is exactly 1) by its powers in variable
-        order, the order CheckedMap.values multiplies them in.  Complex
-        products round differently with their operands swapped, so this
-        order is what keeps the values bit-identical to a term-by-term
-        expansion of the forms (up to the sign of zeros).
+        CheckedMap.walk over the rows with the complex coefficients: a term
+        multiplies its coefficient (skipped when it is exactly 1) by its
+        powers in variable order.  Complex products round differently with
+        their operands swapped, so this order is what keeps the values
+        bit-identical to a term-by-term expansion of the forms (up to the
+        sign of zeros).
         """
         pts = np.asarray(points, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[0] != self.num_vars:
             raise DimensionMismatch("expected point batch of shape (num_vars, B)")
-        powers = [pts[i] ** e for i, e in self.map.powers]
-        out = np.empty_like(pts)
-        for j, (terms, coeffs) in enumerate(zip(self.map.terms, self._coefficients)):
-            for t, ((_, first, rest), coeff) in enumerate(zip(terms, coeffs)):
-                term = powers[first] if coeff == 1 else coeff * powers[first]
-                for s in rest:
-                    term = term * powers[s]
-                if t:
-                    out[j] += term
-                else:
-                    out[j] = term
-        return out
+        rows = self.map.walk(pts, self._coefficients, operator.pow, operator.mul)
+        return np.array(rows)
 
 
 class LiftSequence:

@@ -64,6 +64,7 @@ the engine carries, as it caps the exact orbit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Sequence
@@ -316,17 +317,19 @@ def _leading_image(
     x_i = 2^s (q_i + t_i) with 0 <= t_i < 1.  Expanding a monomial in the
     t_i bounds |prod (q_i + t_i) - prod q_i| by prod (|q_i| + 1) - prod
     |q_i|, so F_j(x) lies within 2^(sd) (|F|_j(|q| + 1) - |F|_j(|q|)) of
-    2^(sd) F_j(q), |F|_j being F_j with absolute coefficients.  H(g(p)) is
-    max_j |F_j(x)| / gcd, and the gcd, a divisor of e, comes exactly from
-    x mod e.
+    2^(sd) F_j(q), |F|_j being F_j with absolute coefficients: the map's
+    walk with the table of |coefficients|.  H(g(p)) is max_j |F_j(x)| /
+    gcd, and the gcd, a divisor of e, comes exactly from x mod e.
     """
     s = bits - _LEADING_BITS
     if s <= 0:
         return None
     q = [c >> s for c in p.coords]
     mags = [abs(c) for c in q]
-    outer = _absolute_values(g, [m + 1 for m in mags])
-    widths = [u - v for u, v in zip(outer, _absolute_values(g, mags))]
+    absolute = [[abs(c) for c in cs] for cs in g.coefficients]
+    outer = g.walk([m + 1 for m in mags], absolute, pow, operator.mul)
+    inner = g.walk(mags, absolute, pow, operator.mul)
+    widths = [u - v for u, v in zip(outer, inner)]
     centres = [abs(c) for c in g.values(q)]
     low = max(max(c - w, 0) for c, w in zip(centres, widths))
     high = max(c + w for c, w in zip(centres, widths))
@@ -334,19 +337,6 @@ def _leading_image(
     gcd = _residue_image(g, [c % e for c in p.coords], e)[1] if e > 1 else 1
     shift = s * g.degree
     return -(-(low << shift) // gcd), (high << shift) // gcd
-
-
-def _absolute_values(g: CheckedMap, coords: Sequence[int]) -> list[int]:
-    """|F|_j(coords) for each form of g: its term table with the absolute
-    values of the coefficients."""
-    powers = [coords[i] ** k for i, k in g.powers]
-    return [
-        sum(
-            abs(coeff) * math.prod((powers[s] for s in rest), start=powers[first])
-            for coeff, first, rest in terms
-        )
-        for terms in g.terms
-    ]
 
 
 def _rounded(n: int) -> tuple[int, int]:

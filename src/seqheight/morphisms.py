@@ -113,12 +113,15 @@ class CheckedMap:
     __post_init__ derives the rest from them: the degree d; the carriers
     of the module docstring, amplification A, cofactor_l1 C_inf and
     attenuation B = C_inf, with kappa_plus, kappa_minus and c_bound; and
-    the one term table that every evaluation walks: values() and apply(),
-    the engine of heights.bounded_truncation and the complex view
-    green.ComplexLiftMap.
+    the one term table that walk() evaluates for every layer: values() and
+    apply() (the exact orbit and the engine of heights.bounded_truncation),
+    the leading-bits bracket of heights._leading_image, the census arrays
+    of orbits._image_rows and the complex view green.ComplexLiftMap.
     powers lists the map's distinct (variable, exponent >= 1) powers;
-    terms holds, per form, a (coefficient, first slot, other slots) triple
-    per term, the slots indexing powers in variable order.
+    terms holds, per form, a (first slot, other slots) pair per term, the
+    slots indexing powers in variable order; coefficients holds, per form,
+    the integer coefficient of each term.  Only this module reads the
+    layout: callers pass walk() a coefficient table of the same shape.
     """
 
     forms: tuple[HomogeneousForm, ...]
@@ -143,19 +146,21 @@ class CheckedMap:
         ):
             object.__setattr__(self, key, value)
         slots: dict[tuple[int, int], int] = {}
-        terms = []
+        terms, coefficients = [], []
         for f in self.forms:
             form_terms = []
-            for exps, coeff in f.terms:
+            for exps, _ in f.terms:
                 used = [
                     slots.setdefault((i, e), len(slots))
                     for i, e in enumerate(exps)
                     if e
                 ]
-                form_terms.append((coeff, used[0], tuple(used[1:])))
+                form_terms.append((used[0], tuple(used[1:])))
             terms.append(tuple(form_terms))
+            coefficients.append(tuple([c for _, c in f.terms]))
         object.__setattr__(self, "powers", tuple(slots))
         object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "coefficients", tuple(coefficients))
 
     @property
     def num_vars(self) -> int:
@@ -165,32 +170,40 @@ class CheckedMap:
     def dim(self) -> int:
         return self.num_vars - 1
 
-    def values(self, coords: Sequence[int]) -> list[int]:
-        """The form values F_0(coords) .. F_N(coords), exactly.
+    def walk(self, coords, coefficients, power, product) -> list:
+        """The value of each form at coords (ints, or rows of an array),
+        with coefficients a table shaped like self.coefficients.
 
-        Each power x_i^k is computed once and shared by every term that
-        uses it, so a power repeated across forms (x1^2 in (x0^2 + x1^2 :
-        x1^2)) costs one squaring, not two.  Powers (by square-and-multiply)
-        and the products of powers in a term go through algebra._mul, which
-        is Python's multiplication below about 32k bits and an exact
-        12-bit-limb FFT product above, up to products of about 1.5M bits;
-        the result is the same integer either way.
+        Each power(coords[i], k) is computed once and shared by every term
+        that uses it, so x1^2 in (x0^2 + x1^2 : x1^2) costs one squaring.
+        A term is its coefficient (no product when it is 1) times its
+        powers in variable order through product, and a form sums from its
+        first term, not from 0.  That order keeps complex values
+        bit-identical to a term-by-term expansion of the forms, and every
+        partial product and sum is at most |c| H^d <= A H^d in absolute
+        value for coefficients bounded by the map's.
         """
-        # No product by a coefficient 1 and no sum with the starting 0: at a
-        # million bits each would copy a coordinate-sized integer.
-        powers = [_pow(coords[i], k) for i, k in self.powers]
+        powers = [power(coords[i], k) for i, k in self.powers]
         values = []
-        for terms in self.terms:
-            total = 0
-            for coeff, first, rest in terms:
-                term = powers[first]
+        for slots, coeffs in zip(self.terms, coefficients):
+            total = None
+            for t, (first, rest) in enumerate(slots):
+                coeff = coeffs[t]
+                term = powers[first] if coeff == 1 else coeff * powers[first]
                 for s in rest:
-                    term = _mul(term, powers[s])
-                if coeff != 1:
-                    term *= coeff
-                total = term if total == 0 else total + term
+                    term = product(term, powers[s])
+                total = term if total is None else total + term
             values.append(total)
         return values
+
+    def values(self, coords: Sequence[int]) -> list[int]:
+        """The form values F_0(coords) .. F_N(coords), exactly: walk() with
+        the map's coefficients.  Powers (by square-and-multiply) and the
+        products in a term go through algebra._mul, Python's multiplication
+        below about 32k bits and an exact 12-bit-limb FFT product above, up
+        to products of about 1.5M bits; the integer is the same either way.
+        """
+        return self.walk(coords, self.coefficients, _pow, _mul)
 
     def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
         """Image of a canonical point: values() renormalized exactly.

@@ -32,6 +32,7 @@ assembled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -206,26 +207,18 @@ def _image_rows(
     """For every candidate row x, the row of g(x) among the candidates, or
     -1 where H(g(x)) > h_max.
 
-    The values walk g's term table over a block of _BLOCK candidates at a
-    time.  Every power, term and partial sum of F_j(x) is at most
-    ||F_j||_1 h_max^d in absolute value, so below 2^62 int64 holds them
-    exactly; above it the same operations run on Python ints (dtype object).
+    The values are g.walk over the columns of a block of _BLOCK candidates
+    at a time.  Every power, partial product and partial sum of F_j(x) is
+    at most ||F_j||_1 h_max^d in absolute value, so below 2^62 int64 holds
+    them exactly; above it the same operations run on Python ints (dtype
+    object).
     """
     exact = g.amplification * h_max**g.degree < 1 << 62
     rows = np.full(len(points), -1, dtype=np.int64)
     for start in range(0, len(points), _BLOCK):
         x = points[start : start + _BLOCK]
         x = x if exact else x.astype(object)
-        powers = [x[:, i] ** k for i, k in g.powers]
-        columns = []
-        for terms in g.terms:
-            total = np.zeros(len(x), dtype=x.dtype)
-            for coeff, first, rest in terms:
-                term = powers[first]
-                for s in rest:
-                    term = term * powers[s]
-                total = total + coeff * term
-            columns.append(total)
+        columns = g.walk(x.T, g.coefficients, operator.pow, operator.mul)
         values = np.stack(columns, axis=1)
         values //= np.gcd.reduce(values, axis=1)[:, None]
         lead = values[np.arange(len(values)), (values != 0).argmax(axis=1)]

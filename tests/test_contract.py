@@ -23,14 +23,19 @@ range.  A property test runs the exact-orbit commands on random points of
 one to four coordinates, fractions and 10^+-400 among them; another runs
 validate, canheight, preimages, green and census on generated configs,
 non-morphisms and malformed numbers among them, and height, orbit and
-average on the same configs; a third runs preimages, equidist and pair at
-the edges of their targets and options.
+average on the same configs; one runs census on generated P^2 configs and
+on P^1 maps with large coefficients, against the per-point census; and one
+runs preimages, equidist and pair at the edges of their targets and
+options.
 """
 
+import collections
 import contextlib
 import io
 import json
+import math
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -39,6 +44,10 @@ from hypothesis import strategies as st
 
 from seqheight.algebra import monomials
 from seqheight.cli import main
+from seqheight.heights import census_threshold
+from seqheight.morphisms import maps_from_config
+from seqheight.orbits import DEFAULT_CENSUS_CAP, _half_box
+from test_orbits import _reference_census
 
 CONFIGS = pathlib.Path(__file__).parent / "configs"
 
@@ -525,6 +534,90 @@ def test_exact_orbit_commands_keep_the_contract_on_generated_configs(
         rows = json.loads(out)["truncations"]
         assert [r["step"] for r in rows] == list(range(7))
         assert all(0 < r["height_bits"] <= 4096 for r in rows)
+
+
+# Census slice: census on generated P^2 configs, with coefficients up to
+# 10^3 or up to 2 times one factor k, and on P^1 maps with coefficients up
+# to 3 times one factor k.  Multiplying every coefficient by k keeps each
+# morphism and its threshold T while the amplification grows with k, so
+# A T^d passes the census's int64 guard and the object path runs.  Each
+# exit 0 is checked against the per-point census where the box is small,
+# and each exit 2 is the one cap line.
+def _scaled(config, k):
+    cfg, flaw = config
+    if flaw != "malformed":
+        for m in cfg["maps"]:
+            for form in m["forms"]:
+                for term in form:
+                    term[1] *= k
+    return cfg, flaw
+
+
+FACTORS = st.one_of(
+    st.just(1), st.integers(0, 40).map(lambda m: 10**m), st.integers(2, 2**80)
+)
+CENSUS_CONFIGS = st.one_of(
+    st.builds(
+        _scaled,
+        st.integers(2, 4).flatmap(lambda d: _generated_config(1, d, st.integers(-3, 3))),
+        FACTORS,
+    ),
+    st.builds(
+        _scaled,
+        st.integers(2, 3).flatmap(lambda d: _generated_config(2, d, st.integers(-2, 2))),
+        FACTORS,
+    ),
+    st.integers(2, 4).flatmap(lambda d: _generated_config(2, d, P2_COEFFICIENTS)),
+)
+CAP_LINE = re.compile(
+    r"contract violation: about (\d+|10\^\d+) candidate tuples exceeds cap "
+    rf"{DEFAULT_CENSUS_CAP}\n"
+)
+
+
+def test_census_keeps_the_contract_on_generated_p2_and_large_p1_configs(
+    tmp_path_factory,
+):
+    path = tmp_path_factory.mktemp("census") / "config.json"
+    seen = collections.Counter()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(config=CENSUS_CONFIGS)
+    def check(config):
+        cfg, flaw = config
+        path.write_text(json.dumps(cfg))
+        code, out, err = _run(["census", "--config", str(path)])
+        _assert_streams(code, out, err)
+        if flaw is not None:
+            assert code == 1 and out == ""
+        if code == 1:
+            seen["refused"] += 1
+            return
+        maps = maps_from_config(cfg)
+        h_max = census_threshold(maps)
+        box = _half_box(len(cfg["maps"][0]["forms"]), h_max)
+        if code == 2:
+            shown = CAP_LINE.fullmatch(err).group(1)
+            assert out == "" and box > DEFAULT_CENSUS_CAP
+            if shown.isdigit():
+                assert int(shown) == box
+            else:
+                assert int(shown[3:]) == round(math.log10(box))
+            seen["cap"] += 1
+            return
+        assert code == 0
+        report = json.loads(out)
+        assert report["threshold"] == h_max and report["count"] == len(report["points"])
+        exact = all(g.amplification * h_max**g.degree < 1 << 62 for g in maps)
+        seen["int64" if exact else "object"] += 1
+        if box <= 3000:
+            reference = _reference_census(maps)
+            assert report["points"] == sorted(str(p) for p in reference)
+            seen["reference"] += 1
+
+    check()
+    # every path of the census command was reached
+    assert {"refused", "cap", "int64", "object", "reference"} <= set(seen), seen
 
 
 # Targets and option edges slice: P^1 maps with one coefficient in
