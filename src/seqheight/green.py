@@ -101,11 +101,11 @@ class ComplexLiftMap:
     times a scale, with a certified distortion constant c_bar.
 
     The view evaluates through the map's own term walk (CheckedMap.walk),
-    with a table of the map's coefficients converted to complex floats
-    once; a coefficient past the float range is an input error.  c_bar
-    bounds |log|F(v)|/d| on Euclidean unit vectors.  With n = num_vars, A
-    the amplification and C_inf, e the certificate constants, on unit
-    vectors
+    with a term table of the map's coefficients converted to complex
+    floats, built once (CheckedMap.term_table); a coefficient past the
+    float range is an input error.  c_bar bounds |log|F(v)|/d| on
+    Euclidean unit vectors.  With n = num_vars, A the amplification and
+    C_inf, e the certificate constants, on unit vectors
 
         (1/d) log|F(v)|  <=  (log A + log(n)/2) / d
         (1/d) log|F(v)|  >=  -log(C_inf/e)/d - log(n)/2
@@ -121,6 +121,7 @@ class ComplexLiftMap:
         self._coefficients = tuple(
             tuple(_complex(c) for c in cs) for cs in cmap.coefficients
         )
+        self._terms = cmap.term_table(self._coefficients)
         n, d = self.num_vars, self.degree
         c_inf, e = cmap.cofactor_l1, cmap.certificate.denominator
         try:
@@ -136,6 +137,7 @@ class ComplexLiftMap:
             tuple((np.array(cs, dtype=np.complex128) * scale).tolist())
             for cs in self._coefficients
         )
+        lift._terms = self.map.term_table(lift._coefficients)
         lift.c_bar = self.c_bar + abs(cmath.log(complex(scale)).real) / self.degree
         return lift
 
@@ -152,7 +154,7 @@ class ComplexLiftMap:
         pts = np.asarray(points, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[0] != self.num_vars:
             raise DimensionMismatch("expected point batch of shape (num_vars, B)")
-        rows = self.map.walk(pts, self._coefficients, operator.pow, operator.mul)
+        rows = self.map.walk(pts, self._terms, operator.pow, operator.mul)
         return np.array(rows)
 
 

@@ -32,11 +32,16 @@ Heights are carried as (integer H, integer normalizer) pairs; ExactLogHeight
 defers the floating log so exact comparisons stay available.  The reports
 read H only through bits(H) and math.log(H), and CPython's math.log of an
 int reads only its bit length and its significand rounded to 53 bits.  So
-height_sequence forms its last, widest orbit point only as an integer
-bracket from the top 128 bits of the point before it, and keeps it when
-both ends agree in those two (Ziv's strategy: decide a correctly rounded
-result from a short approximation, and redo the work exactly only where
-the rounding is undecided); H itself is formed when it is read.
+height_sequence runs the exact orbit only while H has at most 256 bits,
+and carries the wider steps as integer boxes x in 2^s [lo, hi]: the first
+box is the top 128 bits of the last exact point, and each box step bounds
+the forms over the box by the triangle inequality, divides by the exact
+gcd (from residues, as below) and rounds outward to 160 bits.  A step is
+kept when both ends of its bound on H agree in those two (Ziv's strategy:
+decide a correctly rounded result from a short approximation, and redo the
+work exactly only where the rounding is undecided); one undecided step
+sends the rows back to the exact orbit.  H itself is formed when it is
+read.
 
 Exact orbit coordinates double in size each step, so canonical_height runs
 the exact orbit only while it is short, then finishes with a bounded-size
@@ -79,12 +84,12 @@ DEFAULT_BUDGET_BITS = 1 << 20
 class ExactLogHeight:
     """A height log(H)/normalizer with its exact integer payload H.
 
-    bits is bits(H), and value is math.log(H)/normalizer.  The last height
-    of height_sequence may be built from an integer bracket of H whose ends
-    share bits(H) and math.log(H) (see _leading_image): it then keeps the
-    orbit point before it and that point's map, and forms H on the first
-    read of multiplicative.  Two heights are equal when their H and
-    normalizer are.
+    bits is bits(H), and value is math.log(H)/normalizer.  A height that
+    height_sequence decided from an orbit box, whose integers all share
+    bits(H) and math.log(H), keeps its checkpoint instead of H: the spec,
+    the last exact orbit point and its position, and its own step.  It
+    forms H by the exact orbit from there on the first read of
+    multiplicative.  Two heights are equal when their H and normalizer are.
     """
 
     __slots__ = ("_payload", "_step", "_log", "normalizer", "bits")
@@ -95,20 +100,28 @@ class ExactLogHeight:
         self.bits = multiplicative.bit_length()
 
     @classmethod
-    def _bracketed(
-        cls, g: CheckedMap, p: RationalProjectivePoint, lo: int, normalizer: int
+    def _chained(
+        cls,
+        checkpoint: tuple[SequenceSpec, int, RationalProjectivePoint],
+        step: int,
+        lo: int,
+        normalizer: int,
     ) -> "ExactLogHeight":
-        """The height of H(g(p)), given an lo that has its bits and log."""
+        """The height of orbit point `step`, from checkpoint = (spec,
+        position, point) of an earlier exact point, given an lo that has
+        its bits and log."""
         h = cls.__new__(cls)
-        h._payload, h._step, h._log = None, (g, p), math.log(lo)
+        h._payload, h._step, h._log = None, (checkpoint, step), math.log(lo)
         h.normalizer, h.bits = normalizer, lo.bit_length()
         return h
 
     @property
     def multiplicative(self) -> int:
         if self._payload is None:
-            g, p = self._step
-            self._payload, self._step = multiplicative_height(g.apply(p)), None
+            (spec, start, p), step = self._step
+            for position in range(start, step):
+                p = spec.generator_at(position).apply(p)
+            self._payload, self._step = multiplicative_height(p), None
         return self._payload
 
     @property
@@ -265,78 +278,146 @@ def height_sequence(
 ) -> list[ExactLogHeight]:
     """Normalized height truncations h_0 .. h_depth along the exact orbit.
 
-    The exact orbit runs to step depth - 1.  Step depth, the widest, is
-    formed only as the integer bracket of _leading_image; when both of its
-    ends have the same bits and the same correctly rounded 53-bit
-    significand, so has every integer between them, and H(x_depth) has the
-    bits, the math.log and the budget check of either end.  Otherwise (a
-    cancellation, an H near a power of two or a rounding midpoint, or
-    coordinates of at most _LEADING_BITS bits) the step is formed exactly.
-    Either way every field of every height is exact.
+    The exact orbit runs while H has at most 2 * _LEADING_BITS bits, up to
+    step depth - 1: below that an exact step costs no more than a box step,
+    and every box step widens the box.  From that checkpoint on (or from
+    step depth - 1, when it has more than _LEADING_BITS bits) the steps are
+    carried as boxes (_chained_heights).  Where both ends of a step's bound
+    on H have the same bits and the same correctly rounded 53-bit
+    significand, so has every integer between them, and H has the bits,
+    the math.log and the budget checks of either end.  At the first step
+    where they differ (a cancellation, an H near a power of two or a
+    rounding midpoint) the exact orbit resumes from the checkpoint and
+    gives every later row.  Either way every field of every height is
+    exact.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     _check_budget(budget_bits)
     _check_point(x, spec.generators)
     heights = []
-    for step, p, normalizer in exact_orbit(x, spec, budget_bits):
+    orbit = exact_orbit(x, spec, budget_bits)
+    for step, p, normalizer in orbit:
         heights.append(ExactLogHeight(multiplicative_height(p), normalizer))
-        if step + 1 >= depth:
+        bits = heights[-1].bits
+        if step == depth:
+            return heights
+        if bits > _LEADING_BITS and (bits > 2 * _LEADING_BITS or step + 1 == depth):
             break
-    if depth > 0:
-        g = spec.generator_at(depth - 1)
+    chained = _chained_heights(spec, step, p, depth, normalizer, budget_bits)
+    if chained is not None:
+        return heights + chained
+    for step, p, normalizer in orbit:
+        heights.append(ExactLogHeight(multiplicative_height(p), normalizer))
+        if step == depth:
+            return heights
+
+
+# The bits of the checkpoint that the first box keeps, and the bits every
+# later box keeps of its widest end.  As H(g(p)) >= H(p)^d / B, one step
+# widens a box of relative width r to about d A B r, with A and B the map's
+# amplification and attenuation: for sq and psq, 18 steps from 2^-128 stay
+# far inside the 2^-53 of the rounding they decide.
+_LEADING_BITS = 128
+_BOX_BITS = 160
+
+# An orbit box (s, lo, hi): each coordinate x_i of the points it holds lies
+# in 2^s [lo_i, hi_i], with integers lo_i <= hi_i.
+_Box = tuple[int, list[int], list[int]]
+
+
+def _chained_heights(
+    spec: SequenceSpec,
+    start: int,
+    p: RationalProjectivePoint,
+    depth: int,
+    normalizer: int,
+    budget_bits: int,
+) -> list[ExactLogHeight] | None:
+    """The heights of orbit points start + 1 .. depth, carried as boxes from
+    the exact point p at position start (normalizer = d_1...d_start); None
+    at the first step whose bound on H does not decide its bits and log.
+
+    Every step makes the budget checks of the exact orbit, in its order:
+    _check_floor from the previous step's bits before the box step, and
+    _check_width of the step's bits once they are decided.
+    """
+    maps = [spec.generator_at(position) for position in range(start, depth)]
+    checkpoint = (spec, start, p)
+    bits = multiplicative_height(p).bit_length()
+    box = _leading_box(p.coords, bits)
+    heights = []
+    for step, g, gcd in zip(count(start + 1), maps, _gcds(p, maps)):
+        _check_floor(g, bits, budget_bits, step)
+        box = _box_image(g, box, gcd)
+        lo, hi = _box_height(box)
+        if _rounded(lo) != _rounded(hi):
+            return None
+        bits = _check_width(lo.bit_length(), budget_bits, step)
         normalizer *= g.degree
-        _check_floor(g, heights[-1].bits, budget_bits, depth)
-        bracket = _leading_image(g, p, heights[-1].bits)
-        if bracket is not None and _rounded(bracket[0]) == _rounded(bracket[1]):
-            lo = bracket[0]
-            _check_width(lo.bit_length(), budget_bits, depth)
-            heights.append(ExactLogHeight._bracketed(g, p, lo, normalizer))
-        else:
-            q = g.apply(p)
-            _check_bits(q, budget_bits, depth)
-            heights.append(ExactLogHeight(multiplicative_height(q), normalizer))
+        heights.append(ExactLogHeight._chained(checkpoint, step, lo, normalizer))
     return heights
 
 
-# The bits of the previous orbit point that _leading_image reads.  As
-# H(g(p)) >= H(p)^d / B, the bracket is at most 2 d A B 2^(d - 128) times
-# H(g(p)) wide, with A and B the map's amplification and attenuation: about
-# 2^-120 for sq and psq, far inside the 2^-53 of the rounding it decides.
-_LEADING_BITS = 128
+def _leading_box(coords: Sequence[int], bits: int) -> _Box:
+    """The first box, from the top _LEADING_BITS bits of a point with bits
+    = bits(H) > _LEADING_BITS: with s = bits - _LEADING_BITS and q_i = x_i
+    >> s, each coordinate is x_i = 2^s (q_i + t_i) with 0 <= t_i < 1."""
+    s = bits - _LEADING_BITS
+    lo = [c >> s for c in coords]
+    return s, lo, [q + 1 for q in lo]
+
+
+def _box_image(g: CheckedMap, box: _Box, gcd: int) -> _Box:
+    """A box that holds g(x) for every x in box, given the gcd that
+    CheckedMap.apply divides out of F(x).
+
+    With w = hi - lo, x_i = 2^s (lo_i + t_i) and 0 <= t_i <= w_i.
+    Expanding a monomial in the t_i bounds |prod (lo_i + t_i) - prod lo_i|
+    by prod (|lo_i| + w_i) - prod |lo_i|, so F_j(x) lies within 2^(sd)
+    (|F|_j(|lo| + w) - |F|_j(|lo|)) of 2^(sd) F_j(lo), |F|_j being F_j with
+    absolute coefficients: the map's walk of absolute_terms.  The ends,
+    divided by gcd 2^drop and rounded outward, keep about _BOX_BITS bits.
+    """
+    s, lo, hi = box
+    mags = [abs(c) for c in lo]
+    table = g.absolute_terms
+    widened = [m + b - a for m, a, b in zip(mags, lo, hi)]
+    outer = g.walk(widened, table, pow, operator.mul)
+    inner = g.walk(mags, table, pow, operator.mul)
+    centres = g.values(lo)
+    lows = [c - u + v for c, u, v in zip(centres, outer, inner)]
+    highs = [c + u - v for c, u, v in zip(centres, outer, inner)]
+    top = max(max(-a, b) for a, b in zip(lows, highs)).bit_length()
+    drop = max(0, top - gcd.bit_length() - _BOX_BITS)
+    unit = gcd << drop
+    return (
+        s * g.degree + drop,
+        [a // unit for a in lows],
+        [-(-b // unit) for b in highs],
+    )
+
+
+def _box_height(box: _Box) -> tuple[int, int]:
+    """An integer bracket [lo, hi] of H(x) for every x in box: H is max_i
+    |x_i|, and |x_i| / 2^s lies between the least and the largest |c| of c
+    in [lo_i, hi_i]."""
+    s, lo, hi = box
+    low = max(a if a > 0 else -b if b < 0 else 0 for a, b in zip(lo, hi))
+    return low << s, max(max(-a, b) for a, b in zip(lo, hi)) << s
 
 
 def _leading_image(
     g: CheckedMap, p: RationalProjectivePoint, bits: int
 ) -> tuple[int, int] | None:
-    """An integer bracket [lo, hi] of H(g(p)) from the top _LEADING_BITS
-    bits of p's coordinates, given bits = bits(H(p)); None when p has no
-    more bits than that.
-
-    With s = bits - _LEADING_BITS and q_i = x_i >> s, each coordinate is
-    x_i = 2^s (q_i + t_i) with 0 <= t_i < 1.  Expanding a monomial in the
-    t_i bounds |prod (q_i + t_i) - prod q_i| by prod (|q_i| + 1) - prod
-    |q_i|, so F_j(x) lies within 2^(sd) (|F|_j(|q| + 1) - |F|_j(|q|)) of
-    2^(sd) F_j(q), |F|_j being F_j with absolute coefficients: the map's
-    walk with the table of |coefficients|.  H(g(p)) is max_j |F_j(x)| /
-    gcd, and the gcd, a divisor of e, comes exactly from x mod e.
-    """
-    s = bits - _LEADING_BITS
-    if s <= 0:
+    """An integer bracket [lo, hi] of H(g(p)), given bits = bits(H(p)):
+    the bound of the first box step of _chained_heights from p, None when p
+    has no more than _LEADING_BITS bits."""
+    if bits <= _LEADING_BITS:
         return None
-    q = [c >> s for c in p.coords]
-    mags = [abs(c) for c in q]
-    absolute = [[abs(c) for c in cs] for cs in g.coefficients]
-    outer = g.walk([m + 1 for m in mags], absolute, pow, operator.mul)
-    inner = g.walk(mags, absolute, pow, operator.mul)
-    widths = [u - v for u, v in zip(outer, inner)]
-    centres = [abs(c) for c in g.values(q)]
-    low = max(max(c - w, 0) for c, w in zip(centres, widths))
-    high = max(c + w for c, w in zip(centres, widths))
-    e = g.certificate.denominator
-    gcd = _residue_image(g, [c % e for c in p.coords], e)[1] if e > 1 else 1
-    shift = s * g.degree
-    return -(-(low << shift) // gcd), (high << shift) // gcd
+    return _box_height(
+        _box_image(g, _leading_box(p.coords, bits), next(_gcds(p, [g])))
+    )
 
 
 def _rounded(n: int) -> tuple[int, int]:
@@ -358,6 +439,23 @@ def _rounded(n: int) -> tuple[int, int]:
     # the round bit is top's last bit; any bit below it breaks a tie
     up = top & 1 and (top & 2 or n & ((1 << (shift - 1)) - 1))
     return bits, (top >> 1) + bool(up)
+
+
+def _gcds(point: RationalProjectivePoint, maps: Sequence[CheckedMap]) -> Iterator[int]:
+    """The gcd that CheckedMap.apply divides out at each step of maps (in
+    the order applied) along the orbit of point, exactly: F(x) is reduced
+    modulo the product of the denominators still ahead, and dividing by
+    its gcd, a divisor of e, keeps the orbit modulo the rest."""
+    modulus = math.prod(g.certificate.denominator for g in maps)
+    residues = [c % modulus for c in point.coords]
+    for g in maps:
+        if modulus == 1:
+            yield 1
+            continue
+        w, gcd = _residue_image(g, residues, modulus)
+        modulus //= g.certificate.denominator
+        residues = [c // gcd % modulus for c in w]
+        yield gcd
 
 
 def _residue_image(
@@ -454,30 +552,22 @@ def bounded_truncation(
     with |value - h_n| <= radius, rounding of every kind included.  The
     integers formed are bounded by _engine_bits.  Each step evaluates the
     map's term table (CheckedMap.values, apply without its gcd reduction)
-    on the fixed-point vector and on the residues.
+    on the fixed-point vector, and _gcds on the residues.
     """
     rounding = rounding_radius(maps, precision, normalizer)
-    modulus = math.prod(g.certificate.denominator for g in maps)
-    residues = [c % modulus for c in point.coords]
     shift = max(0, multiplicative_height(point).bit_length() - precision - 1)
     u = [c >> shift for c in point.coords]
     # u approximates X / 2^scale, X the orbit without the gcd reductions
     scale = shift
     log_gcds = []
-    for g in maps:
+    for g, gcd in zip(maps, _gcds(point, maps)):
         v = g.values(u)
         shift = max(0, max(abs(c) for c in v).bit_length() - precision - 1)
         u = [c >> shift for c in v]
         scale = g.degree * scale + shift
         normalizer *= g.degree
-        if modulus > 1:
-            # F(x) mod modulus is exact; dividing by gcd | e keeps x mod the
-            # product of the denominators still ahead
-            w, gcd = _residue_image(g, residues, modulus)
-            modulus //= g.certificate.denominator
-            residues = [c // gcd % modulus for c in w]
-            if gcd > 1:
-                log_gcds.append(math.log(gcd) / normalizer)
+        if gcd > 1:
+            log_gcds.append(math.log(gcd) / normalizer)
     whole = scale / normalizer * _LN2
     frac = math.log(max(abs(c) for c in u)) / normalizer
     removed = math.fsum(log_gcds)

@@ -115,13 +115,15 @@ class CheckedMap:
     attenuation B = C_inf, with kappa_plus, kappa_minus and c_bound; and
     the one term table that walk() evaluates for every layer: values() and
     apply() (the exact orbit and the engine of heights.bounded_truncation),
-    the leading-bits bracket of heights._leading_image, the census arrays
-    of orbits._image_rows and the complex view green.ComplexLiftMap.
+    the orbit boxes of heights.height_sequence, the census arrays of
+    orbits._image_rows and the complex view green.ComplexLiftMap.
     powers lists the map's distinct (variable, exponent >= 1) powers;
-    terms holds, per form, a (first slot, other slots) pair per term, the
-    slots indexing powers in variable order; coefficients holds, per form,
-    the integer coefficient of each term.  Only this module reads the
-    layout: callers pass walk() a coefficient table of the same shape.
+    terms holds, per form, a (coefficient, first slot, other slots) triple
+    per term, the slots indexing powers in variable order; coefficients
+    holds, per form, the integer coefficient of each term, and the property
+    absolute_terms is terms with |coefficient|.  Only this module reads the
+    layout: a caller with other coefficients (complex ones) builds its
+    table once with term_table().
     """
 
     forms: tuple[HomogeneousForm, ...]
@@ -149,13 +151,13 @@ class CheckedMap:
         terms, coefficients = [], []
         for f in self.forms:
             form_terms = []
-            for exps, _ in f.terms:
+            for exps, coeff in f.terms:
                 used = [
                     slots.setdefault((i, e), len(slots))
                     for i, e in enumerate(exps)
                     if e
                 ]
-                form_terms.append((used[0], tuple(used[1:])))
+                form_terms.append((coeff, used[0], tuple(used[1:])))
             terms.append(tuple(form_terms))
             coefficients.append(tuple([c for _, c in f.terms]))
         object.__setattr__(self, "powers", tuple(slots))
@@ -170,9 +172,30 @@ class CheckedMap:
     def dim(self) -> int:
         return self.num_vars - 1
 
-    def walk(self, coords, coefficients, power, product) -> list:
+    @property
+    def absolute_terms(self) -> tuple:
+        """terms with |coefficient|, built on the first read and kept: the
+        orbit boxes of heights.height_sequence read it, and most maps (a
+        census certifies hundreds) are never iterated that way."""
+        table = getattr(self, "_absolute_terms", None)
+        if table is None:
+            absolute = [[abs(c) for c in cs] for cs in self.coefficients]
+            table = self.term_table(absolute)
+            object.__setattr__(self, "_absolute_terms", table)
+        return table
+
+    def term_table(self, coefficients) -> tuple:
+        """The table walk() reads, with coefficients, a table shaped like
+        self.coefficients, in place of the map's integers."""
+        return tuple(
+            tuple([(c, first, rest) for c, (_, first, rest) in zip(cs, form)])
+            for cs, form in zip(coefficients, self.terms)
+        )
+
+    def walk(self, coords, table, power, product) -> list:
         """The value of each form at coords (ints, or rows of an array),
-        with coefficients a table shaped like self.coefficients.
+        with table a term table: terms, absolute_terms or one that
+        term_table() built.
 
         Each power(coords[i], k) is computed once and shared by every term
         that uses it, so x1^2 in (x0^2 + x1^2 : x1^2) costs one squaring.
@@ -185,10 +208,9 @@ class CheckedMap:
         """
         powers = [power(coords[i], k) for i, k in self.powers]
         values = []
-        for slots, coeffs in zip(self.terms, coefficients):
+        for form in table:
             total = None
-            for t, (first, rest) in enumerate(slots):
-                coeff = coeffs[t]
+            for coeff, first, rest in form:
                 term = powers[first] if coeff == 1 else coeff * powers[first]
                 for s in rest:
                     term = product(term, powers[s])
@@ -198,12 +220,12 @@ class CheckedMap:
 
     def values(self, coords: Sequence[int]) -> list[int]:
         """The form values F_0(coords) .. F_N(coords), exactly: walk() with
-        the map's coefficients.  Powers (by square-and-multiply) and the
+        the map's own terms.  Powers (by square-and-multiply) and the
         products in a term go through algebra._mul, Python's multiplication
         below about 32k bits and an exact 12-bit-limb FFT product above, up
         to products of about 1.5M bits; the integer is the same either way.
         """
-        return self.walk(coords, self.coefficients, _pow, _mul)
+        return self.walk(coords, self.terms, _pow, _mul)
 
     def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
         """Image of a canonical point: values() renormalized exactly.

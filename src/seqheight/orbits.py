@@ -218,7 +218,7 @@ def _image_rows(
     for start in range(0, len(points), _BLOCK):
         x = points[start : start + _BLOCK]
         x = x if exact else x.astype(object)
-        columns = g.walk(x.T, g.coefficients, operator.pow, operator.mul)
+        columns = g.walk(x.T, g.terms, operator.pow, operator.mul)
         values = np.stack(columns, axis=1)
         values //= np.gcd.reduce(values, axis=1)[:, None]
         lead = values[np.arange(len(values)), (values != 0).argmax(axis=1)]

@@ -24,9 +24,9 @@ one to four coordinates, fractions and 10^+-400 among them; another runs
 validate, canheight, preimages, green and census on generated configs,
 non-morphisms and malformed numbers among them, and height, orbit and
 average on the same configs; one runs census on generated P^2 configs and
-on P^1 maps with large coefficients, against the per-point census; and one
+on P^1 maps with large coefficients, against the per-point census; one
 runs preimages, equidist and pair at the edges of their targets and
-options.
+options; and one runs green --grid --out and equidist at several depths.
 """
 
 import collections
@@ -724,3 +724,89 @@ def test_targets_and_option_edges_keep_the_contract(tmp_path_factory, command, d
         assert code == 0
         if command == "preimages":
             assert 0.0 <= json.loads(out)["roundtrip"] <= 1.0
+
+
+# Grid and depth slice: green --grid --out and equidist at several depths,
+# on the {sq, psq} word, on generated P^1 configs and on the
+# huge-coefficient ones, with the grid size, the chart, the tolerance and
+# the depth list drawn, malformed depth lists among them.  On exit 0 the
+# CSV holds its header and one line of four finite floats per grid point,
+# as many as the report's row count, and equidist reports every depth
+# asked for with the same test functions.
+DEPTH_LISTS = st.one_of(
+    st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
+        lambda ds: ",".join(map(str, ds))
+    ),
+    st.lists(st.integers(0, 4), min_size=2, max_size=4).map(
+        lambda ds: ",".join(map(str, ds))
+    ),
+    st.sampled_from(["-1", "1,,2", "", "x", "2.5"]),
+)
+GRID_TOLS = st.sampled_from(["1e-9", "1e-9", "1e-3", "1e-320"])
+GRIDS = {
+    "green": st.builds(
+        lambda n, chart, tol: [
+            "--grid", str(n), "--chart", str(chart), "--tol", tol, "--out", "{out}"
+        ],
+        st.integers(1, 12),
+        st.sampled_from([0, 1]),
+        GRID_TOLS,
+    ),
+    "equidist": st.builds(
+        lambda t, depths, n, tol: [
+            f"--target={t}", f"--depths={depths}", "--grid", str(n), "--tol", tol
+        ],
+        st.sampled_from(["2", "inf", "1/3", "0,1"]),
+        DEPTH_LISTS,
+        st.integers(1, 8),
+        GRID_TOLS,
+    ),
+}
+
+
+def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("grids")
+    path, csv = tmp / "config.json", tmp / "green.csv"
+    seen = collections.Counter()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(list(GRIDS)),
+        config=st.one_of(
+            st.just(SQ_PSQ_PERIODIC),
+            P1.filter(lambda c: c[1] is None).map(lambda c: c[0]),
+            P1.map(lambda c: c[0]),
+            _huge_coefficient_config(),
+        ),
+        data=st.data(),
+    )
+    def check(command, config, data):
+        path.write_text(json.dumps(config))
+        args = [a.format(out=csv) for a in data.draw(GRIDS[command])]
+        code, out, err = _run([command, *args, "--config", str(path)])
+        _assert_streams(code, out, err)
+        seen[command, code] += 1
+        if not out:
+            return
+        assert code == 0
+        report = json.loads(out)
+        if command == "green":
+            n = int(args[1])
+            lines = csv.read_text().splitlines()
+            assert lines[0] == "x,y,green,psi"
+            assert report["rows"] == len(lines) - 1 == n * n
+            for line in lines[1:]:
+                assert all(math.isfinite(float(v)) for v in line.split(","))
+        else:
+            depths = {int(d) for d in args[1].split("=")[1].split(",")}
+            rows = report["rows"]
+            assert {r["depth"] for r in rows} == depths
+            phis = collections.Counter(r["phi"] for r in rows)
+            assert set(phis) == set(report["trends"])
+            assert set(phis.values()) == {len(rows) // len(phis)}
+            seen["several depths"] += len(depths) > 1
+
+    check()
+    # both commands reported and refused, and equidist ran several depths
+    wanted = {(c, code) for c in GRIDS for code in (0, 1)} | {"several depths"}
+    assert wanted <= set(seen), seen

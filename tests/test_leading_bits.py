@@ -1,28 +1,37 @@
-"""The last step of height_sequence, read from its leading bits.
+"""The wide steps of height_sequence, read from orbit boxes.
 
-height_sequence forms its deepest orbit point x_D only as an integer
-bracket of H(x_D) (heights._leading_image, from the top 128 bits of
-x_{D-1}), and keeps the bracket when both of its ends have the same bits and
-the same rounded 53-bit significand; otherwise it forms the step exactly.
+height_sequence runs the exact orbit while H has at most 256 bits, then
+carries the orbit as integer boxes: the first from the top 128 bits of the
+last exact point (heights._leading_image is that first step's bracket of
+H), each later one from the box before it.  A step is kept when both ends
+of its bound on H have the same bits and the same rounded 53-bit
+significand; at the first step where they differ the exact orbit resumes.
 These tests compare every field it reports, and every BudgetExceeded
 message, with the exact orbit, multiplicative_height(g.apply(p)) at every
 step, on a seeded corpus: words over {sq, psq}, the e = 42 map, the Lattès
-maps l2 and l3 (e = 144 and 3981312) and P^2 cubics with coefficients of
-both signs.  Constructed points whose image H is 2^k, 2^k - 1 or a 53-bit
-rounding midpoint, or one off it, must take the exact step.
+maps l2 and l3 (e = 144 and 3981312), P^2 cubics with coefficients of both
+signs and the symmetric square of sq.  Constructed points whose image H is
+2^k, 2^k - 1 or a 53-bit rounding midpoint, or one off it, must take the
+exact step, at the first box step and at a later one.
 """
 
+import math
 import random
 from itertools import islice
 
 import pytest
 from test_lattes import L2, L3
+from test_symmetric_square import SYM2_SQ
 
 from seqheight.algebra import HomogeneousForm, monomials, normalize
+from seqheight import heights
 from seqheight.errors import BudgetExceeded, Degenerate
 from seqheight.heights import (
     ExactLogHeight,
+    _box_height,
+    _gcds,
     _leading_image,
+    _rounded,
     exact_orbit,
     height_sequence,
     multiplicative_height,
@@ -231,3 +240,174 @@ def test_bracket_holds_the_image_and_is_narrow():
         h = multiplicative_height(g.apply(p))
         assert lo <= h <= hi
         assert (hi - lo) << 100 < h
+
+
+# -- chained steps ------------------------------------------------------------
+
+
+def _chain_start(x, spec, depth):
+    """The position of the last exact orbit point height_sequence forms
+    before its boxes: the first with more than 256 bits, or depth - 1 when
+    that one has more than 128."""
+    for step, p, _ in exact_orbit(x, spec, 1 << 26):
+        bits = multiplicative_height(p).bit_length()
+        if bits > 128 and (bits > 256 or step + 1 == depth):
+            return step
+
+
+def _chained_corpus():
+    """(spec, point, depth) triples with at least three chained steps after
+    the first box, over every family of the corpus and the symmetric square
+    of sq."""
+    rng = random.Random(20261021)
+    cases = []
+    words = [Constant(SQ), Constant(PSQ), PeriodicWord((SQ, PSQ), (0, 1))]
+    words += [RandomWord((SQ, PSQ), rng.randrange(1 << 30)) for _ in range(2)]
+    families = [(spec, 2, 10**6, (12, 15)) for spec in words]
+    families += [
+        (Constant(E42), 2, 10**4, (11, 14)),
+        (Constant(L2), 2, 10**3, (7, 8)),
+        (PeriodicWord((L2, L3), (0, 1)), 2, 10**3, (6, 6)),
+        (PeriodicWord(tuple(CUBICS), (0, 1, 2)), 3, 10**3, (8, 9)),
+        (Constant(CUBICS[0]), 3, 10**3, (8, 9)),
+        (Constant(SYM2_SQ), 3, 10**3, (11, 13)),
+    ]
+    for spec, n, bound, depths in families:
+        for x in _points(rng, n, 4, bound):
+            cases.append((spec, x, rng.randint(*depths)))
+    return cases
+
+
+CHAINED = _chained_corpus()
+
+
+@pytest.fixture
+def boxes(monkeypatch):
+    """The boxes height_sequence forms, in order: heights._box_image
+    recorded, so the tests read the chain that the rows come from."""
+    formed = []
+    box_image = heights._box_image
+
+    def spy(g, box, gcd):
+        formed.append(box_image(g, box, gcd))
+        return formed[-1]
+
+    monkeypatch.setattr(heights, "_box_image", spy)
+    return formed
+
+
+def test_chained_steps_match_the_exact_orbit_field_by_field(applied):
+    """Every field of every step, the integer formed on first read
+    included, equals the exact orbit's; no chained case falls back, so the
+    only applies are the exact steps up to the checkpoint."""
+    for spec, x, depth in CHAINED:
+        start = _chain_start(x, spec, depth)
+        assert depth - start >= 4, (spec, x, depth, start)
+        del applied[:]
+        seq = height_sequence(x, spec, depth, 1 << 24)
+        assert len(applied) == start, (spec, x, depth)
+        assert _fields(seq) == _exact(x, spec, depth, 1 << 24)
+        orbit = islice(exact_orbit(x, spec, 1 << 24), depth + 1)
+        want = [multiplicative_height(p) for _, p, _ in orbit]
+        assert [h.multiplicative for h in seq] == want
+
+
+def test_boxes_hold_the_exact_orbit_and_stay_narrow(boxes):
+    """Every exact orbit point x, or -x, lies in its step's box, 2^s lo <=
+    x <= 2^s hi coordinatewise, and the box is below 2^-70 of H wide.  The
+    boxes follow F(x) / gcd, which the canonical point may negate."""
+    for spec, x, depth in CHAINED:
+        del boxes[:]
+        height_sequence(x, spec, depth, 1 << 24)
+        start = _chain_start(x, spec, depth)
+        assert len(boxes) == depth - start
+        orbit = islice(exact_orbit(x, spec, 1 << 24), start + 1, depth + 1)
+        for (_, p, _), (s, lo, hi) in zip(orbit, boxes):
+            assert any(
+                all(a << s <= sign * c <= b << s for c, a, b in zip(p.coords, lo, hi))
+                for sign in (1, -1)
+            ), (spec, x, depth)
+            h = multiplicative_height(p)
+            assert (max(b - a for a, b in zip(lo, hi)) << s + 70) < h
+
+
+def test_budget_refusals_at_chained_steps_match_the_exact_orbit():
+    """At budgets on both sides of each chained step's width and of its
+    refusal before any product, the rows or the message are the exact
+    orbit's."""
+    for spec, x, depth in CHAINED[::4]:
+        start = _chain_start(x, spec, depth)
+        seq = height_sequence(x, spec, depth, 1 << 24)
+        for step in range(start + 2, depth + 1, 2):
+            g = spec.generator_at(step - 1)
+            width, previous = seq[step].bits, seq[step - 1].bits
+            floor = g.degree * (previous - 1) - g.attenuation.bit_length()
+            for budget in {width - 1, width, floor, floor + 1}:
+                got = _leading(x, spec, depth, budget)
+                assert got == _exact(x, spec, depth, budget), (spec, x, step, budget)
+
+
+def test_e42_from_one_one_chains_from_step_11_through_a_gcd_of_7():
+    """e = 42 from (1 : 1): the exact orbit stops at step 9, the first to
+    pass 256 bits; step 10 is the first box, steps 11 to 16 carry its width,
+    and step 13 divides out a gcd of 7."""
+    x, spec, depth = normalize([1, 1]), Constant(E42), 16
+    assert _chain_start(x, spec, depth) == 9
+    orbit = [p for _, p, _ in islice(exact_orbit(x, spec, 1 << 24), depth + 1)]
+    widths = [multiplicative_height(p).bit_length() for p in orbit]
+    assert widths[8] <= 256 < widths[9]
+    assert list(_gcds(orbit[9], [E42] * 7)) == [
+        math.gcd(*E42.values(p.coords)) for p in orbit[9:16]
+    ]
+    assert math.gcd(*E42.values(orbit[12].coords)) == 7
+    seq = height_sequence(x, spec, depth)
+    assert _fields(seq) == _exact(x, spec, depth, 1 << 24)
+    assert [h.multiplicative for h in seq] == [multiplicative_height(p) for p in orbit]
+
+
+def test_powers_of_two_take_the_exact_path(applied):
+    """(2^m : 1) under sq: every image H is a power of two, which no box
+    around it decides, so the rows come from the exact orbit."""
+    for m, depth in ((300, 3), (100, 6)):
+        x = normalize([1 << m, 1])
+        del applied[:]
+        seq = height_sequence(x, Constant(SQ), depth)
+        assert len(applied) == depth
+        assert _fields(seq) == _exact(x, Constant(SQ), depth, 1 << 24)
+        assert seq[-1].multiplicative == 1 << (m << depth)
+
+
+def _undecided_step(boxes, x, spec, depth):
+    """The position, among the boxes after the checkpoint (1 the first),
+    of the step whose bound on H left height_sequence undecided; 0 when
+    every step was decided."""
+    del boxes[:]
+    height_sequence(x, spec, depth)
+    lo, hi = _box_height(boxes[-1])
+    return 0 if _rounded(lo) == _rounded(hi) else len(boxes)
+
+
+def test_a_seeded_search_finds_a_later_undecided_step(applied, boxes):
+    """A point (t 2^i : c) whose images under a word over {sq, psq} pass
+    through a 53-bit rounding midpoint: t^2 is a 27-bit odd square, so a
+    step that squares t^2 2^(2i) has an H with 54 significant bits ending
+    in 1, which no box around it decides, while t^2 2^(2i) itself has a
+    short significand.  The search draws t, i, c and the word until the
+    first undecided step is the second box or later; the rows still equal
+    the exact orbit's, through the exact path."""
+    rng = random.Random(29)
+    for tries in range(1, 200):
+        t = rng.randrange(9741, 11585, 2)
+        x = normalize([t << rng.randint(250, 400), rng.choice([1, 3])])
+        prefix = tuple(rng.choice([0, 1]) for _ in range(3))
+        spec = PeriodicWord((SQ, PSQ), (0, 1), prefix)
+        depth = 4
+        if _undecided_step(boxes, x, spec, depth) >= 2:
+            break
+    else:
+        pytest.fail("no case with a later undecided step")
+    assert tries > 1  # the search rejected other draws
+    del applied[:]
+    seq = height_sequence(x, spec, depth)
+    assert len(applied) == depth
+    assert _fields(seq) == _exact(x, spec, depth, 1 << 24)

@@ -1,4 +1,4 @@
-"""The CPython property that heights.height_sequence's last step rests on.
+"""The CPython property that heights.height_sequence's box steps rest on.
 
 math.log of a positive int reads it only through its bit length and its
 significand rounded to 53 bits, ties to even: below 2^1024 it takes the log
