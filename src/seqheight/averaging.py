@@ -12,7 +12,10 @@ on the first letter); the same quantity is the expectation over
 degree-weighted i.i.d. words of the normalized truncation
 h(g_w(x)) / prod_a d_{w_a}, which is what the Monte Carlo estimator samples.
 
-Both read the leaves of one walk of the word trie (_word_leaves).
+Both read the leaves of one walk of the word trie (_word_leaves).  The walk
+runs on plain coordinate lists: it evaluates each node's forms over powers
+of its parent that all of the parent's children share, divides by the gcd
+and keeps H, and builds no point object.
 eigensystem_height_exact walks all k^i words and reduces the leaves level
 by level with the recursion's own sums.  Samples are drawn as word ranks:
 eigensystem_height_mc walks only the distinct ones, so its depth is not
@@ -31,18 +34,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import RationalProjectivePoint
+from .algebra import RationalProjectivePoint, _mul, _pow
 from .errors import BudgetExceeded
 from .heights import (
     DEFAULT_BUDGET_BITS,
-    _apply_within_budget,
-    _check_bits,
     _check_budget,
+    _check_floor,
     _check_point,
+    _check_width,
     _divide,
     multiplicative_height,
 )
-from .morphisms import CheckedMap, sample_words
+from .morphisms import CheckedMap, _forms, sample_words, shared_terms
 
 DEFAULT_WORD_BUDGET = 3**10
 # Most Monte Carlo samples: the draw keeps one rank per sample and runs in
@@ -71,7 +74,7 @@ def _check_inputs(
 
 def _check_word_budget(k: int, depth: int, word_budget: int) -> None:
     """Refuse k^depth words whose trie has more than word_budget nodes,
-    sum_{i<=depth} k^i: the walk applies a map at each node, so the count
+    sum_{i<=depth} k^i: the walk evaluates a map at each node, so the count
     bounds its work also for one generator.  No large power is formed."""
     nodes, level = 0, 1
     for _ in range(depth + 1):
@@ -92,27 +95,48 @@ def _word_leaves(
     """log H(g_w(x)) (0.0 at height 1) for each word w, in lexicographic order.
 
     Each word reuses the orbit prefix it shares with the one before, so
-    every node of the word trie is applied once, in the preorder of a
-    recursion over the tree (a start point over budget_bits is refused
-    before any step, and then the first step over it is the one that
-    recursion refuses), and only the current path of points is kept.
+    every node of the word trie is evaluated once, in the preorder of a
+    recursion over the tree, and only the current path is kept.  A path
+    entry holds a node's coordinates, bits(H), H and its powers: the slots
+    of shared_terms(generators), each formed when the first child that
+    reads it is visited and kept for that node's later children.  Each
+    child runs, in order, _check_floor (before any of its products), _forms
+    over its parent's powers, CheckedMap.reduced, H = max |v| and
+    _check_width: the budget checks and messages of
+    heights._apply_within_budget.  So a start point over budget_bits is
+    refused before any step, and then the first step over it is the one
+    that recursion refuses.  No point is built and no sign is fixed: the
+    forms are homogeneous, so a sign changes neither H nor the gcd of any
+    later step.
     """
-    path = [x]
-    widths = [_check_bits(x, budget_bits, 0)]
+    slots, tables = shared_terms(generators)
+    needs = [[slots.index(slot) for slot in g.powers] for g in generators]
+    h = multiplicative_height(x)
+    path = [[x.coords, _check_width(h.bit_length(), budget_bits, 0), h, None]]
     prev: tuple[int, ...] = ()
     leaves = []
     for word in words:
         shared = 0
         while shared < len(prev) and prev[shared] == word[shared]:
             shared += 1
-        del path[shared + 1 :], widths[shared + 1 :]
+        del path[shared + 1 :]
         for pos in range(shared, len(word)):
-            q, bits = _apply_within_budget(
-                generators[word[pos]], path[-1], widths[-1], budget_bits, pos + 1
-            )
-            path.append(q)
-            widths.append(bits)
-        h = multiplicative_height(path[-1])
+            parent = path[-1]
+            coords, bits, _, powers = parent
+            j = word[pos]
+            g = generators[j]
+            _check_floor(g, bits, budget_bits, pos + 1)
+            if powers is None:
+                powers = parent[3] = [None] * len(slots)
+            for s in needs[j]:
+                if powers[s] is None:
+                    i, k = slots[s]
+                    powers[s] = _pow(coords[i], k)
+            values = g.reduced(_forms(powers, tables[j], _mul))
+            h = max(map(abs, values))
+            bits = _check_width(h.bit_length(), budget_bits, pos + 1)
+            path.append([values, bits, h, None])
+        h = path[-1][2]
         leaves.append(math.log(h) if h > 1 else 0.0)
         prev = word
     return leaves

@@ -198,10 +198,10 @@ def _check_budget(budget_bits: int) -> None:
 
 
 def _check_point(x: RationalProjectivePoint, maps: Sequence[CheckedMap]) -> None:
-    """Refuse a point of another space than the maps' before any step, as
-    CheckedMap.apply would at the first: a path that applies no map must
-    not accept it either."""
-    if len(x.coords) != maps[0].num_vars:
+    """Refuse a point of another space than any of the maps' before any
+    step, as CheckedMap.apply would at that map's first: a path that applies
+    no map, or evaluates the forms without apply, must not accept it either."""
+    if any(len(x.coords) != g.num_vars for g in maps):
         raise DimensionMismatch("form/point variable counts differ")
 
 

@@ -49,9 +49,10 @@ from .errors import DegreeTooSmall, DimensionMismatch
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHILD_KEY = 0xD1B54A32D192ED03
-# Samples per block of sample_words: each uint64 temporary is 8 KiB, so
-# only the array of ranks grows with the sample count.
-_WORD_BLOCK = 1024
+# Symbols per block of sample_words, samples times word length: each uint64
+# temporary is 64 KiB.  Blocks of 8192 samples, whatever the length, read
+# 1.2 MB more peak memory on an orbit-deep run.
+_WORD_ELEMENTS = 8192
 
 
 def _mix64(z: int) -> int:
@@ -113,17 +114,20 @@ class CheckedMap:
     __post_init__ derives the rest from them: the degree d; the carriers
     of the module docstring, amplification A, cofactor_l1 C_inf and
     attenuation B = C_inf, with kappa_plus, kappa_minus and c_bound; and
-    the one term table that walk() evaluates for every layer: values() and
-    apply() (the exact orbit and the engine of heights.bounded_truncation),
-    the orbit boxes of heights.height_sequence, the census arrays of
-    orbits._image_rows and the complex view green.ComplexLiftMap.
-    powers lists the map's distinct (variable, exponent >= 1) powers;
-    terms holds, per form, a (coefficient, first slot, other slots) triple
-    per term, the slots indexing powers in variable order; coefficients
-    holds, per form, the integer coefficient of each term, and the property
-    absolute_terms is terms with |coefficient|.  Only this module reads the
-    layout: a caller with other coefficients (complex ones) builds its
-    table once with term_table().
+    the one term table that the module's _forms loop evaluates for every
+    layer: through walk(), values() and apply() (the exact orbit and the
+    engine of heights.bounded_truncation), the orbit boxes of
+    heights.height_sequence, the census arrays of orbits._image_rows and
+    the complex view green.ComplexLiftMap; through shared_terms(), the
+    word-trie walk of averaging.  powers lists the map's distinct
+    (variable, exponent >= 1) powers; terms holds, per form, a
+    (coefficient, first slot, other slots) triple per term, the slots
+    indexing powers in variable order; coefficients holds, per form, the
+    integer coefficient of each term, and the property absolute_terms is
+    terms with |coefficient|.  Only this module reads the layout: a caller
+    with other coefficients (complex ones) builds its table once with
+    term_table(), and a caller with several maps lays theirs over one list
+    of powers with shared_terms().
     """
 
     forms: tuple[HomogeneousForm, ...]
@@ -198,25 +202,12 @@ class CheckedMap:
         term_table() built.
 
         Each power(coords[i], k) is computed once and shared by every term
-        that uses it, so x1^2 in (x0^2 + x1^2 : x1^2) costs one squaring.
-        A term is its coefficient (no product when it is 1) times its
-        powers in variable order through product, and a form sums from its
-        first term, not from 0.  That order keeps complex values
-        bit-identical to a term-by-term expansion of the forms, and every
-        partial product and sum is at most |c| H^d <= A H^d in absolute
-        value for coefficients bounded by the map's.
+        that uses it, so x1^2 in (x0^2 + x1^2 : x1^2) costs one squaring;
+        _forms then combines them.  shared_terms() lays the tables of
+        several maps over one list of powers, which the word-trie walk of
+        averaging forms once per node for all of a node's children.
         """
-        powers = [power(coords[i], k) for i, k in self.powers]
-        values = []
-        for form in table:
-            total = None
-            for coeff, first, rest in form:
-                term = powers[first] if coeff == 1 else coeff * powers[first]
-                for s in rest:
-                    term = product(term, powers[s])
-                total = term if total is None else total + term
-            values.append(total)
-        return values
+        return _forms([power(coords[i], k) for i, k in self.powers], table, product)
 
     def values(self, coords: Sequence[int]) -> list[int]:
         """The form values F_0(coords) .. F_N(coords), exactly: walk() with
@@ -227,24 +218,77 @@ class CheckedMap:
         """
         return self.walk(coords, self.terms, _pow, _mul)
 
-    def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
-        """Image of a canonical point: values() renormalized exactly.
+    def reduced(self, values: list[int]) -> list[int]:
+        """Form values divided by their gcd, the common factor apply()
+        removes; values when that gcd is 1.
 
         The cofactor identity e*x_j^M = sum G_jk F_k holds over the integers
         and the input coordinates are coprime, so the values do not all
-        vanish and any common divisor of them divides e: the renormalization
-        gcd runs modulo that small constant instead of on the full
-        coordinates, which deep orbits cannot afford.
+        vanish and any common divisor of them divides e: the gcd runs modulo
+        that small constant instead of on the full coordinates, which deep
+        orbits cannot afford.  A sign does not change it.
         """
+        e = self.certificate.denominator
+        if e > 1:
+            g = math.gcd(*[v % e for v in values], e)
+            if g > 1:
+                return [v // g for v in values]
+        return values
+
+    def apply(self, point: RationalProjectivePoint) -> RationalProjectivePoint:
+        """Image of a canonical point: values() renormalized exactly, by
+        reduced() and a sign that makes the first nonzero value positive."""
         cs = point.coords
         if len(cs) != self.num_vars:
             raise DimensionMismatch("form/point variable counts differ")
-        values = self.values(cs)
-        e = self.certificate.denominator
-        g = math.gcd(*[v % e for v in values], e) if e > 1 else 1
-        return RationalProjectivePoint._from_canonical(
-            _canonical_values(values, g)
+        values = self.reduced(self.values(cs))
+        return RationalProjectivePoint._from_canonical(_canonical_values(values, 1))
+
+
+def _forms(powers: Sequence, table, product) -> list:
+    """The value of each form of a term table over a list of powers.
+
+    A term is its coefficient (no product when it is 1) times its powers in
+    variable order through product, and a form sums from its first term,
+    not from 0.  That order keeps complex values bit-identical to a
+    term-by-term expansion of the forms, and every partial product and sum
+    is at most |c| H^d <= A H^d in absolute value for coefficients bounded
+    by the map's.  Every evaluation of a map's forms runs this one loop.
+    """
+    values = []
+    for form in table:
+        total = None
+        for coeff, first, rest in form:
+            term = powers[first] if coeff == 1 else coeff * powers[first]
+            for s in rest:
+                term = product(term, powers[s])
+            total = term if total is None else total + term
+        values.append(total)
+    return values
+
+
+def shared_terms(
+    maps: Sequence[CheckedMap],
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+    """(slots, tables): the union of the maps' powers, (variable, exponent)
+    pairs in first-seen order, and each map's terms re-indexed to it.
+
+    _forms(powers, tables[j], product) over powers[s] = coords[i]^k for
+    every slot (i, k) a map reads gives maps[j].values(coords) by the same
+    products in the same order.  Each map reads only its own slots, so a
+    caller may leave the others unformed.
+    """
+    index: dict[tuple[int, int], int] = {}
+    tables = []
+    for g in maps:
+        at = [index.setdefault(slot, len(index)) for slot in g.powers]
+        tables.append(
+            tuple(
+                tuple([(c, at[first], tuple([at[s] for s in rest])) for c, first, rest in form])
+                for form in g.terms
+            )
         )
+    return tuple(index), tuple(tables)
 
 
 def validate(
@@ -430,17 +474,22 @@ def sample_words(
     """The words sample_word draws from child_seed(seed, m), m < samples, as
     their lexicographic ranks sum_i w_i k^(length - 1 - i) over k generators.
 
-    Runs the same splitmix64 stream on uint64 arrays, one word position of a
-    block of samples at a time.  _scale64 is exact while the degree total
-    is below 2^32; larger totals raise ValueError.  The ranks are int64
-    while k^length <= 2^63, and Python ints (dtype object) past that.
+    Runs the same splitmix64 stream on uint64 arrays, a block of samples by
+    every word position in one pass; a block holds about _WORD_ELEMENTS
+    symbols (one sample at least), so each temporary stays near 64 KiB and
+    only the array of ranks grows with the sample count.  _scale64 is exact
+    while the degree total is below 2^32; larger totals raise ValueError.
+    The ranks are int64 while k^length <= 2^63, one product of the symbols
+    with the weights k^(length - 1 - i), and Python ints (dtype object)
+    past that, by Horner's rule over the positions.
     """
     degrees = [g.degree for g in generators]
     k, total = len(degrees), sum(degrees)
     if total >= 1 << 32:
         raise ValueError(f"degree total {total} needs more than 32 bits")
     # for k >= 2, k^length passes 2^63 by length 64
-    ranks = np.zeros(samples, np.int64 if k ** min(length, 64) <= 1 << 63 else object)
+    small = k ** min(length, 64) <= 1 << 63
+    ranks = np.zeros(samples, np.int64 if small else object)
     if length <= 0 or k == 1:
         return ranks
     u64 = np.uint64
@@ -448,21 +497,27 @@ def sample_words(
     # r < 2^32 and every bound is at most 2^32, so r - b wraps past 2^63
     # exactly when r < b: the index is the number of bounds not above r.
     bounds = [u64(c) for c in itertools.accumulate(degrees[:-1])]
-    steps = [u64(i * _GOLDEN & _MASK64) for i in range(1, length + 1)]
+    steps = np.arange(1, length + 1, dtype=np.uint64) * u64(_GOLDEN)
+    if small:
+        weights = np.array([k**p for p in reversed(range(length))], np.int64)
     key = u64(seed & _MASK64)
+    block = max(1, _WORD_ELEMENTS // length)
     with np.errstate(over="ignore"):
-        for start in range(0, samples, _WORD_BLOCK):
-            stop = min(start + _WORD_BLOCK, samples)
+        for start in range(0, samples, block):
+            stop = min(start + block, samples)
             tags = np.arange(start + 1, stop + 1, dtype=np.uint64) * u64(_GOLDEN)
             child = _mix64_array(_mix64_array(tags + key) ^ u64(_CHILD_KEY))
-            rank = ranks[start:stop]
-            for step in steps:
-                r = _scale64(_mix64_array(child + step), tot)
-                index = u64(len(bounds))
-                for b in bounds:
-                    index = index - ((r - b) >> sign)
-                rank *= k
-                rank += index.astype(ranks.dtype)
+            r = _scale64(_mix64_array(child[:, None] + steps), tot)
+            index = u64(len(bounds))
+            for b in bounds:
+                index = index - ((r - b) >> sign)
+            if small:
+                ranks[start:stop] = index.astype(np.int64) @ weights
+            else:
+                rank = ranks[start:stop]
+                for column in index.T.astype(object):
+                    rank *= k
+                    rank += column
     return ranks
 
 

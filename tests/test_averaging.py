@@ -13,7 +13,7 @@ from seqheight.averaging import (
     eigensystem_height_mc,
     verify_averaging,
 )
-from seqheight.errors import BudgetExceeded
+from seqheight.errors import BudgetExceeded, DimensionMismatch
 from seqheight.heights import (
     DEFAULT_BUDGET_BITS,
     _apply_within_budget,
@@ -21,11 +21,12 @@ from seqheight.heights import (
     multiplicative_height,
 )
 from seqheight.morphisms import (
-    CheckedMap,
     child_seed,
     perturbed_power_map,
     power_map,
     sample_word,
+    sample_words,
+    shared_terms,
     validate,
 )
 
@@ -256,7 +257,7 @@ def _outcome(run, *args, **kwargs):
     ids=["sq-psq", "psq-cube", "all", "e42-psq"],
 )
 def test_verify_averaging_matches_recursion_and_per_sample_loop(gens, depth):
-    # The sample counts straddle the draw's block of 1024 samples.
+    # The sample counts straddle the draw's block of 1024 samples at depth 8.
     for coords, seed, counts in [
         ([1, 1], 3, (2, 1025)),
         ([2, 3], 17, (1023, 3000)),
@@ -283,25 +284,37 @@ def test_verify_averaging_refuses_the_recursions_step(gens, budget_bits):
     )
 
 
-def _count_applies(monkeypatch):
-    applied = []
-    apply = CheckedMap.apply
+def _count_evaluations(monkeypatch):
+    """(forms, powers): one entry per evaluation of a map's forms by the
+    walk, that is per trie node below the root, and one per power it forms."""
+    forms, powers = [], []
+    evaluate, power = averaging._forms, averaging._pow
 
-    def spy(self, point):
-        applied.append(self.name)
-        return apply(self, point)
+    def forms_spy(node_powers, table, product):
+        forms.append(table)
+        return evaluate(node_powers, table, product)
 
-    monkeypatch.setattr(CheckedMap, "apply", spy)
-    return applied
+    def power_spy(x, k):
+        powers.append((x, k))
+        return power(x, k)
+
+    monkeypatch.setattr(averaging, "_forms", forms_spy)
+    monkeypatch.setattr(averaging, "_pow", power_spy)
+    return forms, powers
 
 
 def test_commuting_generators_apply_every_trie_node_once(monkeypatch):
     # sq and cube commute, so the memo collapsed the tree to its distinct
-    # points; the walk applies all 2 + 4 + ... + 2^8 trie nodes, once each.
-    applied = _count_applies(monkeypatch)
+    # points; the walk evaluates all 2 + 4 + ... + 2^8 trie nodes, once
+    # each, and forms one power table, all four slots of x0^2, x1^2, x0^3
+    # and x1^3, for each of the 1 + 2 + ... + 2^7 inner nodes.
+    forms, powers = _count_evaluations(monkeypatch)
     x = normalize([2, 3])
     got = verify_averaging(x, [SQ, CUBE], 8, 500, 5)
-    assert len(applied) == sum(2**i for i in range(1, 9))
+    assert len(forms) == sum(2**i for i in range(1, 9)) == 510
+    slots, _ = shared_terms([SQ, CUBE])
+    assert len(slots) == 4
+    assert len(powers) == 4 * sum(2**i for i in range(8)) == 4 * 255
     monkeypatch.undo()
     assert got == _reference_report(x, [SQ, CUBE], 8, 500, 5)
     assert got.exact_value == pytest.approx(math.log(3), abs=1e-12)
@@ -320,12 +333,16 @@ def test_commuting_generators_apply_every_trie_node_once(monkeypatch):
     ids=["samples", "depth", "generators", "budget-bits", "word-budget", "huge-depth"],
 )
 def test_inputs_are_checked_before_any_map_is_applied(monkeypatch, kwargs, error):
-    applied = _count_applies(monkeypatch)
+    forms, powers = _count_evaluations(monkeypatch)
     args = {"x": normalize([2, 3]), "generators": [SQ, PSQ], "depth": 8}
-    args |= {"samples": 50, "seed": 1} | kwargs
+    args |= {"samples": 50, "seed": 1}
+    # the spies see the walk: the valid inputs evaluate all 510 trie nodes
+    verify_averaging(**args)
+    assert (len(forms), len(powers)) == (510, 2 * 255)
+    del forms[:], powers[:]
     with pytest.raises(error):
-        verify_averaging(**args)
-    assert applied == []
+        verify_averaging(**(args | kwargs))
+    assert forms == [] and powers == []
 
 
 def test_samples_above_the_cap_are_refused_before_any_word_is_drawn(monkeypatch):
@@ -366,3 +383,152 @@ def test_word_budget_admits_exactly_its_trie_node_count():
         verify_averaging(x, [SQ], 12, 50, 1, word_budget=12)
     with pytest.raises(BudgetExceeded, match=r"^the trie of 1\^1000000000 words"):
         verify_averaging(x, [SQ], 10**9, 50, 1)
+
+
+# -- the walk on plain coordinates against a walk of CheckedMap.apply ---------
+#
+# _word_leaves evaluates each trie node with _forms over its parent's shared
+# powers and divides by the gcd itself, building no point.  _apply_leaves is
+# the walk it replaced: every node a point from CheckedMap.apply, with the
+# budget checks of heights._apply_within_budget.  Leaves and refusals must
+# agree for generating sets whose maps read different powers, for maps whose
+# image values share a gcd > 1, for P^2, and for sparse sampled words.
+
+MIX2 = validate(
+    [
+        HomogeneousForm.from_terms(3, 2, {(2, 0, 0): 2, (0, 1, 1): 1}),
+        HomogeneousForm.from_terms(3, 2, {(0, 2, 0): 3, (1, 0, 1): -1}),
+        HomogeneousForm.from_terms(3, 2, {(0, 0, 2): 1, (1, 1, 0): 2}),
+    ],
+    "mix2",
+)
+WALK_SETS = {
+    "e42-sq-cube": ([E42, SQ, CUBE], [[1, 1], [3, 1], [1, 2], [5, -3]]),
+    "p2": (
+        [power_map(2, 2, "sq2"), MIX2, perturbed_power_map(2, 2, "psq2")],
+        [[1, 1, 1], [2, -3, 5], [0, 1, 4]],
+    ),
+}
+
+
+def _apply_leaves(x, generators, words, budget_bits=DEFAULT_BUDGET_BITS):
+    """(leaves, gcds): the leaves by a walk of CheckedMap.apply that reuses
+    the prefix each word shares with the one before, and the gcd of the
+    form values at every node it applies."""
+    path, widths, prev, leaves, gcds = [x], [_check_bits(x, budget_bits, 0)], (), [], []
+    for word in words:
+        shared = 0
+        while shared < len(prev) and prev[shared] == word[shared]:
+            shared += 1
+        del path[shared + 1 :], widths[shared + 1 :]
+        for pos in range(shared, len(word)):
+            g = generators[word[pos]]
+            q, bits = _apply_within_budget(g, path[-1], widths[-1], budget_bits, pos + 1)
+            gcds.append(math.gcd(*g.values(path[-1].coords)))
+            path.append(q)
+            widths.append(bits)
+        h = multiplicative_height(path[-1])
+        leaves.append(math.log(h) if h > 1 else 0.0)
+        prev = word
+    return leaves, gcds
+
+
+def _sampled_words(generators, depth, seed, samples):
+    """The distinct sampled words, in the order eigensystem_height_mc walks them."""
+    k = len(generators)
+    ranks = sorted(set(sample_words(generators, depth, seed, samples).tolist()))
+    return [tuple(r // k**p % k for p in reversed(range(depth))) for r in ranks]
+
+
+@pytest.mark.parametrize("name", list(WALK_SETS))
+def test_walk_matches_the_apply_walk_on_the_tree_and_on_sampled_words(name):
+    gens, points = WALK_SETS[name]
+    k = len(gens)
+    gcds = set()
+    for coords in points:
+        x = normalize(coords)
+        for depth in (0, 1, 4):
+            tree = list(itertools.product(range(k), repeat=depth))
+            want, node_gcds = _apply_leaves(x, gens, tree)
+            gcds.update(node_gcds)
+            assert averaging._word_leaves(x, gens, tree, DEFAULT_BUDGET_BITS) == want
+        words = _sampled_words(gens, 7, sum(map(abs, coords)), 40)
+        assert averaging._word_leaves(x, gens, words, DEFAULT_BUDGET_BITS) == (
+            _apply_leaves(x, gens, words)[0]
+        )
+    if name == "e42-sq-cube":
+        # the walk divided by 7, 42 and other divisors of e = 42
+        assert {7, 42} < gcds
+    else:
+        assert {g for g in gcds if g > 1}
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["tree", "sampled"])
+@pytest.mark.parametrize("name", list(WALK_SETS))
+def test_walk_refuses_the_apply_walks_step_at_every_width_and_floor(name, sampled):
+    # At each level, budgets one below, at and one above the widest point's
+    # bits, and the least budgets that refuse and pass a child's floor check.
+    gens, points = WALK_SETS[name]
+    k, depth = len(gens), 4
+    x = normalize(points[1])
+    if sampled:
+        words = _sampled_words(gens, depth, 5, 30)
+    else:
+        words = list(itertools.product(range(k), repeat=depth))
+    budgets = set()
+    level = [x]
+    for _ in range(depth + 1):
+        bits = max(multiplicative_height(p).bit_length() for p in level)
+        budgets |= {bits - 1, bits, bits + 1}
+        for g in gens:
+            floor = g.degree * (bits - 1) - g.attenuation.bit_length()
+            budgets |= {floor, floor + 1}
+        level = [g.apply(p) for p in level for g in gens]
+    messages = []
+    for budget in sorted(b for b in budgets if b >= 1):
+        want = _outcome(lambda *a: _apply_leaves(*a)[0], x, gens, words, budget)
+        got = _outcome(averaging._word_leaves, x, gens, words, budget)
+        assert got == want, budget
+        if want[0] is BudgetExceeded:
+            messages.append(want[1])
+    # the floor refused some step, and the width every step from the start on
+    assert any("reaches at least" in m for m in messages)
+    steps = {m.rsplit(" ", 1)[1] for m in messages if "reached" in m}
+    assert steps == {str(i) for i in range(depth + 1)}
+
+
+def test_sparse_words_share_powers_only_among_siblings(monkeypatch):
+    # Consecutive words that change the parent of their last letter, at
+    # every depth: a power table may serve only the children of its node.
+    gens = [E42, SQ, CUBE]
+    words = [
+        (0, 0, 0), (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 0), (1, 0, 1),
+        (1, 2, 2), (2, 0, 1), (2, 1, 0), (2, 1, 2), (2, 2, 2),
+    ]
+    for coords in ([1, 1], [3, 1], [2, 3]):
+        x = normalize(coords)
+        want = _apply_leaves(x, gens, words)[0]
+        assert averaging._word_leaves(x, gens, words, DEFAULT_BUDGET_BITS) == want
+    # one table per node that has a visited child, each slot it reads once
+    forms, powers = _count_evaluations(monkeypatch)
+    averaging._word_leaves(normalize([2, 3]), gens, words, DEFAULT_BUDGET_BITS)
+    nodes = {w[:i] for w in words for i in range(1, 4)}
+    assert len(forms) == len(nodes)
+    slots, _ = shared_terms(gens)
+    read = {}
+    for w in nodes:
+        read.setdefault(w[:-1], set()).update(
+            slots.index(s) for s in gens[w[-1]].powers
+        )
+    assert len(powers) == sum(map(len, read.values()))
+
+
+def test_generators_of_other_spaces_are_refused_before_any_step(monkeypatch):
+    forms, powers = _count_evaluations(monkeypatch)
+    x = normalize([2, 3])
+    for gens in ([SQ, power_map(2, 2)], [power_map(2, 2), SQ]):
+        with pytest.raises(DimensionMismatch):
+            eigensystem_height_exact(x, gens, 3)
+        with pytest.raises(DimensionMismatch):
+            eigensystem_height_mc(x, gens, 20, 3, 1)
+    assert forms == [] and powers == []

@@ -26,7 +26,8 @@ non-morphisms and malformed numbers among them, and height, orbit and
 average on the same configs; one runs census on generated P^2 configs and
 on P^1 maps with large coefficients, against the per-point census; one
 runs preimages, equidist and pair at the edges of their targets and
-options; and one runs green --grid --out and equidist at several depths.
+options; one runs green --grid --out and equidist at several depths; and
+one runs demo-unbounded on its --imax and --budget-bits.
 """
 
 import collections
@@ -810,3 +811,69 @@ def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
     # both commands reported and refused, and equidist ran several depths
     wanted = {(c, code) for c in GRIDS for code in (0, 1)} | {"several depths"}
     assert wanted <= set(seen), seen
+
+
+# demo-unbounded slice: --imax and --budget-bits drawn on both sides of
+# their refusals.  The default budget is kept to --imax 17 (under 0.1 s);
+# larger budgets come with --imax 12, or with budgets below 2^16 bits that
+# refuse k_i within a few steps.  On exit 0 every row reaches the fixed
+# point in `index` steps with a perturbation within the budget; exit 2 names
+# the first k_i past it, and exit 1 a value below 1.
+DEMO_ARGS = st.one_of(
+    st.builds(lambda i: ["--imax", str(i)], st.integers(-3, 17)),
+    st.builds(
+        lambda i, b: ["--imax", str(i), "--budget-bits", str(b)],
+        st.one_of(st.integers(-3, 60), st.just(10**9)),
+        st.integers(-3, 1 << 16),
+    ),
+    st.builds(
+        lambda i, b: ["--imax", str(i), "--budget-bits", str(b)],
+        st.integers(1, 12),
+        st.sampled_from([1 << 20, 2**64, 10**30]),
+    ),
+)
+
+
+def test_demo_unbounded_keeps_the_contract_on_its_options():
+    seen = collections.Counter()
+    # bits[i] of the perturbation k_i = t_(i-1), with t_0 = i and t_a =
+    # t_(a-1) (t_(a-1) - k_a), up to the first past 2^20 bits
+    ks, bits = [], [0]
+    while bits[-1] <= 1 << 20:
+        t = len(ks) + 1
+        for k in ks:
+            t = t * (t - k)
+        ks.append(t)
+        bits.append(abs(t).bit_length())
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(args=DEMO_ARGS)
+    def check(args):
+        code, out, err = _run(["demo-unbounded", *args])
+        _assert_streams(code, out, err)
+        seen[code] += 1
+        imax = int(args[1])
+        budget = int(args[3]) if len(args) > 2 else 1 << 20
+        if code != 1:
+            # a budget or an --imax below 1 is an input error before any step
+            assert imax >= 1 and budget >= 1, (args, code)
+        if code == 0:
+            report = json.loads(out)
+            assert report["fixed_point_checked"] is True
+            rows = report["rows"]
+            assert [r["index"] for r in rows] == list(range(1, imax + 1))
+            for r in rows:
+                assert r["steps_to_fixed_point"] == r["index"]
+                assert r["perturbation_bits"] == bits[r["index"]] <= budget
+                assert r["truncated_height"] == 0.0
+        elif code == 2:
+            i = int(re.fullmatch(
+                rf"contract violation: perturbation k_(\d+) exceeds {budget} bits\n", err
+            ).group(1))
+            # the first perturbation past the budget
+            assert 2 <= i <= imax and max(bits[1:i]) <= budget < bits[i]
+        else:
+            assert imax < 1 or budget < 1, err
+
+    check()
+    assert set(seen) == {0, 1, 2}, seen

@@ -9,6 +9,7 @@ import pytest
 from seqheight.algebra import (
     _FFT_MIN_BITS,
     HomogeneousForm,
+    _mul,
     evaluate_forms,
     monomials,
     normalize,
@@ -24,6 +25,7 @@ from seqheight.morphisms import (
     Constant,
     PeriodicWord,
     RandomWord,
+    _forms,
     _scale64,
     child_seed,
     maps_from_config,
@@ -32,6 +34,7 @@ from seqheight.morphisms import (
     sample_word,
     sample_words,
     sequence_from_config,
+    shared_terms,
     validate,
 )
 
@@ -303,11 +306,12 @@ def _rank(word, k):
 @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 + 1, 2**64 + 7])
 @pytest.mark.parametrize("gens", WORD_GENERATORS.values(), ids=WORD_GENERATORS)
 def test_sample_words_match_per_sample_draws(gens, seed):
-    # Sample counts straddle the block of 1024 samples; 3000 samples are
-    # drawn at the shorter depths only, to keep the per-sample loop short.
-    # At length 40 the three-map set has 3^40 > 2^63 words: Python-int ranks.
+    # A block holds 8192 // length samples: 1024 at length 8 and 204 at
+    # length 40, where the sample counts straddle it; 3000 samples are drawn
+    # at the shorter lengths only, to keep the per-sample loop short.  At
+    # length 40 the three-map set has 3^40 > 2^63 words: Python-int ranks.
     for length in (0, 1, 8, 40):
-        counts = (2, 1023, 1024, 1025) + ((3000,) if length <= 8 else ())
+        counts = (2, 203, 204, 205, 1023, 1024, 1025) + ((3000,) if length <= 8 else ())
         reference = [
             _rank(sample_word(gens, length, child_seed(seed, m)), len(gens))
             for m in range(max(counts))
@@ -324,14 +328,34 @@ def test_sample_words_ranks_are_int64_up_to_2_to_the_63_words():
         ("3,2,5", 39, np.int64),
         ("3,2,5", 40, object),
         ("single", 10**4, np.int64),
+        ("2,2", 9000, object),  # a block of one sample: 8192 // 9000 = 0
     ]:
         gens = WORD_GENERATORS[name]
         ranks = sample_words(gens, length, 9, 5)
         assert ranks.dtype == dtype and ranks.shape == (5,)
         if dtype is object:
             assert all(type(r) is int for r in ranks)
+        reference = [
+            _rank(sample_word(gens, length, child_seed(9, m)), len(gens)) for m in range(5)
+        ]
+        assert ranks.tolist() == reference
         empty = sample_words(gens, length, 9, 0)
         assert empty.dtype == dtype and empty.shape == (0,)
+
+
+def test_sample_words_reach_the_largest_int64_rank():
+    # With the last map of degree 2^31 against 1, the draws are words of
+    # the last letter only: ranks 2^63 - 1 over two maps at length 63 and
+    # 3^39 - 1 over three at length 39, the largest that int64 holds.
+    light = SimpleNamespace(degree=1, num_vars=2)
+    heavy = SimpleNamespace(degree=2**31, num_vars=2)
+    for gens, length in [((light, heavy), 63), ((light, light, heavy), 39)]:
+        ranks = sample_words(gens, length, 4, 3)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [len(gens) ** length - 1] * 3 == [
+            _rank(sample_word(gens, length, child_seed(4, m)), len(gens))
+            for m in range(3)
+        ]
 
 
 def test_scale64_is_exact_at_the_edges():
@@ -442,6 +466,27 @@ CUBIC = validate(
     ],
     "cubic",
 )
+
+
+def test_shared_terms_evaluate_each_map_over_one_list_of_powers():
+    # Maps that read different powers, in different first-seen orders: each
+    # table over the union gives the map's values and its reduced image.
+    rng = random.Random(30)
+    for maps in (
+        [perturbed_power_map(1, 2), power_map(1, 2), E42, CUBIC],
+        [_random_map(rng, 3, d) for d in (2, 3, 2)],
+    ):
+        slots, tables = shared_terms(maps)
+        assert len(set(slots)) == len(slots)
+        assert set(slots) == {s for g in maps for s in g.powers}
+        for x in _test_points(rng, maps[0].num_vars, big=True):
+            powers = [x.coords[i] ** k for i, k in slots]
+            for g, table in zip(maps, tables):
+                values = _forms(powers, table, _mul)
+                assert values == g.values(x.coords)
+                reduced = g.reduced(values)
+                assert _canonical(reduced) == g.apply(x).coords
+                assert math.gcd(*reduced) == 1
 
 
 @pytest.mark.parametrize("bits", [40_000, _FFT_MIN_BITS + 1000, 300_000])
