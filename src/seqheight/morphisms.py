@@ -479,17 +479,15 @@ def sample_words(
     symbols (one sample at least), so each temporary stays near 64 KiB and
     only the array of ranks grows with the sample count.  _scale64 is exact
     while the degree total is below 2^32; larger totals raise ValueError.
-    The ranks are int64 while k^length <= 2^63, one product of the symbols
-    with the weights k^(length - 1 - i), and Python ints (dtype object)
-    past that, by Horner's rule over the positions.
+    The ranks are formed by Horner's rule over the positions, int64 while
+    k^length <= 2^63 and Python ints (dtype object) past that.
     """
     degrees = [g.degree for g in generators]
     k, total = len(degrees), sum(degrees)
     if total >= 1 << 32:
         raise ValueError(f"degree total {total} needs more than 32 bits")
     # for k >= 2, k^length passes 2^63 by length 64
-    small = k ** min(length, 64) <= 1 << 63
-    ranks = np.zeros(samples, np.int64 if small else object)
+    ranks = np.zeros(samples, np.int64 if k ** min(length, 64) <= 1 << 63 else object)
     if length <= 0 or k == 1:
         return ranks
     u64 = np.uint64
@@ -498,8 +496,6 @@ def sample_words(
     # exactly when r < b: the index is the number of bounds not above r.
     bounds = [u64(c) for c in itertools.accumulate(degrees[:-1])]
     steps = np.arange(1, length + 1, dtype=np.uint64) * u64(_GOLDEN)
-    if small:
-        weights = np.array([k**p for p in reversed(range(length))], np.int64)
     key = u64(seed & _MASK64)
     block = max(1, _WORD_ELEMENTS // length)
     with np.errstate(over="ignore"):
@@ -511,13 +507,10 @@ def sample_words(
             index = u64(len(bounds))
             for b in bounds:
                 index = index - ((r - b) >> sign)
-            if small:
-                ranks[start:stop] = index.astype(np.int64) @ weights
-            else:
-                rank = ranks[start:stop]
-                for column in index.T.astype(object):
-                    rank *= k
-                    rank += column
+            rank = ranks[start:stop]
+            for column in index.T.astype(ranks.dtype):
+                rank *= k
+                rank += column
     return ranks
 
 
