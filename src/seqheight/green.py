@@ -8,9 +8,11 @@ For lifts F^1, F^2, ... of degrees d_a >= 2 the normalized escape logs
 converge uniformly away from the origin: each lift satisfies a two-sided bound
 |log|F(v)| / d| <= c_bar on unit vectors, giving |G_i - G_{i-1}| <=
 2 c_bar / (d_1..d_{i-1}) <= c_bar / 2^{i-2} and a certified tail of at most
-4 c_bar / (d_1..d_i) after depth i.  The iteration renormalizes to unit
-vectors each step and accumulates the log, so no overflow occurs at any
-depth.
+4 c_bar / (d_1..d_i) after depth i.  Near a coordinate point of P^1 that
+every lift fixes and superattracts (infinity for words over sq and psq),
+a column's own tail is far smaller, and green_values stops it there.  The
+iteration renormalizes to unit vectors each step and accumulates the log,
+so no overflow occurs at any depth.
 
 The limit G is d-homogeneous-compatible: G(lambda x) = G(x) + 2 log|lambda|,
 so u(x) = log|x|^2 - G(x) descends to a continuous potential on P^{n-1}
@@ -36,8 +38,9 @@ unchanged; tests/test_green.py and criterion 09 of tests/test_acceptance.py
 check both statements through green_function and PairingGrid.
 
 green_values runs the whole step loop on one block of _BLOCK columns at a
-time, so its temporaries stay in cache.  Each step rounds as np.linalg.norm
-and division by the norm round, and a column's value does not depend on
+time, so its temporaries stay in cache, and drops a column from its block
+at the step where the column stops.  Each step rounds as np.linalg.norm and
+division by the norm round, and a column's value and stop do not depend on
 the batch or block it is in.  PairingGrid runs on one thread and calls
 green_values only for the cells a report reads: one chart's full square for
 green(chart), which the CLI writes as a CSV grid, for a pairing the support
@@ -122,6 +125,7 @@ class ComplexLiftMap:
             tuple(_complex(c) for c in cs) for cs in cmap.coefficients
         )
         self._terms = cmap.term_table(self._coefficients)
+        self.escape = [_escape_constants(self, i) for i in (0, 1)]
         n, d = self.num_vars, self.degree
         c_inf, e = cmap.cofactor_l1, cmap.certificate.denominator
         try:
@@ -138,6 +142,7 @@ class ComplexLiftMap:
             for cs in self._coefficients
         )
         lift._terms = self.map.term_table(lift._coefficients)
+        lift.escape = [_escape_constants(lift, i) for i in (0, 1)]
         lift.c_bar = self.c_bar + abs(cmath.log(complex(scale)).real) / self.degree
         return lift
 
@@ -207,6 +212,44 @@ class GreenValue:
     value: float
     depth: int
     radius: float
+
+
+def _escape_constants(lift: ComplexLiftMap, i: int) -> tuple[float, float, float] | None:
+    """(log|a_d|, C, t*) of green_values' stop at e_i, or None unless the
+    lift has F_{1-i} = b x_{1-i}^d and a nonzero x_i^d term a_d in F_i."""
+    d = lift.degree
+    own = (d, 0)[:: 1 - 2 * i]  # the exponents of x_i^d on P^1
+    pairs = zip(lift.map.forms, lift._coefficients)
+    forms = [{e: c for (e, _), c in zip(f.terms, cs)} for f, cs in pairs]
+    a = abs(forms[i].pop(own, 0))
+    if not a or list(forms[1 - i]) != [own[::-1]]:
+        return None
+    b, s = abs(forms[1 - i][own[::-1]]), sum(map(abs, forms[i].values()))
+    c = 2 * s / a + d / 4 + 2 * (b / a) * (b / a)  # inf past the float range
+    t_star = min(0.5, a / (4 * s) if s else 1.0, (a / (4 * b)) ** (1 / (d - 1)))
+    return (math.log(a), c, t_star) if c < math.inf else None
+
+
+def _escape_plans(seq: LiftSequence, lifts: list, dn: list, tol: float) -> list:
+    """green_values' stop, per coordinate point e_i that every lift fixes
+    and superattracts: (i, C, per step n the bound on t_n^2 and K_n, and
+    the constants' remainder past depth K)."""
+    plans, every = [], seq.generators + seq._head
+    for i in (0, 1):
+        if any(g.escape[i] is None for g in every):
+            continue
+        logs, cs, stars = zip(*[g.escape[i] for g in every])
+        far, c = max(map(abs, logs)), max(cs)
+        steps, dk = list(lifts), dn[-1]
+        while 4.0 * far / dk > tol:
+            steps.append(seq.lift_at(len(steps)))
+            dk *= steps[-1].degree
+        tails = [0.0]
+        for g in reversed(steps):
+            tails.append((g.escape[i][0] + tails[-1]) / g.degree)
+        limits = [min(min(stars), 3.0 * tol * d / (8.0 * c)) ** 2 for d in dn]
+        plans.append((i, c, limits, tails[::-1], 2.0 * far / dk))
+    return plans
 
 
 def _plan(
@@ -317,10 +360,25 @@ def green_values(
 ) -> tuple[np.ndarray, int, float]:
     """Batch Green function values; returns (values, depth, radius).
 
-    points has shape (n, B).  The same depth serves the whole batch, chosen
-    from the certified tail bound, so results are deterministic.  The whole
-    step loop runs on one block of _BLOCK columns at a time; every column
-    is iterated on its own, so the values do not depend on the blocking.
+    points has shape (n, B).  Each column runs the depth N that _plan picks
+    (certified tail 4 c_bar / D_N <= tol, D_n = d_1..d_n) or the given one,
+    or stops earlier at its own escape radius; depth is the deepest step
+    that ran and radius the largest radius of a column.  The step loop runs
+    on one block of _BLOCK columns at a time, and each column is iterated
+    and stopped on its own, so the values do not depend on the blocking.
+
+    The stop, depth not given: e_i of P^1 qualifies when every lift, scaled
+    ones too, has F_{1-i} = b x_{1-i}^d and a nonzero x_i^d term a_d in
+    F_i.  With S = sum |a_j| over F_i's other terms and t = |v_{1-i} / v_i|,
+    for t <= t* = min(1/2, |a_d| / 4S, (|a_d| / 4|b|)^(1/(d-1))) a step adds
+    log|F(v)| = log|a_d| + delta, |delta| <= C t with C = 2 S / |a_d| +
+    d / 4 + 2 |b / a_d|^2, and t' <= 2 |b / a_d| t^d <= t / 2 (C largest and
+    t* smallest over the lifts).  The deltas after step n thus add at most
+    (4/3) C t_n / D_n to G.  A column stops at the first n <= N where
+    t_n <= t* and that bound is <= tol/2, and adds the constants
+    K_n = sum_{k>n} log|a_d^(k)| / (d_{n+1}..d_k) up to the first K >= N
+    with 2 max|log|a_d|| / D_K <= tol/2; its radius is the sum of the two
+    bounds.  Other columns end at step N with radius 4 c_bar / D_N.
 
     After the point checks, _plan picks the depth and refuses, as a
     ValueError, a lift whose certified range leaves the float range or a
@@ -341,14 +399,18 @@ def green_values(
         raise NonzeroRequired("Green function of the zero vector")
     lifts, prod = _plan(seq, tol, depth)
     steps = len(lifts)
+    dn = np.cumprod([1.0, *(g.degree for g in lifts)]).tolist()
+    plans = _escape_plans(seq, lifts, dn, tol) if depth is None else []
     n, count = pts.shape
     values = np.empty(count)
+    deepest, radius = (0, 0.0) if count else (steps, 4.0 * seq.c_bar / prod)
     # Steps run while no column has degenerated; a degenerate column
     # shortens the later blocks to the steps before it, so the error names
     # the first degenerate step over the whole batch.
     limit = steps
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
+        cols = np.arange(start, stop)
         acc = np.log(norms[start:stop])
         if far:
             acc += e[start:stop] * math.log(2.0)
@@ -368,14 +430,27 @@ def green_values(
             # real through the reciprocal of the divisor.
             y *= np.divide(1.0, ny, out=tmp)
             v = y
-        else:
+            # buf.real holds |y_0|^2 and |y_1|^2, whose ratio is t^2 of v
+            squares, dk = buf.real, dn[a + 1]
+            for i, c, limits, tails, rest in plans:
+                near = squares[1 - i] <= limits[a + 1] * squares[i]
+                if near.any():
+                    t = np.sqrt(squares[1 - i, near] / squares[i, near])
+                    values[cols[near]] = (acc[near] + tails[a + 1]) * 2.0 / dk
+                    radius = max(radius, 4.0 / 3.0 * c * float(t.max()) / dk + rest)
+                    deepest, keep = max(deepest, a + 1), ~near
+                    cols, acc, v, squares = cols[keep], acc[keep], v[:, keep], squares[:, keep]
+            buf, ny, tmp = buf[:, : cols.size], ny[: cols.size], tmp[: cols.size]
+            if not cols.size:
+                break
+        if limit == steps and cols.size:
             acc *= 2.0
             acc /= prod
-            values[start:stop] = acc
+            values[cols] = acc
+            deepest, radius = steps, max(radius, 4.0 * seq.c_bar / prod)
     if limit < steps:
         raise DegenerateNearZero(f"lift at step {limit + 1} drove a unit vector to ~0")
-    radius = 4.0 * seq.c_bar / prod
-    return values, steps, radius
+    return values, deepest, radius
 
 
 def green_function(

@@ -407,19 +407,6 @@ def _box_height(box: _Box) -> tuple[int, int]:
     return low << s, max(max(-a, b) for a, b in zip(lo, hi)) << s
 
 
-def _leading_image(
-    g: CheckedMap, p: RationalProjectivePoint, bits: int
-) -> tuple[int, int] | None:
-    """An integer bracket [lo, hi] of H(g(p)), given bits = bits(H(p)):
-    the bound of the first box step of _chained_heights from p, None when p
-    has no more than _LEADING_BITS bits."""
-    if bits <= _LEADING_BITS:
-        return None
-    return _box_height(
-        _box_image(g, _leading_box(p.coords, bits), next(_gcds(p, [g])))
-    )
-
-
 def _rounded(n: int) -> tuple[int, int]:
     """(bits(n), the top 53 bits of n rounded to nearest, ties to even) for
     n >= 0, the rounding carrying into a 54th bit at the top of a binade.

@@ -27,7 +27,8 @@ average on the same configs; one runs census on generated P^2 configs and
 on P^1 maps with large coefficients, against the per-point census; one
 runs preimages, equidist and pair at the edges of their targets and
 options; one runs green --grid --out and equidist at several depths; and
-one runs demo-unbounded on its --imax and --budget-bits.
+one runs demo-unbounded on its --imax and --budget-bits, malformed
+numbers among them.
 """
 
 import collections
@@ -818,8 +819,11 @@ def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
 # larger budgets come with --imax 12, or with budgets below 2^16 bits that
 # refuse k_i within a few steps.  On exit 0 every row reaches the fixed
 # point in `index` steps with a perturbation within the budget; exit 2 names
-# the first k_i past it, and exit 1 a value below 1.
+# the first k_i past it, and exit 1 a value below 1 or a malformed number.
+MALFORMED = st.sampled_from(["x", "1.5", "", "2e3", "0x1", "1_0x", " 7 7"])
 DEMO_ARGS = st.one_of(
+    st.builds(lambda t: ["--imax", t], MALFORMED),
+    st.builds(lambda t: ["--imax", "3", "--budget-bits", t], MALFORMED),
     st.builds(lambda i: ["--imax", str(i)], st.integers(-3, 17)),
     st.builds(
         lambda i, b: ["--imax", str(i), "--budget-bits", str(b)],
@@ -852,6 +856,14 @@ def test_demo_unbounded_keeps_the_contract_on_its_options():
         code, out, err = _run(["demo-unbounded", *args])
         _assert_streams(code, out, err)
         seen[code] += 1
+        option, text = next(
+            ((o, t) for o, t in zip(args[::2], args[1::2]) if not re.fullmatch(r"-?\d+", t)),
+            (None, None),
+        )
+        if option is not None:
+            seen["malformed"] += 1
+            assert (code, err) == (1, f"input error: {option} needs an integer, got {text!r}\n")
+            return
         imax = int(args[1])
         budget = int(args[3]) if len(args) > 2 else 1 << 20
         if code != 1:
@@ -876,4 +888,4 @@ def test_demo_unbounded_keeps_the_contract_on_its_options():
             assert imax < 1 or budget < 1, err
 
     check()
-    assert set(seen) == {0, 1, 2}, seen
+    assert set(seen) == {0, 1, 2, "malformed"}, seen

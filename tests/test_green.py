@@ -119,11 +119,12 @@ def test_batch_matches_single():
     seq = _psq_seq()
     pts = np.array([[1.0, 2.0, 1.0j], [1.5, -1.0, 1.0]], dtype=complex)
     vals, depth, radius = green_values(seq, pts, tol=1e-9)
-    for k in range(pts.shape[1]):
-        one = green_function(seq, pts[:, k], tol=1e-9)
-        assert one.value == vals[k]
-        assert one.depth == depth
-        assert one.radius == radius
+    singles = [green_function(seq, pts[:, k], tol=1e-9) for k in range(pts.shape[1])]
+    assert [one.value for one in singles] == vals.tolist()
+    # each column stops at its own step: the batch reports the deepest
+    # step and the largest radius
+    assert depth == max(one.depth for one in singles)
+    assert radius == max(one.radius for one in singles)
 
 
 def test_depth_planning_tracks_tolerance():
@@ -615,6 +616,9 @@ def _kernel_sequences():
 
 
 KERNEL_WIDTHS = (1, 8191, 8192, 8193, 2 * 8192 + 5)
+# every lift of these fixes and superattracts (1:0), and (0:1) too for sq:
+# at the default depth green_values stops each column at its escape radius
+ESCAPING = ("sq", "psq", "sq,psq", "scaled")
 
 
 @pytest.mark.parametrize(
@@ -627,14 +631,103 @@ def test_blocked_kernel_matches_unblocked_reference(name):
     for width in KERNEL_WIDTHS:
         pts = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
         pts[:, 0] = np.arange(1, n + 1)
-        for depth in (None, 0):
+        for depth in (None, 0, 5):
             got = green_values(seq, pts, tol=1e-9, depth=depth)
             ref = _reference_green_values(seq, pts, tol=1e-9, depth=depth)
-            assert np.array_equal(got[0], ref[0])
-            assert got[1:] == ref[1:]
+            if depth is None and name in ESCAPING:
+                # each column stops at its own step, within the radii of
+                # the full-depth value
+                assert np.all(np.abs(got[0] - ref[0]) <= got[2] + ref[2])
+                assert got[1] <= ref[1] and got[2] <= 1e-9
+            else:
+                assert np.array_equal(got[0], ref[0])
+                assert got[1:] == ref[1:]
         lift = seq.lift_at(1)
         ref = _reference_evaluate(*_reference_lift(seq, 1), pts)
         assert np.array_equal(lift.evaluate(pts), ref)
+
+
+# -- escape-radius stops near a common superattracting point -------------
+
+
+def _spread_points(rng, width):
+    """Points of C^2 with |x1 / x0| spread over 1e-12..1e12, so columns stop
+    at every step from the first on."""
+    pts = rng.standard_normal((2, width)) + 1j * rng.standard_normal((2, width))
+    pts[1] *= 10.0 ** rng.uniform(-12.0, 12.0, width)
+    return pts
+
+
+def test_escape_constants_of_the_lifts():
+    sq, psq = ComplexLiftMap(SQ), ComplexLiftMap(PSQ)
+    # C = 2 S / |a_d| + d / 4 + 2 |b / a_d|^2, t* = min(1/2, |a_d| / 4S,
+    # (|a_d| / 4|b|)^(1 / (d - 1)))
+    assert sq.escape == [(0.0, 2.5, 0.25), (0.0, 2.5, 0.25)]
+    assert psq.escape == [(0.0, 4.5, 0.25), None]
+    assert psq.rescaled(-0.25j).escape == [(math.log(0.25), 4.5, 0.25), None]
+    assert ComplexLiftMap(E42).escape == ComplexLiftMap(P2).escape == [None, None]
+    cubic = validate(
+        [
+            HomogeneousForm.from_terms(2, 3, {(3, 0): 2, (1, 2): -3}),
+            HomogeneousForm.from_terms(2, 3, {(0, 3): 4}),
+        ],
+        "cubic2",
+    )
+    assert ComplexLiftMap(cubic).escape == [
+        (math.log(2.0), 3.0 + 0.75 + 8.0, min(2.0 / 12.0, (2.0 / 16.0) ** 0.5)),
+        None,
+    ]
+
+
+@pytest.mark.parametrize("resolution", [64, 256])
+def test_squaring_grid_values_lie_within_their_radius_of_log_max(resolution):
+    # G = 2 log max(|x0|, |x1|) for sq, whose lifts fix both (1:0) and (0:1)
+    seq = _sq_seq()
+    grid = PairingGrid(seq, resolution)
+    full = len(_plan(seq, 1e-9, None)[0])
+    rng = np.random.default_rng(3)
+    for chart in (0, 1):
+        emb = np.ones((2, grid.z.size), dtype=np.complex128)
+        emb[1 - chart] = grid.z
+        values, depth, radius = green_values(seq, emb)
+        exact = 2.0 * np.log(np.max(np.abs(emb), axis=0))
+        assert radius <= 1e-9 and depth < full
+        assert np.all(np.abs(values - exact) <= radius + 1e-14)
+        for k in rng.choice(grid.z.size, 16, replace=False):
+            one = green_function(seq, emb[:, k])
+            assert one.value == values[k]
+            assert abs(one.value - exact[k]) <= one.radius + 1e-14
+
+
+@pytest.mark.parametrize("name", ["psq", "sq,psq", "rnd", "scaled"])
+def test_escape_stops_lie_within_the_radii_of_the_full_depth_value(name):
+    seqs = _kernel_sequences()
+    seqs["rnd"] = LiftSequence(RandomWord((SQ, PSQ), seed=8))
+    seq = seqs[name]
+    pts = _spread_points(np.random.default_rng(17), 4000)
+    full = len(_plan(seq, 1e-9, None)[0])
+    got, depth, radius = green_values(seq, pts)
+    ref, _, ref_radius = green_values(seq, pts, depth=full)
+    assert radius <= 1e-9 and depth <= full
+    assert np.all(np.abs(got - ref) <= radius + ref_radius)
+    # columns stop from the first step on, and the earliest stops take the
+    # scaled positions' constants log|a_d^(k)|
+    depths = [green_function(seq, pts[:, k]).depth for k in range(40)]
+    assert min(depths) == 1 and max(depths) < full
+
+
+@pytest.mark.parametrize("name", ESCAPING)
+def test_an_escaping_column_has_its_bits_alone_and_in_any_batch(name):
+    seq = _kernel_sequences()[name]
+    rng = np.random.default_rng(11)
+    pts = _spread_points(rng, KERNEL_WIDTHS[-1] + 37)
+    whole = green_values(seq, pts)[0]
+    for width in KERNEL_WIDTHS:
+        # shifted by 37 columns, so the blocks cut the batch elsewhere
+        assert np.array_equal(green_values(seq, pts[:, 37 : 37 + width])[0], whole[37 : 37 + width])
+    picks = (0, 36, 37, 8191, 8192, 8228, 8229, 8230, *rng.choice(pts.shape[1], 8))
+    for k in picks:
+        assert green_function(seq, pts[:, k]).value == whole[k]
 
 
 # (3 x0^2 + x1 x2 : 2 x1^2 - x2^2 : 5 x2^2 + x0 x1): a P^2 map whose terms

@@ -53,3 +53,11 @@ def test_compare_lists_each_op_that_differs(tmp_path, capsys):
         "w seed 1 cycle0[1]: stdout: seqheight canheight --config sq --point 2,3",
         "2 ops in both (0 with a CSV), 1 differ",
     ]
+
+
+def test_cycles_limits_a_digest_to_the_first_cycles():
+    op = SimpleNamespace(kind="validate", config="sq", args=(), out=False)
+    workload = SimpleNamespace(configs={"sq": SQ_CONFIG}, warmup=[op], cycles=[[op, op]] * 3)
+    phases = [(p, i) for p, i, _ in identity._workload_rows(main, workload, 2)]
+    assert phases == [("warmup", 0), ("cycle0", 0), ("cycle0", 1), ("cycle1", 0), ("cycle1", 1)]
+    assert len(list(identity._workload_rows(main, workload, None))) == 7

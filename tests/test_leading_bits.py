@@ -2,8 +2,9 @@
 
 height_sequence runs the exact orbit while H has at most 256 bits, then
 carries the orbit as integer boxes: the first from the top 128 bits of the
-last exact point (heights._leading_image is that first step's bracket of
-H), each later one from the box before it.  A step is kept when both ends
+last exact point (_leading_image below is that first step's bracket of H,
+built from the same heights._leading_box, _box_image, _gcds and
+_box_height), each later one from the box before it.  A step is kept when both ends
 of its bound on H have the same bits and the same rounded 53-bit
 significand; at the first step where they differ the exact orbit resumes.
 These tests compare every field it reports, and every BudgetExceeded
@@ -28,9 +29,11 @@ from seqheight import heights
 from seqheight.errors import BudgetExceeded, Degenerate
 from seqheight.heights import (
     ExactLogHeight,
+    _LEADING_BITS,
     _box_height,
+    _box_image,
     _gcds,
-    _leading_image,
+    _leading_box,
     _rounded,
     exact_orbit,
     height_sequence,
@@ -199,6 +202,15 @@ def test_leading_bits_match_the_exact_step_on_the_corpus(monkeypatch):
         assert full[-1].multiplicative == multiplicative_height(last)
         assert full[-1] == ExactLogHeight(multiplicative_height(last), full[-1].normalizer)
     assert tried >= 100 and fallback <= 3, (tried, fallback)
+
+
+def _leading_image(g, p, bits):
+    """An integer bracket [lo, hi] of H(g(p)), given bits = bits(H(p)): the
+    bound of the first box step of heights._chained_heights from p, None
+    when p has no more than _LEADING_BITS bits."""
+    if bits <= _LEADING_BITS:
+        return None
+    return _box_height(_box_image(g, _leading_box(p.coords, bits), next(_gcds(p, [g]))))
 
 
 def _constructed():

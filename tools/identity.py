@@ -2,11 +2,12 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/identity.py digest TREE OUT [--workload W ...] [--seed N ...]
+    python3 tools/identity.py digest TREE OUT [--workload W ...] [--seed N ...] [--cycles N]
     python3 tools/identity.py compare A B
 
 `digest` runs the warm-up and every cycle of the chosen workloads and seeds
-(default: all four workloads, seed 1) through the `seqheight.cli.main` of
+(default: all four workloads, seed 1; with --cycles N, the warm-up and
+the first N cycles of each) through the `seqheight.cli.main` of
 one source tree: TREE/src goes first on sys.path, so each tree is digested
 in its own process.  The op lists come from this checkout's
 bench/workloads.py, so two trees digested with the same harness run the
@@ -71,8 +72,9 @@ def _run_op(main, op, paths: dict[str, str], out_path: Path, mask: str) -> dict:
     }
 
 
-def _workload_rows(main, workload):
-    """Yield (phase, index, digest row) for the warm-up and every cycle."""
+def _workload_rows(main, workload, cycles: int | None):
+    """Yield (phase, index, digest row) for the warm-up and every cycle, or
+    the first cycles of them."""
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     try:
         paths = {}
@@ -81,7 +83,7 @@ def _workload_rows(main, workload):
             path.write_text(json.dumps(cfg), encoding="utf-8")
             paths[key] = str(path)
         phases = [("warmup", workload.warmup)]
-        phases += [(f"cycle{k}", cycle) for k, cycle in enumerate(workload.cycles)]
+        phases += [(f"cycle{k}", cycle) for k, cycle in enumerate(workload.cycles[:cycles])]
         for phase, ops in phases:
             for index, op in enumerate(ops):
                 yield phase, index, _run_op(main, op, paths, work / "out.csv", str(work))
@@ -89,7 +91,9 @@ def _workload_rows(main, workload):
         shutil.rmtree(work, ignore_errors=True)
 
 
-def digest(tree: Path, out: Path, workloads: list[str], seeds: list[int]) -> int:
+def digest(
+    tree: Path, out: Path, workloads: list[str], seeds: list[int], cycles: int | None = None
+) -> int:
     sys.path.insert(0, str(tree.resolve() / "src"))
     sys.path.insert(1, str(ROOT / "bench"))
     from seqheight.cli import main
@@ -99,7 +103,8 @@ def digest(tree: Path, out: Path, workloads: list[str], seeds: list[int]) -> int
     with out.open("w", encoding="utf-8") as fh:
         for name in workloads:
             for seed in seeds:
-                for phase, index, row in _workload_rows(main, WORKLOADS[name](seed)):
+                rows = _workload_rows(main, WORKLOADS[name](seed), cycles)
+                for phase, index, row in rows:
                     key = {"workload": name, "seed": seed, "phase": phase, "index": index}
                     fh.write(json.dumps({**key, **row}) + "\n")
                     ops += 1
@@ -147,6 +152,7 @@ def main(argv=None) -> int:
     d.add_argument("out", type=Path, help="the digest file to write")
     d.add_argument("--workload", action="append", choices=WORKLOAD_NAMES)
     d.add_argument("--seed", action="append", type=int)
+    d.add_argument("--cycles", type=int, help="digest only the first N cycles")
     c = sub.add_parser("compare", help="list the ops whose digests differ")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
@@ -154,7 +160,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         return compare(args.a, args.b)
     workloads = args.workload or list(WORKLOAD_NAMES)
-    return digest(args.tree, args.out, workloads, args.seed or [1])
+    return digest(args.tree, args.out, workloads, args.seed or [1], args.cycles)
 
 
 if __name__ == "__main__":
