@@ -455,6 +455,22 @@ WORKERS_HELP = (
 )
 
 
+def _add_number(p, flag: str, kind, default, **kwargs) -> None:
+    """Add a numeric option to p.  Its type raises SeqHeightError, which
+    argparse does not catch (it catches ValueError and TypeError), so a
+    malformed number reaches main's handler as an input error (exit 1),
+    not argparse's usage error (exit 2)."""
+    word = "an integer" if kind is int else "a number"
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise SeqHeightError(f"{flag} needs {word}, got {text!r}") from None
+
+    p.add_argument(flag, type=convert, default=default, **kwargs)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call:
@@ -478,9 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Only the commands that run an exact orbit take a bit budget.
     def budget(p):
-        p.add_argument(
-            "--budget-bits",
-            default=DEFAULT_BUDGET_BITS,
+        _add_number(
+            p, "--budget-bits", int, DEFAULT_BUDGET_BITS,
             help="bit budget for exact orbit coordinates",
         )
 
@@ -491,19 +506,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="height truncations along the orbit")
     common(p, point=True)
     budget(p)
-    p.add_argument("--depth", default=8)
+    _add_number(p, "--depth", int, 8)
     p.set_defaults(func=_cmd_height)
 
     p = sub.add_parser("canheight", help="canonical height with certified radius")
     common(p, point=True)
     budget(p)
-    p.add_argument("--tol", default=1e-8)
+    _add_number(p, "--tol", float, 1e-8)
     p.set_defaults(func=_cmd_canheight)
 
     p = sub.add_parser("orbit", help="resolve an orbit as finite or escaping")
     common(p, point=True)
     budget(p)
-    p.add_argument("--max-steps", default=10_000)
+    _add_number(p, "--max-steps", int, 10_000)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("census", help="all points preperiodic under some word")
@@ -513,33 +528,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="word-averaged height, exact vs Monte Carlo")
     common(p, point=True)
     budget(p)
-    p.add_argument("--depth", default=6)
-    p.add_argument("--samples", default=4000)
-    p.add_argument("--seed", default=1)
+    _add_number(p, "--depth", int, 6)
+    _add_number(p, "--samples", int, 4000)
+    _add_number(p, "--seed", int, 1)
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("green", help="Green function values or a chart grid CSV")
     common(p)
     p.add_argument("--point", help="complex lift point, e.g. 1+1j,1")
-    p.add_argument("--tol", default=1e-9)
-    p.add_argument("--grid", default=0, help="grid resolution (CSV mode)")
-    p.add_argument("--chart", choices=("0", "1"), default=0)
-    p.add_argument("--workers", default=1, help=WORKERS_HELP)
+    _add_number(p, "--tol", float, 1e-9)
+    _add_number(p, "--grid", int, 0, help="grid resolution (CSV mode)")
+    _add_number(p, "--chart", int, 0, choices=(0, 1))
+    _add_number(p, "--workers", int, 1, help=WORKERS_HELP)
     p.add_argument("--out", help="CSV output path (grid mode)")
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("pair", help="pair a test function against the current")
     common(p)
     p.add_argument("--phi", default="one", help="one|re|im|height|bump:re,im,r")
-    p.add_argument("--grid", default=512)
-    p.add_argument("--tol", default=1e-9)
-    p.add_argument("--workers", default=1, help=WORKERS_HELP)
+    _add_number(p, "--grid", int, 512)
+    _add_number(p, "--tol", float, 1e-9)
+    _add_number(p, "--workers", int, 1, help=WORKERS_HELP)
     p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("preimages", help="backward orbit cloud of a target")
     common(p)
     p.add_argument("--target", required=True, help="'inf', affine value, or a0,a1")
-    p.add_argument("--depth", default=4)
+    _add_number(p, "--depth", int, 4)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_preimages)
 
@@ -547,9 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--depths", default="2,4,6,8,10")
-    p.add_argument("--grid", default=256)
-    p.add_argument("--tol", default=1e-9)
-    p.add_argument("--workers", default=1, help=WORKERS_HELP)
+    _add_number(p, "--grid", int, 256)
+    _add_number(p, "--tol", float, 1e-9)
+    _add_number(p, "--workers", int, 1, help=WORKERS_HELP)
     p.set_defaults(func=_cmd_equidist)
 
     p = sub.add_parser(
@@ -558,33 +573,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(p, needs_config=False)
     budget(p)
-    p.add_argument("--imax", default=4)
+    _add_number(p, "--imax", int, 4)
     p.set_defaults(func=_cmd_demo_unbounded)
 
     return parser
 
 
-# Numeric options stay strings in the parser; main converts them in its
-# try, so a malformed number is an input error (exit 1), not a usage error.
-_NUMBERS = {"tol": float} | dict.fromkeys(
-    ("budget_bits", "depth", "max_steps", "samples", "seed", "grid", "chart", "workers", "imax"),
-    int,
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        for name, kind in _NUMBERS.items():
-            text = getattr(args, name, None)
-            if isinstance(text, str):
-                try:
-                    setattr(args, name, kind(text))
-                except ValueError:
-                    option = "--" + name.replace("_", "-")
-                    word = "an integer" if kind is int else "a number"
-                    raise ValueError(f"{option} needs {word}, got {text!r}") from None
+        args = parser.parse_args(argv)
         return args.func(args)
     except CONTRACT_ERRORS as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

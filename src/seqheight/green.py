@@ -89,6 +89,11 @@ _BLOCK = 8192
 # 2 d c_bar must stay below this for the squared norms of a lift's values
 # to be normal floats (see _plan).
 _LOG_SQUARE_RANGE = 1022 * math.log(2.0)
+# A stopped column's radius adds _ROUNDING (n + 1) (|G| + 4 c_bar + 1) for
+# the rounding of its n steps and constants: each step's product, sum and
+# log round within a few eps of the partial sums, which stay within
+# 2 c_bar of G / 2.
+_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 def _complex(value) -> complex:
@@ -378,7 +383,9 @@ def green_values(
     t_n <= t* and that bound is <= tol/2, and adds the constants
     K_n = sum_{k>n} log|a_d^(k)| / (d_{n+1}..d_k) up to the first K >= N
     with 2 max|log|a_d|| / D_K <= tol/2; its radius is the sum of the two
-    bounds.  Other columns end at step N with radius 4 c_bar / D_N.
+    bounds and a rounding floor (see _ROUNDING), as the bounds alone can
+    fall below an ulp of G.  Other columns end at step N with radius
+    4 c_bar / D_N.
 
     After the point checks, _plan picks the depth and refuses, as a
     ValueError, a lift whose certified range leaves the float range or a
@@ -401,6 +408,7 @@ def green_values(
     steps = len(lifts)
     dn = np.cumprod([1.0, *(g.degree for g in lifts)]).tolist()
     plans = _escape_plans(seq, lifts, dn, tol) if depth is None else []
+    cover = 4.0 * seq.c_bar + 1.0
     n, count = pts.shape
     values = np.empty(count)
     deepest, radius = (0, 0.0) if count else (steps, 4.0 * seq.c_bar / prod)
@@ -410,7 +418,8 @@ def green_values(
     limit = steps
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
-        cols = np.arange(start, stop)
+        # a block whose columns cannot stop keeps them all, in place
+        cols = np.arange(start, stop) if plans else slice(start, stop)
         acc = np.log(norms[start:stop])
         if far:
             acc += e[start:stop] * math.log(2.0)
@@ -430,20 +439,30 @@ def green_values(
             # real through the reciprocal of the divisor.
             y *= np.divide(1.0, ny, out=tmp)
             v = y
+            if not plans:
+                continue
             # buf.real holds |y_0|^2 and |y_1|^2, whose ratio is t^2 of v
             squares, dk = buf.real, dn[a + 1]
+            keep = np.ones(acc.size, dtype=bool)
             for i, c, limits, tails, rest in plans:
-                near = squares[1 - i] <= limits[a + 1] * squares[i]
+                near = keep & (squares[1 - i] <= limits[a + 1] * squares[i])
                 if near.any():
                     t = np.sqrt(squares[1 - i, near] / squares[i, near])
-                    values[cols[near]] = (acc[near] + tails[a + 1]) * 2.0 / dk
-                    radius = max(radius, 4.0 / 3.0 * c * float(t.max()) / dk + rest)
-                    deepest, keep = max(deepest, a + 1), ~near
-                    cols, acc, v, squares = cols[keep], acc[keep], v[:, keep], squares[:, keep]
-            buf, ny, tmp = buf[:, : cols.size], ny[: cols.size], tmp[: cols.size]
-            if not cols.size:
-                break
-        if limit == steps and cols.size:
+                    g = (acc[near] + tails[a + 1]) * 2.0 / dk
+                    values[cols[near]] = g
+                    # per column the tail bound and a rounding floor, and
+                    # the constants' remainder
+                    own = 4.0 / 3.0 * c / dk * t
+                    own += _ROUNDING * (a + 2) * (np.abs(g) + cover)
+                    radius = max(radius, float(own.max()) + rest)
+                    deepest = max(deepest, a + 1)
+                    keep &= ~near
+            if not keep.all():
+                cols, acc, v = cols[keep], acc[keep], v[:, keep]
+                buf, ny, tmp = buf[:, : acc.size], ny[: acc.size], tmp[: acc.size]
+                if not acc.size:
+                    break
+        if limit == steps and acc.size:
             acc *= 2.0
             acc /= prod
             values[cols] = acc

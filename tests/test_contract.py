@@ -855,15 +855,16 @@ def test_demo_unbounded_keeps_the_contract_on_its_options():
     def check(args):
         code, out, err = _run(["demo-unbounded", *args])
         _assert_streams(code, out, err)
-        seen[code] += 1
         option, text = next(
             ((o, t) for o, t in zip(args[::2], args[1::2]) if not re.fullmatch(r"-?\d+", t)),
             (None, None),
         )
         if option is not None:
+            # counted apart, so exit 1 below still needs a value below 1
             seen["malformed"] += 1
             assert (code, err) == (1, f"input error: {option} needs an integer, got {text!r}\n")
             return
+        seen[code] += 1
         imax = int(args[1])
         budget = int(args[3]) if len(args) > 2 else 1 << 20
         if code != 1:

@@ -692,11 +692,28 @@ def test_squaring_grid_values_lie_within_their_radius_of_log_max(resolution):
         values, depth, radius = green_values(seq, emb)
         exact = 2.0 * np.log(np.max(np.abs(emb), axis=0))
         assert radius <= 1e-9 and depth < full
-        assert np.all(np.abs(values - exact) <= radius + 1e-14)
+        assert np.all(np.abs(values - exact) <= radius)
         for k in rng.choice(grid.z.size, 16, replace=False):
             one = green_function(seq, emb[:, k])
             assert one.value == values[k]
-            assert abs(one.value - exact[k]) <= one.radius + 1e-14
+            assert abs(one.value - exact[k]) <= one.radius
+
+
+@pytest.mark.parametrize("power", [-200, -100, 100, 200])
+def test_a_stopped_radius_covers_the_rounding_of_a_large_value(power):
+    # far from the origin a column stops at step 1 with t^2 underflowing to
+    # 0, so its tail bound is 0.0, below an ulp of G: only the rounding
+    # floor covers |value - 2 log max(|x0|, |x1|)|
+    seq = _sq_seq()
+    base = _spread_points(np.random.default_rng(5), 200)
+    pts = base * 10.0**power
+    exact = 2.0 * (np.log(np.max(np.abs(base), axis=0)) + power * math.log(10.0))
+    values, _, radius = green_values(seq, pts)
+    assert np.all(np.abs(values - exact) <= radius)
+    singles = [green_function(seq, pts[:, k]) for k in range(40)]
+    assert sum(one.depth == 1 for one in singles) >= 10
+    for one, want in zip(singles, exact):
+        assert abs(one.value - want) <= one.radius
 
 
 @pytest.mark.parametrize("name", ["psq", "sq,psq", "rnd", "scaled"])
@@ -725,9 +742,13 @@ def test_an_escaping_column_has_its_bits_alone_and_in_any_batch(name):
     for width in KERNEL_WIDTHS:
         # shifted by 37 columns, so the blocks cut the batch elsewhere
         assert np.array_equal(green_values(seq, pts[:, 37 : 37 + width])[0], whole[37 : 37 + width])
-    picks = (0, 36, 37, 8191, 8192, 8228, 8229, 8230, *rng.choice(pts.shape[1], 8))
-    for k in picks:
-        assert green_function(seq, pts[:, k]).value == whole[k]
+    picks = [0, 36, 37, 8191, 8192, 8228, 8229, 8230, *rng.choice(pts.shape[1], 24)]
+    singles = [green_function(seq, pts[:, k]) for k in picks]
+    assert [one.value for one in singles] == whole[picks].tolist()
+    # a batch reports its deepest step and the largest radius of a column
+    _, depth, radius = green_values(seq, pts[:, picks])
+    assert depth == max(one.depth for one in singles)
+    assert radius == max(one.radius for one in singles)
 
 
 # (3 x0^2 + x1 x2 : 2 x1^2 - x2^2 : 5 x2^2 + x0 x1): a P^2 map whose terms
