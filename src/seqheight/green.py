@@ -37,17 +37,18 @@ sum_k log|c_k|^2 / (d_1..d_k) and leaves the current (and all pairings)
 unchanged; tests/test_green.py and criterion 09 of tests/test_acceptance.py
 check both statements through green_function and PairingGrid.
 
-green_values runs the whole step loop on one block of _BLOCK columns at a
-time, so its temporaries stay in cache, and drops a column from its block
-at the step where the column stops.  Each step rounds as np.linalg.norm and
-division by the norm round, and a column's value and stop do not depend on
-the batch or block it is in.  PairingGrid runs on one thread and calls
-green_values only for the cells a report reads: one chart's full square for
-green(chart), which the CLI writes as a CSV grid, for a pairing the support
-of each chart where laplacian(phi) != 0 somewhere on it (one chart at a
-time, kept for later pairings), none for the mass.  It returns numbers and
-writes no file.  It checks the lifts' float range and the tolerance when it
-is built, with the plan green_values makes (_plan).
+green_values takes the start norms and runs the whole step loop on one block
+of _BLOCK columns at a time, so its temporaries stay in cache, and drops a
+column from its block at the step where the column stops, by index.  Each
+step rounds as np.linalg.norm and division by the norm round, and a
+column's value and stop do not depend on the batch or block it is in.
+PairingGrid runs on one thread and calls green_values only for the cells a
+report reads: one chart's full square for green(chart), which the CLI
+writes as a CSV grid, for a pairing the support of each chart where
+laplacian(phi) != 0 somewhere on it (one chart at a time, kept for later
+pairings), none for the mass.  It returns numbers and writes no file.  It
+checks the lifts' float range and the tolerance when it is built, with the
+plan green_values makes (_plan).
 """
 
 from __future__ import annotations
@@ -368,9 +369,10 @@ def green_values(
     points has shape (n, B).  Each column runs the depth N that _plan picks
     (certified tail 4 c_bar / D_N <= tol, D_n = d_1..d_n) or the given one,
     or stops earlier at its own escape radius; depth is the deepest step
-    that ran and radius the largest radius of a column.  The step loop runs
-    on one block of _BLOCK columns at a time, and each column is iterated
-    and stopped on its own, so the values do not depend on the blocking.
+    that ran and radius the largest radius of a column.  The start norms
+    and the step loop run on one block of _BLOCK columns at a time, and each
+    column is iterated and stopped on its own, so the values do not depend
+    on the blocking.
 
     The stop, depth not given: e_i of P^1 qualifies when every lift, scaled
     ones too, has F_{1-i} = b x_{1-i}^d and a nonzero x_i^d term a_d in
@@ -395,13 +397,16 @@ def green_values(
     if pts.ndim != 2 or pts.shape[0] != seq.num_vars:
         raise DimensionMismatch("expected point batch of shape (num_vars, B)")
     # Columns whose norm leaves the float range are iterated from pts / 2^e,
-    # and log 2^e is added back below.
-    norms, e = _scaled_norms(pts)
+    # and log 2^e is added back below.  The norms are taken block by block,
+    # so no temporary spans the batch.
+    n, count = pts.shape
+    norms, e = np.empty(count), np.empty(count, dtype=int)
+    for start in range(0, count, _BLOCK):
+        cut = slice(start, start + _BLOCK)
+        norms[cut], e[cut] = _scaled_norms(pts[:, cut])
     if not np.all(np.isfinite(norms)):
         raise ValueError("Green function of a point with a non-finite coordinate")
     far = bool(np.any(e))
-    if far:
-        pts = _ldexp(pts, -e)
     if np.any(norms == 0):
         raise NonzeroRequired("Green function of the zero vector")
     lifts, prod = _plan(seq, tol, depth)
@@ -409,7 +414,6 @@ def green_values(
     dn = np.cumprod([1.0, *(g.degree for g in lifts)]).tolist()
     plans = _escape_plans(seq, lifts, dn, tol) if depth is None else []
     cover = 4.0 * seq.c_bar + 1.0
-    n, count = pts.shape
     values = np.empty(count)
     deepest, radius = (0, 0.0) if count else (steps, 4.0 * seq.c_bar / prod)
     # Steps run while no column has degenerated; a degenerate column
@@ -420,16 +424,19 @@ def green_values(
         stop = min(start + _BLOCK, count)
         # a block whose columns cannot stop keeps them all, in place
         cols = np.arange(start, stop) if plans else slice(start, stop)
+        block = pts[:, start:stop]
         acc = np.log(norms[start:stop])
         if far:
             acc += e[start:stop] * math.log(2.0)
-        v = pts[:, start:stop] / norms[start:stop]
+            block = _ldexp(block, -e[start:stop])
+        v = block / norms[start:stop]
         buf = np.empty_like(v)
         ny = np.empty(stop - start)
         tmp = np.empty(stop - start)
         for a in range(limit):
-            y = lifts[a].evaluate(v)
-            _column_norms(y, buf, ny)
+            # v is rebound, so no name keeps the last step's array alive
+            v = lifts[a].evaluate(v)
+            _column_norms(v, buf, ny)
             if np.any(ny < 1e-280):
                 limit = a
                 break
@@ -437,31 +444,37 @@ def green_values(
             acc += np.log(ny, out=tmp)
             # y / ny rounds as y * (1 / ny): numpy divides a complex by a
             # real through the reciprocal of the divisor.
-            y *= np.divide(1.0, ny, out=tmp)
-            v = y
+            v *= np.divide(1.0, ny, out=tmp)
             if not plans:
                 continue
-            # buf.real holds |y_0|^2 and |y_1|^2, whose ratio is t^2 of v
+            # buf.real holds |y_0|^2 and |y_1|^2 of the image y, whose ratio
+            # is t^2 of the new v
             squares, dk = buf.real, dn[a + 1]
-            keep = np.ones(acc.size, dtype=bool)
-            for i, c, limits, tails, rest in plans:
-                near = keep & (squares[1 - i] <= limits[a + 1] * squares[i])
-                if near.any():
-                    t = np.sqrt(squares[1 - i, near] / squares[i, near])
-                    g = (acc[near] + tails[a + 1]) * 2.0 / dk
-                    values[cols[near]] = g
+            # per plan the columns it stops; two plans' sets are disjoint,
+            # as t <= 1/2 at both e_0 and e_1 would need y = 0
+            near = [squares[1 - i] <= lim[a + 1] * squares[i] for i, _, lim, *_ in plans]
+            stopped = near[0] | near[-1]
+            gone = np.flatnonzero(stopped)
+            if not gone.size:
+                continue
+            for (i, c, _, tails, rest), hit in zip(plans, near):
+                at = gone[hit[gone]]
+                if at.size:
+                    t = np.sqrt(squares[1 - i].take(at) / squares[i].take(at))
+                    g = (acc.take(at) + tails[a + 1]) * 2.0 / dk
+                    values[cols.take(at)] = g
                     # per column the tail bound and a rounding floor, and
                     # the constants' remainder
                     own = 4.0 / 3.0 * c / dk * t
                     own += _ROUNDING * (a + 2) * (np.abs(g) + cover)
                     radius = max(radius, float(own.max()) + rest)
-                    deepest = max(deepest, a + 1)
-                    keep &= ~near
-            if not keep.all():
-                cols, acc, v = cols[keep], acc[keep], v[:, keep]
-                buf, ny, tmp = buf[:, : acc.size], ny[: acc.size], tmp[: acc.size]
-                if not acc.size:
-                    break
+            deepest = max(deepest, a + 1)
+            # by index: a boolean mask on a 2-D array takes a slow path
+            kept = np.flatnonzero(~stopped)
+            cols, acc, v = cols.take(kept), acc.take(kept), v.take(kept, axis=1)
+            buf, ny, tmp = buf[:, : acc.size], ny[: acc.size], tmp[: acc.size]
+            if not acc.size:
+                break
         if limit == steps and acc.size:
             acc *= 2.0
             acc /= prod
@@ -478,7 +491,8 @@ def green_function(
     tol: float = 1e-9,
     depth: int | None = None,
 ) -> GreenValue:
-    """Green function of one point, to a certified radius <= tol."""
+    """Green function of one point; its radius is a truncation bound <= tol
+    plus, if it stops at its escape radius, a rounding floor (green_values)."""
     vec = np.asarray(x, dtype=np.complex128).reshape(-1, 1)
     values, steps, radius = green_values(seq, vec, tol, depth)
     return GreenValue(float(values[0]), steps, radius)

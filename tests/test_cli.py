@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -710,6 +711,20 @@ def test_green_far_and_near_points(capsys, psq_config, point, rescaled, scale):
     assert code == 0
     expected = ref["value"] + 2.0 * math.log(scale)
     assert abs(doc["value"] - expected) <= doc["radius"]
+
+
+def test_green_radius_is_its_truncation_bound_plus_the_rounding_floor(capsys, sq_config):
+    # at tol 1e-300 the truncation part is at most 1e-300, so the printed
+    # radius is the rounding floor 8 eps (n + 1) (|G| + 4 c_bar + 1) after
+    # the n steps that ran, far above tol; sq has c_bar = log(2) / 2
+    argv = ["green", "--config", sq_config, "--point", "1,2", "--tol", "1e-300"]
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert abs(doc["value"] - 1.3862943611198906) <= doc["radius"]
+    floor = 8.0 * sys.float_info.epsilon * (doc["depth"] + 1)
+    floor *= doc["value"] + 2.0 * math.log(2.0) + 1.0
+    assert doc["radius"] == pytest.approx(floor, rel=1e-12)
+    assert doc["radius"] > 1e-14
 
 
 @pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,infj"])

@@ -731,10 +731,11 @@ def test_targets_and_option_edges_keep_the_contract(tmp_path_factory, command, d
 # Grid and depth slice: green --grid --out and equidist at several depths,
 # on the {sq, psq} word, on generated P^1 configs and on the
 # huge-coefficient ones, with the grid size, the chart, the tolerance and
-# the depth list drawn, malformed depth lists among them.  On exit 0 the
-# CSV holds its header and one line of four finite floats per grid point,
-# as many as the report's row count, and equidist reports every depth
-# asked for with the same test functions.
+# the depth list drawn, malformed depth lists, grid sizes and tolerances
+# among them.  On exit 0 the CSV holds its header and one line of four
+# finite floats per grid point, as many as the report's row count, and
+# equidist reports every depth asked for with the same test functions.  A
+# malformed number is one input error line naming its option, with exit 1.
 DEPTH_LISTS = st.one_of(
     st.lists(st.integers(0, 4), min_size=1, max_size=3).map(
         lambda ds: ",".join(map(str, ds))
@@ -744,26 +745,47 @@ DEPTH_LISTS = st.one_of(
     ),
     st.sampled_from(["-1", "1,,2", "", "x", "2.5"]),
 )
-GRID_TOLS = st.sampled_from(["1e-9", "1e-9", "1e-3", "1e-320"])
+GRID_TOLS = st.sampled_from(["1e-9", "1e-9", "1e-3", "1e-320", "1.5", "x"])
+NUMBER_KINDS = {"--grid": (int, "an integer"), "--tol": (float, "a number")}
+
+
+def _grid_sizes(largest):
+    """--grid texts: 1..largest, or a malformed integer."""
+    return st.sampled_from([*map(str, range(1, largest + 1)), "1.5", "x"])
+
+
 GRIDS = {
     "green": st.builds(
         lambda n, chart, tol: [
-            "--grid", str(n), "--chart", str(chart), "--tol", tol, "--out", "{out}"
+            "--grid", n, "--chart", str(chart), "--tol", tol, "--out", "{out}"
         ],
-        st.integers(1, 12),
+        _grid_sizes(12),
         st.sampled_from([0, 1]),
         GRID_TOLS,
     ),
     "equidist": st.builds(
         lambda t, depths, n, tol: [
-            f"--target={t}", f"--depths={depths}", "--grid", str(n), "--tol", tol
+            f"--target={t}", f"--depths={depths}", "--grid", n, "--tol", tol
         ],
         st.sampled_from(["2", "inf", "1/3", "0,1"]),
         DEPTH_LISTS,
-        st.integers(1, 8),
+        _grid_sizes(8),
         GRID_TOLS,
     ),
 }
+
+
+def _malformed_number(args):
+    """The input error line of the first --grid or --tol text that its
+    kind refuses, in argv order; None if every one converts."""
+    for option, text in zip(args, args[1:]):
+        kind, word = NUMBER_KINDS.get(option, (None, None))
+        try:
+            if kind is not None:
+                kind(text)
+        except ValueError:
+            return f"input error: {option} needs {word}, got {text!r}\n"
+    return None
 
 
 def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
@@ -787,6 +809,12 @@ def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
         args = [a.format(out=csv) for a in data.draw(GRIDS[command])]
         code, out, err = _run([command, *args, "--config", str(path)])
         _assert_streams(code, out, err)
+        malformed = _malformed_number(args)
+        if malformed is not None:
+            # counted apart, so exit 1 below still needs another refusal
+            seen["malformed", command] += 1
+            assert (code, err) == (1, malformed)
+            return
         seen[command, code] += 1
         if not out:
             return
@@ -809,8 +837,10 @@ def test_grids_and_depth_lists_keep_the_contract(tmp_path_factory):
             seen["several depths"] += len(depths) > 1
 
     check()
-    # both commands reported and refused, and equidist ran several depths
+    # both commands reported, refused and met a malformed number, and
+    # equidist ran several depths
     wanted = {(c, code) for c in GRIDS for code in (0, 1)} | {"several depths"}
+    wanted |= {("malformed", c) for c in GRIDS}
     assert wanted <= set(seen), seen
 
 

@@ -22,6 +22,8 @@ from seqheight.green import (
     admissible_potential,
     constant_one,
     green_function,
+    _ROUNDING,
+    _escape_plans,
     _plan,
     _smooth_cutoff,
     green_values,
@@ -582,22 +584,43 @@ def _reference_lift(seq, position):
 
 
 def _reference_green_values(seq, pts, tol=1e-9, depth=None):
-    """The step loop over the whole batch at once, normalizing by division."""
+    """The step loop over the whole batch at once, normalizing by division.
+
+    With the escape stop: every column runs all the steps, with no blocks
+    and no compaction, and its first step n that meets a plan's stop (plans
+    in order) gives its value and radius, by green_values' expressions.
+    """
     norms = np.linalg.norm(pts, axis=0)
-    steps = len(_plan(seq, tol, depth)[0])
+    lifts, prod = _plan(seq, tol, depth)
+    dn = np.cumprod([1.0, *(g.degree for g in lifts)]).tolist()
+    plans = _escape_plans(seq, lifts, dn, tol) if depth is None else []
+    cover = 4.0 * seq.c_bar + 1.0
+    count = pts.shape[1]
+    values = np.full(count, np.nan)
+    depths = np.full(count, len(lifts))
+    radii = np.full(count, 4.0 * seq.c_bar / prod)
+    done = np.zeros(count, dtype=bool)
     acc = np.log(norms)
     v = pts / norms
-    prod = 1
-    for a in range(steps):
-        lift = seq.lift_at(a)
+    for a, lift in enumerate(lifts):
         y = _reference_evaluate(*_reference_lift(seq, a), v)
         ny = np.linalg.norm(y, axis=0)
-        if np.any(ny < 1e-280):
+        if np.any(ny[~done] < 1e-280):
             raise DegenerateNearZero(f"lift at step {a + 1} drove a unit vector to ~0")
         acc = lift.degree * acc + np.log(ny)
         v = y / ny
-        prod *= lift.degree
-    return 2.0 * acc / prod, steps, 4.0 * seq.c_bar / prod
+        squares = (np.conjugate(y) * y).real
+        for i, c, limits, tails, rest in plans:
+            near = ~done & (squares[1 - i] <= limits[a + 1] * squares[i])
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                t = np.sqrt(squares[1 - i] / squares[i])
+            g = (acc + tails[a + 1]) * 2.0 / dn[a + 1]
+            own = 4.0 / 3.0 * c / dn[a + 1] * t
+            own += _ROUNDING * (a + 2) * (np.abs(g) + cover)
+            values[near], depths[near], radii[near] = g[near], a + 1, own[near] + rest
+            done |= near
+    values[~done] = 2.0 * acc[~done] / prod
+    return values, int(depths.max()), float(radii.max())
 
 
 def _kernel_sequences():
@@ -628,20 +651,24 @@ def test_blocked_kernel_matches_unblocked_reference(name):
     seq = _kernel_sequences()[name]
     rng = np.random.default_rng(2024)
     n = seq.num_vars
+    batches = []
     for width in KERNEL_WIDTHS:
         pts = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
         pts[:, 0] = np.arange(1, n + 1)
+        batches.append(pts)
+    if n == 2:
+        # both charts' full squares at grid 64, as a CSV grid reads them
+        z = PairingGrid(seq, 64).z
+        batches += [np.stack([np.ones_like(z), z]), np.stack([z, np.ones_like(z)])]
+    for pts in batches:
         for depth in (None, 0, 5):
             got = green_values(seq, pts, tol=1e-9, depth=depth)
             ref = _reference_green_values(seq, pts, tol=1e-9, depth=depth)
+            assert np.array_equal(got[0], ref[0])
+            assert got[1:] == ref[1:]
             if depth is None and name in ESCAPING:
-                # each column stops at its own step, within the radii of
-                # the full-depth value
-                assert np.all(np.abs(got[0] - ref[0]) <= got[2] + ref[2])
-                assert got[1] <= ref[1] and got[2] <= 1e-9
-            else:
-                assert np.array_equal(got[0], ref[0])
-                assert got[1:] == ref[1:]
+                # columns stop before the full depth
+                assert got[1] < len(_plan(seq, 1e-9, None)[0]) and got[2] <= 1e-9
         lift = seq.lift_at(1)
         ref = _reference_evaluate(*_reference_lift(seq, 1), pts)
         assert np.array_equal(lift.evaluate(pts), ref)
