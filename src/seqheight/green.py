@@ -450,8 +450,8 @@ def green_values(
             # buf.real holds |y_0|^2 and |y_1|^2 of the image y, whose ratio
             # is t^2 of the new v
             squares, dk = buf.real, dn[a + 1]
-            # per plan the columns it stops; two plans' sets are disjoint,
-            # as t <= 1/2 at both e_0 and e_1 would need y = 0
+            # per plan (one or two) the columns it stops; two plans' sets
+            # are disjoint, as t <= 1/2 at both e_0 and e_1 would need y = 0
             near = [squares[1 - i] <= lim[a + 1] * squares[i] for i, _, lim, *_ in plans]
             stopped = near[0] | near[-1]
             gone = np.flatnonzero(stopped)

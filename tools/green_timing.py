@@ -43,7 +43,7 @@ def _load(tree: Path, name: str):
     return module
 
 
-def _cases(package, configs: dict) -> list[tuple[str, object, np.ndarray]]:
+def _cases(package, configs: dict) -> list[tuple]:
     """(grid kind, config, chart, LiftSequence, points) of every case,
     built with one tree."""
     green = importlib.import_module(f"{package.__name__}.green")
@@ -83,7 +83,7 @@ def run(tree_a: Path, tree_b: Path, rounds: int) -> int:
         for k in range(len(sides[0])):
             outputs = [None, None]
             for side in ((0, 1), (1, 0))[(r + k) % 2]:
-                label, key, chart, seq, pts = sides[side][k]
+                seq, pts = sides[side][k][3:]
                 seconds, outputs[side] = _timed(kernels[side], seq, pts)
                 best[side][k] = min(best[side][k], seconds)
             if outputs[0] != outputs[1]:
